@@ -7,6 +7,7 @@ import pytest
 
 from powemb.lpengine import (
     Field,
+    Grid,
     bessel_apply,
     derivative,
     field_from_samples,
@@ -201,3 +202,64 @@ class TestAcrossScales:
         res = besov_norm(batch[0], 0.5, 2, 2, 0.0, sys=sys1d)
         d = res.to_dict()
         assert "value" in d and "per_block" in d
+
+
+# Norm values pinned before the spectral layer stopped re-transforming
+# fields it builds in frequency space; any representation change must keep
+# them to floating-point noise.
+PINNED = {
+    ("band96_1d", "B_q2"): 29.663974373629195,
+    ("band96_1d", "B_qinf"): 28.337223332909318,
+    ("band96_1d", "Holder"): 97.72095827983651,
+    ("band96_1d", "F_q1"): 54.76186830780104,
+    ("band96_1d", "F_qinf"): 29.460617586319135,
+    ("band96_1d", "H"): 18.69862668551684,
+    ("band96_1d", "W1"): 124.06834007412907,
+    ("gauss_1d", "B_q2"): 2.253036229481102,
+    ("gauss_1d", "B_qinf"): 1.6564051433039397,
+    ("gauss_1d", "Holder"): 0.9883680205720083,
+    ("gauss_1d", "F_q1"): 2.2845883743213173,
+    ("gauss_1d", "F_qinf"): 1.6564052086679895,
+    ("gauss_1d", "H"): 2.355114501537435,
+    ("gauss_1d", "W1"): 2.8304666524174595,
+    ("random_2d", "B_q2"): 9.7027575985851,
+    ("random_2d", "B_qinf"): 3.9280729752361916,
+    ("random_2d", "Holder"): 4.742482228043307,
+    ("random_2d", "F_q1"): 15.032337938632141,
+    ("random_2d", "F_qinf"): 4.351643996468635,
+    ("random_2d", "H"): 7.87450842109822,
+    ("random_2d", "W1"): 22.979039682160845,
+}
+
+PINNED_NORMS = {
+    "B_q2": lambda f, g: besov_norm(f, 0.5, 2, 2, g),
+    "B_qinf": lambda f, g: besov_norm(f, 0.5, 3, math.inf, g),
+    "Holder": lambda f, g: space_norm(f, S("Holder", "1/2", d=f.grid.d)),
+    "F_q1": lambda f, g: triebel_norm(f, 0.5, 2, 1, g),
+    "F_qinf": lambda f, g: triebel_norm(f, 0.5, 3, math.inf, g),
+    "H": lambda f, g: bessel_norm(f, 0.5, 2, g),
+    "W1": lambda f, g: sobolev_norm(f, 1, 2, g),
+}
+
+
+@pytest.fixture(scope="module")
+def band96():
+    # band 96 on N = 4096: block upsampling factors 1, 2 and 4
+    return random_band_limited(Grid(1, 16.0, 2 ** 12), 7, band=96.0)
+
+
+@pytest.fixture(scope="module")
+def pinned_fields(band96, grid1d, grid2d):
+    return {
+        "band96_1d": (band96, 0.5),
+        "gauss_1d": (field_from_samples(
+            grid1d, lambda x: np.exp(-x * x / 8.0), band_limit=4.3), -0.5),
+        "random_2d": (random_band_limited(grid2d, 5, band=6.0), 0.5),
+    }
+
+
+@pytest.mark.parametrize("key", sorted(PINNED))
+def test_pinned_norm_values(pinned_fields, key):
+    f, gamma = pinned_fields[key[0]]
+    got = PINNED_NORMS[key[1]](f, gamma).value
+    assert got == pytest.approx(PINNED[key], rel=1e-12)
