@@ -19,7 +19,7 @@ from pathlib import Path
 from . import suite
 from .lpengine import Grid, save_field, save_profile_csv
 from .oracle import EMBEDS, NO, UNKNOWN, FamilyError, decide, embedding_matrix
-from .params import RangeError, spec_from_json
+from .params import RangeError, parse_spec, spec_from_json, validate
 from .witnesses import (
     dilation_family,
     gaussian_base,
@@ -118,13 +118,18 @@ def cmd_lattice(args) -> int:
             raise RangeError("lattice wants a JSON array of space descriptors")
         specs = []
         dims = set()
-        for entry in data:
+        for i, entry in enumerate(data):
             try:
-                spec = spec_from_json(json.dumps(entry))
+                spec = parse_spec(entry)
+            except RangeError as exc:
+                raise RangeError(f"entry {i}: {exc}") from None
+            try:
+                spec = validate(spec)
                 dims.add(spec.d)
             except RangeError:
-                # Keeps the row/column; the matrix records the validation error.
-                spec = _invalid_placeholder()
+                # Keeps the row/column; the matrix records the entry's own
+                # validation error.
+                pass
             specs.append(spec)
         if len(dims) > 1:
             raise RangeError(f"all spaces must share one dimension, got {sorted(dims)}")
@@ -140,12 +145,6 @@ def cmd_lattice(args) -> int:
     print(json.dumps(payload, sort_keys=True, default=str))
     print(_render_matrix(report), file=sys.stderr)
     return EX_OK
-
-
-def _invalid_placeholder():
-    from .params import SpaceSpec
-
-    return SpaceSpec(family="B", d=-1)
 
 
 def _render_matrix(report) -> str:
@@ -275,18 +274,25 @@ def cmd_verify(args) -> int:
         else:
             names.append(entry["id"])
             overrides[entry["id"]] = entry.get("overrides", {})
-    if config.get("grid"):
-        for name in names:
-            overrides.setdefault(name, {}).setdefault("grid", config["grid"])
     if any(n not in suite.CATALOG for n in names):
         bad = [n for n in names if n not in suite.CATALOG]
         print(f"error: unknown experiments {bad}", file=sys.stderr)
         return EX_USAGE
+    gridless = [n for n in names if "grid" in overrides.get(n, {})
+                and n not in suite.GRID_EXPERIMENTS]
+    if gridless:
+        print(f"error: experiments {gridless} use no grid; remove their "
+              f"'grid' override", file=sys.stderr)
+        return EX_USAGE
+    if config.get("grid"):
+        for name in names:
+            if name in suite.GRID_EXPERIMENTS:
+                overrides.setdefault(name, {}).setdefault("grid", config["grid"])
 
     cfg_hash = _config_hash(config)
     out = _out_dir(args, config_out=config.get("out"))
     results = suite.run_experiments(names, overrides, seed=int(config["seed"]),
-                                    jobs=args.jobs)
+                                    jobs=args.jobs or 1)
     all_pass = True
     for name, reports in results.items():
         for i, rep in enumerate(reports):
@@ -307,6 +313,15 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# The global flags each subcommand reads; any other one given is rejected.
+_GLOBAL_FLAGS_READ = {
+    "decide": (),
+    "lattice": (),
+    "witness": ("grid", "seed"),
+    "verify": ("jobs", "seed"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="powemb",
@@ -314,9 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
                     "power-weighted smoothness spaces",
     )
     ap.add_argument("--out", help="output directory (env POWEMB_OUT overrides)")
-    ap.add_argument("--jobs", type=int, default=1, help="parallel experiments")
-    ap.add_argument("--seed", type=int, default=None, help="run seed")
-    ap.add_argument("--grid", help="grid as d,L,N", default=None)
+    ap.add_argument("--jobs", type=int, default=None,
+                    help="parallel experiments (verify, default 1)")
+    ap.add_argument("--seed", type=int, default=None,
+                    help="run seed (witness, verify)")
+    ap.add_argument("--grid", default=None, help="grid as d,L,N (witness)")
     sub = ap.add_subparsers(dest="cmd")
 
     p = sub.add_parser("decide", help="decide one embedding pair")
@@ -366,6 +383,13 @@ def main(argv=None) -> int:
         return EX_OK if exc.code in (0, None) else EX_USAGE
     if not getattr(args, "func", None):
         parser.print_help()
+        return EX_USAGE
+    unread = [f"--{flag}" for flag in ("grid", "jobs", "seed")
+              if getattr(args, flag) is not None
+              and flag not in _GLOBAL_FLAGS_READ[args.cmd]]
+    if unread:
+        print(f"error: {args.cmd} does not use {', '.join(unread)}",
+              file=sys.stderr)
         return EX_USAGE
     try:
         return args.func(args)

@@ -17,6 +17,8 @@ Quadrature conventions:
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 import math
 import threading
@@ -70,27 +72,39 @@ class Grid:
         return 2.0 * math.pi * np.fft.fftfreq(self.N, d=self.h)
 
     def points(self):
-        """Physical coordinates; (N,) for d=1, meshgrid pair for d=2."""
-        x = self.axis_points()
-        if self.d == 1:
-            return x
-        return np.meshgrid(x, x, indexing="ij")
+        """Physical coordinates, one array per axis (meshgrid layout)."""
+        return np.meshgrid(*(self.axis_points(),) * self.d, indexing="ij")
 
     def freqs(self):
-        xi = self.axis_freqs()
-        if self.d == 1:
-            return xi
-        return np.meshgrid(xi, xi, indexing="ij")
+        """Lattice frequencies, one array per axis (meshgrid layout)."""
+        return np.meshgrid(*(self.axis_freqs(),) * self.d, indexing="ij")
 
     def freq_magnitude(self) -> np.ndarray:
-        if self.d == 1:
-            return np.abs(self.axis_freqs())
-        k1, k2 = self.freqs()
-        return np.sqrt(k1 * k1 + k2 * k2)
+        return magnitude(*self.freqs())
+
+
+def magnitude(*axes) -> np.ndarray:
+    """Euclidean norm of per-axis coordinate arrays (exactly |x| in 1-D)."""
+    return np.sqrt(functools.reduce(np.add, (x * x for x in axes)))
+
+
+def _frozen(grid: Grid, array, name: str) -> np.ndarray:
+    """A read-only complex copy of a lattice array, checked against the grid."""
+    expected = (grid.N,) * grid.d
+    array = np.array(array, dtype=np.complex128)
+    if array.shape != expected:
+        raise GridMismatch(f"{name} shape {array.shape} != {expected}")
+    array.setflags(write=False)
+    return array
 
 
 class Field:
-    """A complex sampled function with cached spectrum and band metadata.
+    """A complex sampled function with band metadata.
+
+    A field keeps the representation it was built in, lattice samples
+    (``values``) or raw FFT coefficients (``spectrum``); the other one is
+    computed on first read and cached.  Both arrays are read-only, so
+    threads racing on a first read at worst compute equal arrays twice.
 
     ``band_limit`` records a radius R with the discrete spectrum supported in
     |xi| <= R; it is enforced (coefficients beyond R zeroed) for fields built
@@ -100,32 +114,35 @@ class Field:
     ``physical_gen`` evaluates the function itself.
     """
 
-    def __init__(self, grid: Grid, values: np.ndarray, band_limit=None,
-                 spectral_gen=None, physical_gen=None):
-        expected = (grid.N,) * grid.d
-        values = np.asarray(values, dtype=np.complex128)
-        if values.shape != expected:
-            raise GridMismatch(f"values shape {values.shape} != {expected}")
-        values = values.copy()
-        values.setflags(write=False)
+    def __init__(self, grid: Grid, values=None, band_limit=None,
+                 spectral_gen=None, physical_gen=None, *, spectrum=None):
+        if (values is None) == (spectrum is None):
+            raise ValueError("a Field needs exactly one of values or spectrum")
         self.grid = grid
-        self.values = values
+        self._values = None if values is None else _frozen(grid, values, "values")
+        self._spectrum = (None if spectrum is None
+                          else _frozen(grid, spectrum, "spectrum"))
         self.band_limit = band_limit
         self.spectral_gen = spectral_gen
         self.physical_gen = physical_gen
-        self._spectrum = None
+
+    @property
+    def values(self) -> np.ndarray:
+        """Samples on the lattice."""
+        if self._values is None:
+            values = np.fft.ifftn(self._spectrum)
+            values.setflags(write=False)
+            self._values = values
+        return self._values
 
     @property
     def spectrum(self) -> np.ndarray:
         """Raw FFT coefficients of the samples (numpy fft layout)."""
         if self._spectrum is None:
-            spec = np.fft.fftn(self.values)
-            spec.setflags(write=False)
-            self._spectrum = spec
+            spectrum = np.fft.fftn(self._values)
+            spectrum.setflags(write=False)
+            self._spectrum = spectrum
         return self._spectrum
-
-    def with_values(self, values, band_limit=None) -> "Field":
-        return Field(self.grid, values, band_limit=band_limit)
 
     def spectrum_consistent(self, tol=1e-9) -> bool:
         back = np.fft.ifftn(self.spectrum)
@@ -141,11 +158,9 @@ class Field:
 
 
 def field_from_samples(grid: Grid, fn: Callable, band_limit=None) -> Field:
-    """Sample an analytic function on the lattice."""
-    pts = grid.points()
-    vals = fn(pts) if grid.d == 1 else fn(pts[0], pts[1])
-    return Field(grid, np.asarray(vals, dtype=np.complex128),
-                 band_limit=band_limit, physical_gen=fn)
+    """Sample an analytic function ``fn(*axes)`` on the lattice."""
+    return Field(grid, fn(*grid.points()), band_limit=band_limit,
+                 physical_gen=fn)
 
 
 def field_from_spectral(grid: Grid, spectral_fn: Callable, band_limit=None) -> Field:
@@ -156,30 +171,20 @@ def field_from_spectral(grid: Grid, spectral_fn: Callable, band_limit=None) -> F
     inverse transform exactly when the transform is supported in the
     representable ball.
     """
-    if grid.d == 1:
-        xi = grid.axis_freqs()
-        coeff = np.asarray(spectral_fn(xi), dtype=np.complex128)
-    else:
-        k1, k2 = grid.freqs()
-        coeff = np.asarray(spectral_fn(k1, k2), dtype=np.complex128)
+    coeff = np.asarray(spectral_fn(*grid.freqs()), dtype=np.complex128)
     if band_limit is not None:
         coeff = np.where(grid.freq_magnitude() <= band_limit, coeff, 0.0)
     weight = (math.pi / grid.L) ** grid.d / (2.0 * math.pi) ** (grid.d / 2.0)
     # Trig-interpolant coefficients carry the (-1)^k phase of the -L origin.
-    phase = _origin_phase(grid)
-    values = np.fft.ifftn(coeff * weight * phase) * grid.N ** grid.d
-    out = Field(grid, values, band_limit=band_limit, spectral_gen=spectral_fn)
-    out._spectrum = (coeff * weight * phase * grid.N ** grid.d).astype(np.complex128)
-    out._spectrum.setflags(write=False)
-    return out
+    spectrum = coeff * weight * _origin_phase(grid) * grid.N ** grid.d
+    return Field(grid, spectrum=spectrum, band_limit=band_limit,
+                 spectral_gen=spectral_fn)
 
 
 def _origin_phase(grid: Grid) -> np.ndarray:
     k = np.fft.fftfreq(grid.N, d=1.0 / grid.N)
     ph = np.exp(-1j * math.pi * k)
-    if grid.d == 1:
-        return ph
-    return np.outer(ph, ph)
+    return functools.reduce(np.multiply.outer, (ph,) * grid.d)
 
 
 # ---------------------------------------------------------------------------
@@ -238,17 +243,19 @@ def make_dyadic(grid: Grid) -> DyadicSystem:
 
 
 def lp_blocks(f: Field, sys: DyadicSystem) -> List[Field]:
-    """Littlewood-Paley blocks S_0 f .. S_K f by spectral multiplication."""
+    """Littlewood-Paley blocks S_0 f .. S_K f by spectral multiplication.
+
+    Blocks hold coefficients only, so a block never read costs no transform.
+    """
     if f.grid != sys.grid:
         raise GridMismatch("field and dyadic system live on different grids")
     spec = f.spectrum
     out = []
     for k in range(sys.K + 1):
-        block = np.fft.ifftn(spec * sys.hat_phi[k])
         band = sys.block_band(k)
         if f.band_limit is not None:
             band = min(band, f.band_limit)
-        out.append(Field(f.grid, block, band_limit=band))
+        out.append(Field(f.grid, spectrum=spec * sys.hat_phi[k], band_limit=band))
     return out
 
 
@@ -268,24 +275,15 @@ def _active_blocks(f: Field, sys: DyadicSystem) -> int:
 
 
 def apply_multiplier(f: Field, symbol: Callable, band_limit=None) -> Field:
-    """F^-1 [ symbol(xi) F f ]; symbol takes the frequency arrays."""
-    if f.grid.d == 1:
-        m = symbol(f.grid.axis_freqs())
-    else:
-        k1, k2 = f.grid.freqs()
-        m = symbol(k1, k2)
-    values = np.fft.ifftn(f.spectrum * m)
-    return Field(f.grid, values,
+    """F^-1 [ symbol(xi) F f ]; symbol takes one frequency array per axis."""
+    m = symbol(*f.grid.freqs())
+    return Field(f.grid, spectrum=f.spectrum * m,
                  band_limit=band_limit if band_limit is not None else f.band_limit)
 
 
 def bessel_apply(f: Field, s: float) -> Field:
     """Bessel potential: multiplier (1 + |xi|^2)^{s/2}."""
-    if f.grid.d == 1:
-        sym = lambda xi: (1.0 + xi * xi) ** (s / 2.0)
-    else:
-        sym = lambda k1, k2: (1.0 + k1 * k1 + k2 * k2) ** (s / 2.0)
-    return apply_multiplier(f, sym)
+    return apply_multiplier(f, lambda *k: sum((x * x for x in k), 1.0) ** (s / 2.0))
 
 
 def derivative(f: Field, alpha) -> Field:
@@ -295,11 +293,9 @@ def derivative(f: Field, alpha) -> Field:
     alpha = tuple(int(a) for a in alpha)
     if len(alpha) != f.grid.d or any(a < 0 for a in alpha):
         raise RangeError(f"multiindex {alpha} does not fit dimension {f.grid.d}")
-    if f.grid.d == 1:
-        sym = lambda xi: (1j * xi) ** alpha[0]
-    else:
-        sym = lambda k1, k2: (1j * k1) ** alpha[0] * (1j * k2) ** alpha[1]
-    return apply_multiplier(f, sym)
+    return apply_multiplier(
+        f, lambda *k: functools.reduce(
+            np.multiply, ((1j * x) ** a for x, a in zip(k, alpha))))
 
 
 # ---------------------------------------------------------------------------
@@ -392,21 +388,18 @@ def upsample_values(f: Field, factor: int) -> np.ndarray:
     """Exact samples of the trig interpolant on a factor-times finer lattice."""
     if factor == 1:
         return f.values
-    n = f.grid.N
+    d, n = f.grid.d, f.grid.N
     m = n * factor
-    spec = f.spectrum
-    if f.grid.d == 1:
-        pad = np.zeros(m, dtype=np.complex128)
-        pad[: n // 2] = spec[: n // 2]
-        pad[m - n // 2 :] = spec[n // 2 :]
-        return np.fft.ifft(pad) * factor
-    pad = np.zeros((m, m), dtype=np.complex128)
     half = n // 2
-    pad[:half, :half] = spec[:half, :half]
-    pad[:half, m - half :] = spec[:half, half:]
-    pad[m - half :, :half] = spec[half:, :half]
-    pad[m - half :, m - half :] = spec[half:, half:]
-    return np.fft.ifftn(pad) * factor ** 2
+    # (source, target) slices per axis: the non-negative frequencies stay in
+    # front, the negative ones (Nyquist bin included) move to the back.
+    halves = ((slice(None, half), slice(None, half)),
+              (slice(half, None), slice(m - half, None)))
+    pad = np.zeros((m,) * d, dtype=np.complex128)
+    for corner in itertools.product(halves, repeat=d):
+        src, dst = zip(*corner)
+        pad[dst] = f.spectrum[src]
+    return np.fft.ifftn(pad) * factor ** d
 
 
 def weighted_cell_sum(grid: Grid, abs_values: np.ndarray, p: float, gamma: float,
@@ -445,15 +438,11 @@ def boundary_decay(f: Field, fraction: float = 0.02) -> float:
     peak = float(np.max(mag))
     if peak == 0.0:
         return 0.0
-    if f.grid.d == 1:
-        rim = max(float(np.max(mag[:edge])), float(np.max(mag[-edge:])))
-    else:
-        rim = max(
-            float(np.max(mag[:edge, :])),
-            float(np.max(mag[-edge:, :])),
-            float(np.max(mag[:, :edge])),
-            float(np.max(mag[:, -edge:])),
-        )
+    rim = max(
+        float(np.max(np.moveaxis(mag, axis, 0)[side]))
+        for axis in range(f.grid.d)
+        for side in (slice(None, edge), slice(-edge, None))
+    )
     return rim / peak
 
 

@@ -19,7 +19,6 @@ import numpy as np
 from .lpengine import (
     DyadicSystem,
     Field,
-    GridMismatch,
     _active_blocks,
     auto_oversample,
     bessel_apply,
@@ -58,10 +57,6 @@ class NormResult:
         return out
 
 
-def _as_float(x) -> float:
-    return float(x)
-
-
 def _check_boundary(f: Field, warnings: List[str]):
     rim = boundary_decay(f)
     if rim > BOUNDARY_TOL:
@@ -80,16 +75,13 @@ def _ell_q(values: List[float], q: float) -> float:
 
 
 def _system_for(f: Field, sys: Optional[DyadicSystem]) -> DyadicSystem:
-    if sys is None:
-        return make_dyadic(f.grid)
-    if sys.grid != f.grid:
-        raise GridMismatch("field and dyadic system live on different grids")
-    return sys
+    # A system on another grid is rejected by lp_blocks.
+    return make_dyadic(f.grid) if sys is None else sys
 
 
 def besov_norm(f: Field, s, p, q, gamma, sys: Optional[DyadicSystem] = None) -> NormResult:
     """(sum_k (2^{ks} ||S_k f||_{L^p(w)})^q)^{1/q}, sup over k at q = inf."""
-    s, p, q, gamma = _as_float(s), _as_float(p), _as_float(q), _as_float(gamma)
+    s, p, q, gamma = float(s), float(p), float(q), float(gamma)
     sys = _system_for(f, sys)
     warnings: List[str] = []
     _check_boundary(f, warnings)
@@ -105,7 +97,7 @@ def besov_norm(f: Field, s, p, q, gamma, sys: Optional[DyadicSystem] = None) -> 
 
 def triebel_norm(f: Field, s, p, q, gamma, sys: Optional[DyadicSystem] = None) -> NormResult:
     """|| (sum_k |2^{ks} S_k f(.)|^q)^{1/q} ||_{L^p(w)}, sup-in-k at q = inf."""
-    s, p, q, gamma = _as_float(s), _as_float(p), _as_float(q), _as_float(gamma)
+    s, p, q, gamma = float(s), float(p), float(q), float(gamma)
     if p == math.inf:
         raise RangeError("the F-scale needs p < inf")
     sys = _system_for(f, sys)
@@ -135,7 +127,7 @@ def triebel_norm(f: Field, s, p, q, gamma, sys: Optional[DyadicSystem] = None) -
 
 def bessel_norm(f: Field, s, p, gamma) -> NormResult:
     """||J_s f||_{L^p(w)} with the multiplier (1+|xi|^2)^{s/2}."""
-    s, p, gamma = _as_float(s), _as_float(p), _as_float(gamma)
+    s, p, gamma = float(s), float(p), float(gamma)
     if p == math.inf:
         raise RangeError("the H-scale needs p < inf")
     warnings: List[str] = []
@@ -144,18 +136,13 @@ def bessel_norm(f: Field, s, p, gamma) -> NormResult:
 
 
 def _multiindices(d: int, max_order: int):
-    if d == 1:
-        return [(a,) for a in range(max_order + 1)]
-    return [
-        (a, b)
-        for a, b in product(range(max_order + 1), repeat=2)
-        if a + b <= max_order
-    ]
+    return [a for a in product(range(max_order + 1), repeat=d)
+            if sum(a) <= max_order]
 
 
 def sobolev_norm(f: Field, m, p, gamma) -> NormResult:
     """sum over |alpha| <= m of ||D^alpha f||_{L^p(w)}."""
-    p, gamma = _as_float(p), _as_float(gamma)
+    p, gamma = float(p), float(gamma)
     m = int(m)
     if m < 0:
         raise RangeError(f"Sobolev order must be a nonnegative integer, got {m}")

@@ -293,7 +293,12 @@ def spec_to_dict(spec: SpaceSpec) -> dict:
 
 
 def spec_from_dict(data: dict) -> SpaceSpec:
-    """Build a (validated) SpaceSpec from its JSON descriptor dict."""
+    """Build a validated SpaceSpec from its JSON descriptor dict."""
+    return validate(parse_spec(data))
+
+
+def parse_spec(data: dict) -> SpaceSpec:
+    """Read a JSON descriptor dict into a SpaceSpec without range checks."""
     if not isinstance(data, dict):
         raise RangeError(f"space descriptor must be an object, got {data!r}")
     try:
@@ -312,7 +317,7 @@ def spec_from_dict(data: dict) -> SpaceSpec:
     gamma = as_rational(data["gamma"], what="gamma") if "gamma" in data else None
     if fam == "Lp" and "s" in data and s != 0:
         raise RangeError("Lp descriptor cannot carry a nonzero s")
-    return validate(SpaceSpec(family=fam, d=d, s=s, p=p, q=q, gamma=gamma))
+    return SpaceSpec(family=fam, d=d, s=s, p=p, q=q, gamma=gamma)
 
 
 def spec_from_json(text: str) -> SpaceSpec:

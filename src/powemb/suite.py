@@ -450,7 +450,7 @@ def _exp_translation(cfg, seed) -> List[ExperimentReport]:
         for p in cfg.get("ps", (2, 4)):
             out.append(check_translation_scaling(
                 p, gamma, cfg.get("lambdas", (4, 8, 16, 32, 64)),
-                tolerance=cfg.get("tolerance", 0.05)))
+                grid=_grid_from(cfg), tolerance=cfg.get("tolerance", 0.05)))
     return out
 
 
@@ -462,7 +462,7 @@ def _exp_nikolskij(cfg, seed) -> List[ExperimentReport]:
         {"p0": 2, "g0": 0.5, "p1": 4, "g1": 1},
         {"p0": 4, "g0": 1, "p1": 1.5, "g1": -1 / 3},
     ])
-    grid = default_grid(1)
+    grid = _grid_from(cfg) or default_grid(1)
     out = []
     for i in range(cfg.get("bases", 5)):
         base = random_band_limited(grid, seed + i, band=1.0)
@@ -499,12 +499,14 @@ def _exp_dichotomy(cfg, seed) -> List[ExperimentReport]:
 
 def _exp_lacunary(cfg, seed) -> List[ExperimentReport]:
     # Sharp line with q0 = inf, q1 = 1: p0=2, p1=4, gamma=0, s0=1, s1=3/4.
+    grid = _grid_from(cfg)
     return [check_lacunary_qnecessity(
         cfg.get("p0", 2), cfg.get("gamma0", 0), cfg.get("q0", math.inf),
         cfg.get("p1", 4), cfg.get("gamma1", 0), cfg.get("q1", 1),
         cfg.get("s0", 1), cfg.get("s1", 0.75),
         n_values=cfg.get("n_values", (4, 6, 8, 12, 16, 24, 32)),
         tolerance=cfg.get("tolerance", 0.1),
+        grid=grid, d=grid.d if grid else 1,
     )]
 
 
@@ -512,12 +514,12 @@ def _exp_equivalences(cfg, seed) -> List[ExperimentReport]:
     out = []
     for gamma in cfg.get("gammas", (0, 0.5)):
         out.extend(check_norm_equivalences(
-            gamma, count=cfg.get("count", 100), seed=seed))
+            gamma, count=cfg.get("count", 100), seed=seed, grid=_grid_from(cfg)))
     return out
 
 
 def _exp_gagliardo(cfg, seed) -> List[ExperimentReport]:
-    grid = Grid(1, 16.0, 2 ** 12)
+    grid = _grid_from(cfg) or Grid(1, 16.0, 2 ** 12)
     out = []
     for gamma in cfg.get("gammas", (0, 0.5)):
         fields = random_field_batch(grid, cfg.get("count", 20), seed)
@@ -537,7 +539,7 @@ def _exp_sharp(cfg, seed) -> List[ExperimentReport]:
 
 
 def _exp_coherence(cfg, seed) -> List[ExperimentReport]:
-    return coherence_suite()
+    return coherence_suite(grid=_grid_from(cfg))
 
 
 CATALOG: Dict[str, Tuple[str, Callable]] = {
@@ -552,6 +554,12 @@ CATALOG: Dict[str, Tuple[str, Callable]] = {
     "sharp": ("sharp-line q-flip fidelity (Besov vs F scales)", _exp_sharp),
     "coherence": ("verdict vs experiment coherence on curated pairs", _exp_coherence),
 }
+
+
+# Experiments whose checks sample fields on a lattice and honour a ``grid``
+# override; the others (radial quadrature, exact oracle) have no lattice.
+GRID_EXPERIMENTS = ("peaks", "translation", "nikolskij", "lacunary",
+                    "equivalences", "gagliardo", "coherence")
 
 
 def run_experiments(names=None, overrides=None, seed: int = 0,

@@ -237,10 +237,6 @@ def _member_norm(member: Field, spec: SpaceSpec) -> float:
     return norms.space_norm(member, spec, sys=_dyadic_for(member.grid)).value
 
 
-def _f(x) -> float:
-    return float(x)
-
-
 # ---------------------------------------------------------------------------
 # Scaling checks
 # ---------------------------------------------------------------------------
@@ -256,8 +252,8 @@ def check_peak_scaling(p, gamma, j, n_range=range(3, 8), grid: Optional[Grid] = 
     d = grid.d if grid is not None else 1
     grid = grid or default_grid(d)
     fam = spectral_peaks(grid, list(n_range), j)
-    values = [weighted_lp(m, p, _f(gamma)) for m in fam.members()]
-    dim = 0.0 if _f(p) == math.inf else (d + _f(gamma)) / _f(p)
+    values = [weighted_lp(m, p, float(gamma)) for m in fam.members()]
+    dim = 0.0 if float(p) == math.inf else (d + float(gamma)) / float(p)
     predicted = d - dim
     params = [2.0 ** n for n in fam.member_params]
     rows_src = values
@@ -286,8 +282,8 @@ def check_translation_scaling(p, gamma, lambda_values=(4, 8, 16, 32, 64),
         grid = grid or default_grid(d, wide=True)
         base = gaussian_base(grid, sigma=1.0)
     fam = translation_family(base, list(lambda_values))
-    values = [weighted_lp(m, p, _f(gamma)) for m in fam.members()]
-    predicted = 0.0 if _f(p) == math.inf else _f(gamma) / _f(p)
+    values = [weighted_lp(m, p, float(gamma)) for m in fam.members()]
+    predicted = 0.0 if float(p) == math.inf else float(gamma) / float(p)
     return _slope_report(
         f"translation_scaling[p={p},gamma={gamma},d={d}]",
         "translation_scaling",
@@ -315,9 +311,9 @@ def check_nikolskij(base: Field, p0, gamma0, p1, gamma1, alpha=0,
     if isinstance(alpha, int):
         alpha = (alpha,) * 1 if d == 1 else (alpha, 0)
     order = sum(alpha)
-    dim0 = (d + _f(gamma0)) / _f(p0)
-    dim1 = (d + _f(gamma1)) / _f(p1)
-    w0, w1 = _f(gamma0) / _f(p0), _f(gamma1) / _f(p1)
+    dim0 = (d + float(gamma0)) / float(p0)
+    dim1 = (d + float(gamma1)) / float(p1)
+    w0, w1 = float(gamma0) / float(p0), float(gamma1) / float(p1)
     delta = dim0 - dim1
     cond_ok = w1 <= w0 + 1e-12 and dim1 < dim0 - 1e-12
     if not cond_ok and not force:
@@ -331,8 +327,8 @@ def check_nikolskij(base: Field, p0, gamma0, p1, gamma1, alpha=0,
     ratios = []
     rows = []
     for t, member in zip(fam.member_params, fam.members()):
-        num = weighted_lp(derivative(member, alpha), p1, _f(gamma1))
-        den = weighted_lp(member, p0, _f(gamma0))
+        num = weighted_lp(derivative(member, alpha), p1, float(gamma1))
+        den = weighted_lp(member, p0, float(gamma0))
         r = num / den
         ratios.append(r)
         rows.append(
@@ -372,7 +368,7 @@ def check_gagliardo(fields: Sequence[Field], s0, s1, theta, p, q, gamma,
     s = (1-theta) s0 + theta s1, one weight, one p.  The batch maximum of
     the ratio is reported and compared against the cap.
     """
-    s0, s1, theta = _f(s0), _f(s1), _f(theta)
+    s0, s1, theta = float(s0), float(s1), float(theta)
     s = (1.0 - theta) * s0 + theta * s1
     rows = []
     worst = 0.0
@@ -412,13 +408,13 @@ def peak_constants(p, gamma, grid: Optional[Grid] = None, n_check=(5, 6),
     """
     grid = grid or default_grid(1)
     d = grid.d
-    dim = 0.0 if _f(p) == math.inf else (d + _f(gamma)) / _f(p)
+    dim = 0.0 if float(p) == math.inf else (d + float(gamma)) / float(p)
     out = {}
     for l in (-1, 0, 1):
         consts = []
         for n in n_check:
             fam = spectral_peaks(grid, [n], l)
-            val = weighted_lp(fam.member(0), p, _f(gamma))
+            val = weighted_lp(fam.member(0), p, float(gamma))
             consts.append(val / 2.0 ** (n * (d - dim)))
         lo, hi = min(consts), max(consts)
         if hi - lo > rel_tol * hi:
@@ -440,9 +436,9 @@ def lacunary_norm_from_constants(coeffs, s, p, q, gamma, d=1,
     """
     if constants is None:
         constants = peak_constants(p, gamma, grid=grid)
-    dim = 0.0 if _f(p) == math.inf else (d + _f(gamma)) / _f(p)
-    level = [constants[-l] * 2.0 ** (l * (_f(s) + d - dim)) for l in (-1, 0, 1)]
-    qf = _f(q)
+    dim = 0.0 if float(p) == math.inf else (d + float(gamma)) / float(p)
+    level = [constants[-l] * 2.0 ** (l * (float(s) + d - dim)) for l in (-1, 0, 1)]
+    qf = float(q)
     if qf == math.inf:
         return max(abs(a) for a in coeffs) * max(level)
     inner = sum(c ** qf for c in level)
@@ -472,7 +468,7 @@ def check_lacunary_qnecessity(p0, gamma0, q0, p1, gamma1, q1, s0, s1,
         ratios.append(b / a)
         rows.append({"parameter": int(N), "src_norm": a, "tgt_norm": b,
                      "ratio": b / a})
-    inv = lambda q: 0.0 if _f(q) == math.inf else 1.0 / _f(q)
+    inv = lambda q: 0.0 if float(q) == math.inf else 1.0 / float(q)
     predicted = inv(q1) - inv(q0)
     fit = fit_exponent([float(n) for n in n_values],
                        [math.log(r) for r in ratios])

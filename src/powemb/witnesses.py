@@ -21,10 +21,11 @@ from .lpengine import (
     Field,
     Grid,
     RadialProfile,
+    boundary_decay,
     bump_hat,
     field_from_samples,
     field_from_spectral,
-    boundary_decay,
+    magnitude,
 )
 from .params import RangeError
 
@@ -81,13 +82,14 @@ def _jsonable(p):
 # ---------------------------------------------------------------------------
 
 
+def _radial(fn: Callable) -> Callable:
+    """The spectral generator xi -> fn(|xi|), taking one array per axis."""
+    return lambda *k: fn(magnitude(*k))
+
+
 def bump_base(grid: Grid) -> Field:
     """The dyadic generator itself: spectrum = bump_hat, band 3/2."""
-    if grid.d == 1:
-        gen = lambda xi: bump_hat(np.abs(xi))
-    else:
-        gen = lambda k1, k2: bump_hat(np.sqrt(k1 * k1 + k2 * k2))
-    return field_from_spectral(grid, gen, band_limit=1.5)
+    return field_from_spectral(grid, _radial(bump_hat), band_limit=1.5)
 
 
 def gaussian_base(grid: Grid, sigma: float = 1.0, center: float = 0.0) -> Field:
@@ -98,12 +100,10 @@ def gaussian_base(grid: Grid, sigma: float = 1.0, center: float = 0.0) -> Field:
     """
     band = math.sqrt(2.0 * 36.8) / sigma
 
-    if grid.d == 1:
-        gen = lambda x: np.exp(-((x - center) ** 2) / (2.0 * sigma ** 2))
-    else:
-        gen = lambda x, y: np.exp(
-            -((x - center) ** 2 + y ** 2) / (2.0 * sigma ** 2)
-        )
+    def gen(x, *rest):
+        r2 = sum((y ** 2 for y in rest), (x - center) ** 2)
+        return np.exp(-r2 / (2.0 * sigma ** 2))
+
     return field_from_samples(grid, gen, band_limit=band)
 
 
@@ -117,10 +117,7 @@ def gaussian_spectral_base(grid: Grid, sigma_xi: float = 10.0) -> Field:
     for wide members.
     """
     band = math.sqrt(2.0 * 36.8) * sigma_xi
-    if grid.d == 1:
-        gen = lambda xi: np.exp(-(xi * xi) / (2.0 * sigma_xi ** 2))
-    else:
-        gen = lambda k1, k2: np.exp(-(k1 * k1 + k2 * k2) / (2.0 * sigma_xi ** 2))
+    gen = lambda *k: np.exp(-sum(x * x for x in k) / (2.0 * sigma_xi ** 2))
     return field_from_spectral(grid, gen, band_limit=band)
 
 
@@ -143,11 +140,8 @@ def random_band_limited(grid: Grid, seed: int, band: float = 1.0,
             poly = poly * t + c
         return poly * env
 
-    if grid.d == 1:
-        gen = lambda xi: radial(np.abs(xi) / band)
-    else:
-        gen = lambda k1, k2: radial(np.sqrt(k1 * k1 + k2 * k2) / band)
-    out = field_from_spectral(grid, gen, band_limit=band)
+    out = field_from_spectral(grid, _radial(lambda r: radial(r / band)),
+                              band_limit=band)
     out.seed = seed
     return out
 
@@ -177,10 +171,7 @@ def dilation_family(base: Field, t_values: Sequence[float]) -> WitnessFamily:
     def make(i: int) -> Field:
         t = t_values[i]
         gen = base.spectral_gen
-        if grid.d == 1:
-            dil = lambda xi: gen(xi / t)
-        else:
-            dil = lambda k1, k2: gen(k1 / t, k2 / t)
+        dil = lambda *k: gen(*(x / t for x in k))
         return field_from_spectral(grid, dil, band_limit=t * base.band_limit)
 
     return WitnessFamily(
@@ -201,18 +192,11 @@ def translation_family(base: Field, lambda_values: Sequence[float],
         lam = lambda_values[i]
         if base.physical_gen is not None:
             gen = base.physical_gen
-            if grid.d == 1:
-                f = field_from_samples(grid, lambda x: gen(x - lam),
-                                       band_limit=base.band_limit)
-            else:
-                f = field_from_samples(grid, lambda x, y: gen(x - lam, y),
-                                       band_limit=base.band_limit)
+            f = field_from_samples(grid, lambda x, *rest: gen(x - lam, *rest),
+                                   band_limit=base.band_limit)
         elif base.spectral_gen is not None:
             gen = base.spectral_gen
-            if grid.d == 1:
-                mod = lambda xi: gen(xi) * np.exp(-1j * xi * lam)
-            else:
-                mod = lambda k1, k2: gen(k1, k2) * np.exp(-1j * k1 * lam)
+            mod = lambda k1, *rest: gen(k1, *rest) * np.exp(-1j * k1 * lam)
             f = field_from_spectral(grid, mod, band_limit=base.band_limit)
         else:
             raise RangeError("translation needs a base with a generator")
@@ -267,13 +251,7 @@ def spectral_peaks(grid_or_sys, n_values: Sequence[int], j: int) -> WitnessFamil
     def make(i: int) -> Field:
         n = n_values[i]
         ha, hb = _hat_n(n), _hat_n(n + j)
-        if grid.d == 1:
-            gen = lambda xi: ha(np.abs(xi)) * hb(np.abs(xi))
-        else:
-            gen = lambda k1, k2: ha(np.sqrt(k1 * k1 + k2 * k2)) * hb(
-                np.sqrt(k1 * k1 + k2 * k2)
-            )
-        return field_from_spectral(grid, gen,
+        return field_from_spectral(grid, _radial(lambda r: ha(r) * hb(r)),
                                    band_limit=1.5 * 2.0 ** (n + max(j, 0)))
 
     return WitnessFamily("SpectralPeak", {"j": j}, n_values, make)
@@ -305,21 +283,13 @@ def lacunary_sum(grid_or_sys, coeffs: Sequence[float], s0, p0, gamma0) -> Field:
     scaled = [a * 2.0 ** (-3.0 * (jj + 1) * expo) for jj, a in enumerate(coeffs)]
     hats = [_hat_n(3 * (jj + 1)) for jj in range(N)]
 
-    def gen_1d(xi):
-        r = np.abs(xi)
+    def profile(r):
         out = np.zeros_like(r, dtype=np.complex128)
         for c, h in zip(scaled, hats):
             out += c * h(r)
         return out
 
-    def gen_2d(k1, k2):
-        r = np.sqrt(k1 * k1 + k2 * k2)
-        out = np.zeros_like(r, dtype=np.complex128)
-        for c, h in zip(scaled, hats):
-            out += c * h(r)
-        return out
-
-    return field_from_spectral(grid, gen_1d if d == 1 else gen_2d, band_limit=band)
+    return field_from_spectral(grid, _radial(profile), band_limit=band)
 
 
 # ---------------------------------------------------------------------------

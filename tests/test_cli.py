@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from powemb.cli import main
 from powemb.lpengine import load_field
 
@@ -85,9 +87,22 @@ class TestLattice:
             {"family": "B", "s": 1, "p": 0.5, "q": 1, "gamma": 0, "dim": 1},
         ]
         assert main(["lattice", self._write(tmp_path, specs)]) == 0
-        payload = json.loads(capsys.readouterr().out.splitlines()[0])
-        assert payload["cells"][0][1]["error"]
+        out = capsys.readouterr().out
+        payload = json.loads(out.splitlines()[0])
+        assert "p must lie in (1, inf]" in payload["cells"][0][1]["error"]
+        assert "p must lie in (1, inf]" in payload["cells"][1][1]["error"]
         assert payload["cells"][0][0]["outcome"] == "embeds"
+        assert payload["specs"][1]["dim"] == 1
+        assert "got -1" not in out
+
+    def test_unparseable_entry_exit_64(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv("POWEMB_OUT", str(tmp_path / "out"))
+        specs = [
+            {"family": "B", "s": 1, "p": 2, "q": 1, "gamma": 0, "dim": 1},
+            {"family": "B", "s": "x", "p": 2, "q": 1, "gamma": 0, "dim": 1},
+        ]
+        assert main(["lattice", self._write(tmp_path, specs)]) == 64
+        assert "entry 1: s:" in capsys.readouterr().err
 
 
 class TestWitness:
@@ -215,6 +230,66 @@ class TestGridFlag:
             ],
         }))
         assert main(["verify", str(cfg)]) == 0
+
+
+class TestGlobalFlags:
+    def test_unread_flags_rejected(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("POWEMB_OUT", str(tmp_path / "o"))
+        cases = [
+            (["--grid", "1,16,256", "verify", "--list"], "--grid"),
+            (["--jobs", "7", "--seed", "3", "decide", SRC, TGT],
+             "--jobs, --seed"),
+            (["--seed", "3", "lattice", "specs.json"], "--seed"),
+            (["--grid", "1,16,256", "lattice", "specs.json"], "--grid"),
+            (["--jobs", "2", "witness", "peaks"], "--jobs"),
+        ]
+        for argv, named in cases:
+            assert main(argv) == 64, argv
+            err = capsys.readouterr().err
+            assert f"does not use {named}" in err, (argv, err)
+
+    def test_read_flags_accepted(self, capsys):
+        assert main(["--jobs", "2", "--seed", "1", "verify", "--list"]) == 0
+
+
+class TestConfigGrid:
+    BAD = {"d": 1, "L": 16.0, "N": 1000}  # not a power of two
+
+    def _cfg(self, tmp_path, payload):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        return str(cfg)
+
+    def test_every_lattice_runner_reads_its_grid(self):
+        from powemb import suite
+        from powemb.params import RangeError
+
+        for name in suite.GRID_EXPERIMENTS:
+            with pytest.raises(RangeError, match="power of two"):
+                suite.CATALOG[name][1]({"grid": self.BAD}, 0)
+
+    def test_top_level_grid_reaches_lattice_runners_only(
+            self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "v"
+        monkeypatch.setenv("POWEMB_OUT", str(out))
+        cfg = self._cfg(tmp_path, {"grid": self.BAD, "experiments": [
+            {"id": "dichotomy"}, {"id": "gagliardo", "overrides": {"count": 1}},
+        ]})
+        assert main(["verify", cfg]) == 3
+        text = capsys.readouterr().out
+        assert "[PASS] dichotomy" in text
+        report = json.loads((out / "gagliardo_000.json").read_text())
+        assert "power of two" in report["details"]["error"]
+
+    def test_grid_override_on_gridless_experiment_exit_64(
+            self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("POWEMB_OUT", str(tmp_path / "v"))
+        grid = {"d": 1, "L": 16.0, "N": 4096}
+        for name in ("dichotomy", "oracle", "sharp"):
+            cfg = self._cfg(tmp_path, {"experiments": [
+                {"id": name, "overrides": {"grid": grid}}]})
+            assert main(["verify", cfg]) == 64
+            assert name in capsys.readouterr().err
 
 
 class TestMatrixRendering:

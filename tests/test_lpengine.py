@@ -23,6 +23,7 @@ from powemb.lpengine import (
     radial_weighted_lp,
     save_field,
     save_profile_csv,
+    upsample_values,
     weighted_lp,
 )
 from powemb.params import RangeError
@@ -327,3 +328,55 @@ class TestFieldInvariants:
                                 band_limit=2.0)
         assert f.max_coeff_outside(2.0) == 0.0
         assert f.max_coeff_outside(1.0) > 0.0
+
+
+def _random_coefficients(grid, seed=0):
+    rng = np.random.default_rng(seed)
+    shape = (grid.N,) * grid.d
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+class TestFieldRepresentation:
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_spectrum_constructor(self, grid1d, grid2d, d):
+        grid = grid1d if d == 1 else grid2d
+        spec = _random_coefficients(grid)
+        f = Field(grid, spectrum=spec)
+        assert np.array_equal(f.values, np.fft.ifftn(spec))
+        assert np.array_equal(f.spectrum, spec)
+        spec[0] = 0.0  # the field keeps its own copy
+        assert f.spectrum.flat[0] != 0.0
+        for arr in (f.values, f.spectrum):
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1.0
+
+    def test_values_constructor_arrays_read_only(self, grid2d):
+        f = Field(grid2d, _random_coefficients(grid2d))
+        for arr in (f.values, f.spectrum):
+            with pytest.raises(ValueError):
+                arr.flat[0] = 1.0
+
+    def test_exactly_one_representation(self, grid1d):
+        vals = np.zeros(grid1d.N, dtype=complex)
+        with pytest.raises(ValueError, match="exactly one"):
+            Field(grid1d)
+        with pytest.raises(ValueError, match="exactly one"):
+            Field(grid1d, vals, spectrum=vals)
+
+    @pytest.mark.parametrize("kind", ["values", "spectrum"])
+    def test_wrong_shape_is_grid_mismatch(self, grid1d, grid2d, kind):
+        for grid, bad in ((grid1d, np.zeros(grid1d.N // 2)),
+                          (grid2d, np.zeros(grid2d.N))):
+            with pytest.raises(GridMismatch, match=kind):
+                Field(grid, **{kind: bad})
+
+    @pytest.mark.parametrize("factor", [2, 4])
+    def test_2d_upsampling_of_separable_mode(self, factor):
+        g1, g2 = Grid(1, 8.0, 16), Grid(2, 8.0, 16)
+        # random coefficients fill every bin, the Nyquist bin included
+        a, b = _random_coefficients(g1, 1), _random_coefficients(g1, 2)
+        up_a = upsample_values(Field(g1, spectrum=a), factor)
+        up_b = upsample_values(Field(g1, spectrum=b), factor)
+        up_ab = upsample_values(Field(g2, spectrum=np.outer(a, b)), factor)
+        assert up_ab.shape == (16 * factor,) * 2
+        assert np.allclose(up_ab, np.outer(up_a, up_b), rtol=0, atol=1e-12)

@@ -8,9 +8,12 @@ import pytest
 from powemb.lpengine import (
     Field,
     Grid,
+    GridMismatch,
+    _active_blocks,
     bessel_apply,
     derivative,
     field_from_samples,
+    make_dyadic,
     weighted_lp,
 )
 from powemb.norms import (
@@ -263,3 +266,39 @@ def test_pinned_norm_values(pinned_fields, key):
     f, gamma = pinned_fields[key[0]]
     got = PINNED_NORMS[key[1]](f, gamma).value
     assert got == pytest.approx(PINNED[key], rel=1e-12)
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Count every numpy.fft transform made while the test runs."""
+    calls = []
+    for name in ("fft", "ifft", "fftn", "ifftn"):
+        orig = getattr(np.fft, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            calls.append(_name)
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("norm", [
+    lambda f, sys: besov_norm(f, 0.5, 2, 2, 0.5, sys=sys),
+    lambda f, sys: triebel_norm(f, 0.5, 2, 1, 0.5, sys=sys),
+], ids=["besov", "triebel"])
+def test_one_fft_per_active_block(band96, norm, fft_calls):
+    # The field's own samples (read by the boundary check) are cached first;
+    # after that each active block costs exactly one (padded) inverse FFT.
+    sys = make_dyadic(band96.grid)
+    band96.values
+    kmax = _active_blocks(band96, sys)
+    assert kmax + 1 == 8
+    norm(band96, sys)
+    assert len(fft_calls) == kmax + 1
+
+
+@pytest.mark.parametrize("norm", [besov_norm, triebel_norm])
+def test_foreign_dyadic_system_rejected(band96, sys1d, norm):
+    with pytest.raises(GridMismatch):
+        norm(band96, 0.5, 2, 2, 0.0, sys=sys1d)
