@@ -320,6 +320,16 @@ _GLOBAL_FLAGS_READ = {
     "witness": ("grid", "seed"),
     "verify": ("jobs", "seed"),
 }
+# Each witness kind reads only part of witness's flags: only ``dilation``
+# draws a random base, and the radial profiles have no lattice.
+_WITNESS_FLAGS_READ = {
+    "peaks": ("grid",),
+    "dilation": ("grid", "seed"),
+    "translation": ("grid",),
+    "lacunary": ("grid",),
+    "logsing": (),
+    "rieszlog": (),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -384,11 +394,13 @@ def main(argv=None) -> int:
     if not getattr(args, "func", None):
         parser.print_help()
         return EX_USAGE
+    what, read = args.cmd, _GLOBAL_FLAGS_READ[args.cmd]
+    if args.cmd == "witness" and args.kind in _WITNESS_FLAGS_READ:
+        what, read = f"witness {args.kind}", _WITNESS_FLAGS_READ[args.kind]
     unread = [f"--{flag}" for flag in ("grid", "jobs", "seed")
-              if getattr(args, flag) is not None
-              and flag not in _GLOBAL_FLAGS_READ[args.cmd]]
+              if getattr(args, flag) is not None and flag not in read]
     if unread:
-        print(f"error: {args.cmd} does not use {', '.join(unread)}",
+        print(f"error: {what} does not use {', '.join(unread)}",
               file=sys.stderr)
         return EX_USAGE
     try:

@@ -327,33 +327,37 @@ def _cell_weights_2d(L: float, n: int, gamma: float) -> np.ndarray:
 
     Tensor Gauss-Legendre on every cell; the cell containing the origin is
     replaced by four quadrant squares integrated in polar coordinates with a
-    closed-form radial part.
+    closed-form radial part.  The weight depends on |x| and |y| only, and the
+    rule is symmetric, so only the quadrant |x|, |y| in {0, h, ..., L} is
+    integrated, one node pair at a time, and then mirrored onto the lattice.
     """
     h = 2.0 * L / n
-    x = -L + h * np.arange(n)
+    m = n // 2
     nodes, wts = np.polynomial.legendre.leggauss(_GL_NODES_2D)
-    nodes = nodes * (h / 2.0)
     wts = wts * (h / 2.0)
-
-    out = np.zeros((n, n))
-    X = x[:, None, None, None]
-    Y = x[None, :, None, None]
-    U = nodes[None, None, :, None]
-    V = nodes[None, None, None, :]
-    R2 = (X + U) ** 2 + (Y + V) ** 2
-    with np.errstate(divide="ignore"):
-        vals = R2 ** (gamma / 2.0)
-    out = np.einsum("ijuv,u,v->ij", vals, wts, wts)
+    sq = (h * np.arange(m + 1) + nodes[:, None] * (h / 2.0)) ** 2
+    # The (v, u) term is the transpose of the (u, v) one: the off-diagonal
+    # pairs are summed once into ``off`` and added back as off + off.T,
+    # which keeps the weights exactly symmetric under transposition.
+    shape = (m + 1, m + 1)
+    diag, off, tmp = np.zeros(shape), np.zeros(shape), np.empty(shape)
+    for u, v in itertools.combinations_with_replacement(range(_GL_NODES_2D), 2):
+        np.add(sq[u][:, None], sq[v], out=tmp)
+        np.power(tmp, gamma / 2.0, out=tmp)
+        tmp *= wts[u] * wts[v]
+        acc = diag if u == v else off
+        acc += tmp
+    q = diag + (off + off.T)
 
     # Origin cell: 4 * integral of r^gamma over [0, h/2]^2 in polar form.
-    i0 = n // 2
     half = h / 2.0
     theta, tw = np.polynomial.legendre.leggauss(_THETA_NODES)
     theta = (theta + 1.0) * (math.pi / 8.0)  # [0, pi/4]
     tw = tw * (math.pi / 8.0)
     sec_int = float(np.sum(tw / np.cos(theta) ** (gamma + 2.0)))
-    out[i0, i0] = 4.0 * 2.0 * half ** (gamma + 2.0) / (gamma + 2.0) * sec_int
-    return out
+    q[0, 0] = 4.0 * 2.0 * half ** (gamma + 2.0) / (gamma + 2.0) * sec_int
+    idx = np.abs(np.arange(n) - m)
+    return q[np.ix_(idx, idx)]
 
 
 def _get_weights(d: int, L: float, n: int, gamma: float) -> np.ndarray:

@@ -11,6 +11,7 @@ exponents and boundedness are asserted, never sharp constants.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -198,13 +199,19 @@ DIM_GRID_1D = (1, 1024.0, 2 ** 13)
 DIM_GRID_2D = (2, 256.0, 2 ** 9)
 
 _sys_cache = {}
+_sys_lock = threading.Lock()  # ``--jobs`` threads share the cache
 
 
 def _dyadic_for(grid: Grid):
     key = (grid.d, grid.L, grid.N)
-    if key not in _sys_cache:
-        _sys_cache[key] = make_dyadic(grid)
-    return _sys_cache[key]
+    with _sys_lock:
+        sys = _sys_cache.get(key)
+    if sys is not None:
+        return sys
+    sys = make_dyadic(grid)
+    with _sys_lock:
+        _sys_cache[key] = sys
+    return sys
 
 
 def default_grid(d: int, wide: bool = False) -> Grid:

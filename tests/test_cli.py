@@ -206,6 +206,34 @@ class TestVerify:
         assert main([]) == 64
 
 
+class TestJobs:
+    def test_jobs_2_matches_jobs_1(self, tmp_path, monkeypatch, capsys):
+        # Both experiments share one grid, so their threads race for the
+        # same cached dyadic system.
+        grid = {"d": 1, "L": 16.0, "N": 1024}
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "seed": 0,
+            "experiments": [
+                {"id": "equivalences",
+                 "overrides": {"grid": grid, "gammas": [0], "count": 3}},
+                {"id": "gagliardo",
+                 "overrides": {"grid": grid, "gammas": [0], "count": 3}},
+            ],
+        }))
+        from powemb import verify
+
+        outs = []
+        for jobs in ("1", "2"):
+            verify._sys_cache.clear()
+            out = tmp_path / f"jobs{jobs}"
+            monkeypatch.setenv("POWEMB_OUT", str(out))
+            assert main(["--jobs", jobs, "verify", str(cfg)]) == 0
+            outs.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert len(outs[0]) > 2
+        assert outs[0] == outs[1]
+
+
 class TestGridFlag:
     def test_witness_honors_grid(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "w"
@@ -234,22 +262,37 @@ class TestGridFlag:
 
 class TestGlobalFlags:
     def test_unread_flags_rejected(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("POWEMB_OUT", str(tmp_path / "o"))
+        out = tmp_path / "o"
+        monkeypatch.setenv("POWEMB_OUT", str(out))
         cases = [
-            (["--grid", "1,16,256", "verify", "--list"], "--grid"),
+            (["--grid", "1,16,256", "verify", "--list"], "verify", "--grid"),
             (["--jobs", "7", "--seed", "3", "decide", SRC, TGT],
-             "--jobs, --seed"),
-            (["--seed", "3", "lattice", "specs.json"], "--seed"),
-            (["--grid", "1,16,256", "lattice", "specs.json"], "--grid"),
-            (["--jobs", "2", "witness", "peaks"], "--jobs"),
+             "decide", "--jobs, --seed"),
+            (["--seed", "3", "lattice", "specs.json"], "lattice", "--seed"),
+            (["--grid", "1,16,256", "lattice", "specs.json"],
+             "lattice", "--grid"),
+            (["--jobs", "2", "witness", "peaks"], "witness peaks", "--jobs"),
+            (["--seed", "3", "witness", "peaks"], "witness peaks", "--seed"),
+            (["--seed", "3", "witness", "translation"],
+             "witness translation", "--seed"),
+            (["--seed", "3", "witness", "lacunary"],
+             "witness lacunary", "--seed"),
+            (["--grid", "2,8,64", "witness", "logsing"],
+             "witness logsing", "--grid"),
+            (["--grid", "1,16,256", "--seed", "1", "witness", "rieszlog"],
+             "witness rieszlog", "--grid, --seed"),
         ]
-        for argv, named in cases:
+        for argv, what, named in cases:
             assert main(argv) == 64, argv
             err = capsys.readouterr().err
-            assert f"does not use {named}" in err, (argv, err)
+            assert f"error: {what} does not use {named}" in err, (argv, err)
+        assert not out.exists()
 
-    def test_read_flags_accepted(self, capsys):
+    def test_read_flags_accepted(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("POWEMB_OUT", str(tmp_path / "o"))
         assert main(["--jobs", "2", "--seed", "1", "verify", "--list"]) == 0
+        assert main(["--seed", "3", "--grid", "1,16,1024", "witness",
+                     "dilation", "--t", "0.5,1"]) == 0
 
 
 class TestConfigGrid:

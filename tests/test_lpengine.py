@@ -2,10 +2,14 @@
 integrals, and field serialization."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+from powemb import lpengine
 from powemb.lpengine import (
     Field,
     Grid,
@@ -231,6 +235,89 @@ class TestWeightedLp:
             expected = t ** (1 - (1 + gamma) / p) * weighted_lp(base, p, gamma)
             assert weighted_lp(fam.member(0), p, gamma) == pytest.approx(
                 expected, rel=1e-3)
+
+
+def _einsum_cell_weights_2d(L, n, gamma):
+    """The direct 8x8 Gauss-Legendre rule on all n^2 cells through (n, n, 8, 8)
+    arrays, kept as the reference for the mirrored-quadrant build."""
+    h = 2.0 * L / n
+    x = -L + h * np.arange(n)
+    nodes, wts = np.polynomial.legendre.leggauss(lpengine._GL_NODES_2D)
+    nodes = nodes * (h / 2.0)
+    wts = wts * (h / 2.0)
+    X = x[:, None, None, None]
+    Y = x[None, :, None, None]
+    U = nodes[None, None, :, None]
+    V = nodes[None, None, None, :]
+    R2 = (X + U) ** 2 + (Y + V) ** 2
+    out = np.einsum("ijuv,u,v->ij", R2 ** (gamma / 2.0), wts, wts)
+    half = h / 2.0
+    theta, tw = np.polynomial.legendre.leggauss(lpengine._THETA_NODES)
+    theta = (theta + 1.0) * (math.pi / 8.0)
+    tw = tw * (math.pi / 8.0)
+    sec_int = float(np.sum(tw / np.cos(theta) ** (gamma + 2.0)))
+    out[n // 2, n // 2] = (4.0 * 2.0 * half ** (gamma + 2.0) / (gamma + 2.0)
+                           * sec_int)
+    return out
+
+
+class TestCellWeights2d:
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    @pytest.mark.parametrize("L", [8.0, 3.0])
+    @pytest.mark.parametrize("gamma", [-1.5, -0.5, 0.0, 0.5, 1.0, 3.0])
+    def test_matches_einsum_reference(self, n, L, gamma):
+        w = lpengine._cell_weights_2d(L, n, gamma)
+        assert w.shape == (n, n)
+        np.testing.assert_allclose(w, _einsum_cell_weights_2d(L, n, gamma),
+                                   rtol=1e-13, atol=0)
+
+    @pytest.mark.parametrize("L", [8.0, 3.0])
+    def test_unit_weight_gives_cell_areas(self, L):
+        n = 64
+        h = 2.0 * L / n
+        w = lpengine._cell_weights_2d(L, n, 0.0)
+        np.testing.assert_allclose(w, h * h, rtol=1e-13)
+        assert w.sum() == pytest.approx((2.0 * L) ** 2, rel=1e-13)
+
+    @pytest.mark.parametrize("L", [8.0, 3.0])
+    def test_quadratic_weight_exact(self, L):
+        # The 8-point rule integrates x^2 + y^2 exactly on every cell; the
+        # cells tile [-L - h/2, L - h/2]^2.
+        n = 64
+        h = 2.0 * L / n
+        a, b = -L - h / 2.0, L - h / 2.0
+        exact = 2.0 * (b - a) * (b ** 3 - a ** 3) / 3.0
+        w = lpengine._cell_weights_2d(L, n, 2.0)
+        assert w.sum() == pytest.approx(exact, rel=1e-13)
+
+    @pytest.mark.parametrize("gamma", [-1.5, 0.5, 3.0])
+    def test_mirror_and_transpose_symmetry(self, gamma):
+        w = lpengine._cell_weights_2d(3.0, 64, gamma)
+        inner = w[1:, 1:]
+        assert np.array_equal(inner, inner[::-1, :])
+        assert np.array_equal(inner, inner[:, ::-1])
+        assert np.array_equal(w, w.T)
+
+    def test_default_grid_peak_memory_bounded(self):
+        # DEFAULT_GRID_2D (N=512) at the 2-D oversampling cap of 4 asks for
+        # the n=2048 weights; building them must stay well below 300 MB.
+        from powemb.verify import DEFAULT_GRID_2D
+
+        _, L, N = DEFAULT_GRID_2D
+        n = N * lpengine._OVERSAMPLE_CAP[2]
+        assert n == 2048
+        code = ("import resource\n"
+                "from powemb.lpengine import _get_weights\n"
+                f"_get_weights(2, {L!r}, {n}, 0.5)\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
+        src = os.path.dirname(os.path.dirname(lpengine.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        peak_mb = int(out.stdout.strip()) / 1024.0  # ru_maxrss is in KiB
+        assert peak_mb < 300.0, peak_mb
 
 
 class TestRadial:
