@@ -182,9 +182,18 @@ def field_from_spectral(grid: Grid, spectral_fn: Callable, band_limit=None) -> F
 
 
 def _origin_phase(grid: Grid) -> np.ndarray:
-    k = np.fft.fftfreq(grid.N, d=1.0 / grid.N)
-    ph = np.exp(-1j * math.pi * k)
+    ph = _origin_phase_axis(grid.N)
     return functools.reduce(np.multiply.outer, (ph,) * grid.d)
+
+
+@functools.lru_cache(maxsize=8)
+def _origin_phase_axis(n: int) -> np.ndarray:
+    """exp(-i pi k) per FFT bin k, read-only.  Not an exact +-1 table: the
+    two differ by up to ~1e-12 at large n, and spectra are pinned to this."""
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    ph = np.exp(-1j * math.pi * k)
+    ph.setflags(write=False)
+    return ph
 
 
 # ---------------------------------------------------------------------------
@@ -250,13 +259,15 @@ def lp_blocks(f: Field, sys: DyadicSystem) -> List[Field]:
     if f.grid != sys.grid:
         raise GridMismatch("field and dyadic system live on different grids")
     spec = f.spectrum
-    out = []
-    for k in range(sys.K + 1):
-        band = sys.block_band(k)
-        if f.band_limit is not None:
-            band = min(band, f.band_limit)
-        out.append(Field(f.grid, spectrum=spec * sys.hat_phi[k], band_limit=band))
-    return out
+    return [Field(f.grid, spectrum=spec * sys.hat_phi[k],
+                  band_limit=_block_band(f, sys, k))
+            for k in range(sys.K + 1)]
+
+
+def _block_band(f: Field, sys: DyadicSystem, k: int) -> float:
+    """Band limit of S_k f: the block's outer edge, capped by the field's."""
+    band = sys.block_band(k)
+    return band if f.band_limit is None else min(band, f.band_limit)
 
 
 def _active_blocks(f: Field, sys: DyadicSystem) -> int:
@@ -403,15 +414,28 @@ def upsample_values(f: Field, factor: int) -> np.ndarray:
     for corner in itertools.product(halves, repeat=d):
         src, dst = zip(*corner)
         pad[dst] = f.spectrum[src]
-    return np.fft.ifftn(pad) * factor ** d
+    np.fft.ifftn(pad, out=pad)
+    pad *= factor ** d
+    return pad
 
 
 def weighted_cell_sum(grid: Grid, abs_values: np.ndarray, p: float, gamma: float,
                       factor: int = 1) -> float:
     """(sum |values|^p W_c)^{1/p} over a factor-refined lattice of the grid."""
     w = _get_weights(grid.d, grid.L, grid.N * factor, float(gamma))
-    total = float(np.sum(np.abs(abs_values) ** p * w))
-    return total ** (1.0 / p)
+    # |values|^p W_c in one buffer: refined lattices reach 2^20 cells in 2-D.
+    terms = np.abs(abs_values)
+    terms **= p
+    terms *= w
+    return float(np.sum(terms)) ** (1.0 / p)
+
+
+def check_lp_range(d: int, p: float, gamma: float) -> None:
+    """Reject a weight |x|^gamma with gamma <= -d and an exponent p < 1."""
+    if gamma <= -d:
+        raise RangeError(f"gamma must exceed -d, got gamma={gamma}, d={d}")
+    if p < 1:
+        raise RangeError(f"p must lie in [1, inf], got {p}")
 
 
 def weighted_lp(f: Field, p, gamma: float, oversample: Optional[int] = None) -> float:
@@ -422,13 +446,10 @@ def weighted_lp(f: Field, p, gamma: float, oversample: Optional[int] = None) -> 
     (sum |f(x_c)|^p W_c)^{1/p} with W_c the exact cell integral of |x|^gamma,
     evaluated on an upsampled lattice when the band limit asks for it.
     """
-    if gamma <= -f.grid.d:
-        raise RangeError(f"gamma must exceed -d, got gamma={gamma}, d={f.grid.d}")
     p = float(p)
+    check_lp_range(f.grid.d, p, gamma)
     if p == math.inf:
         return float(np.max(np.abs(f.values)))
-    if p < 1:
-        raise RangeError(f"p must lie in [1, inf], got {p}")
     factor = auto_oversample(f.grid, f.band_limit) if oversample is None else int(oversample)
     vals = upsample_values(f, factor)
     return weighted_cell_sum(f.grid, np.abs(vals), p, gamma, factor)

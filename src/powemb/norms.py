@@ -10,6 +10,7 @@ floats; q = inf aggregations use the exact max.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 from itertools import product
 from typing import List, Optional, Tuple
@@ -20,9 +21,11 @@ from .lpengine import (
     DyadicSystem,
     Field,
     _active_blocks,
+    _block_band,
     auto_oversample,
     bessel_apply,
     boundary_decay,
+    check_lp_range,
     derivative,
     lp_blocks,
     make_dyadic,
@@ -79,17 +82,51 @@ def _system_for(f: Field, sys: Optional[DyadicSystem]) -> DyadicSystem:
     return make_dyadic(f.grid) if sys is None else sys
 
 
+# |S_k f| on factor-refined lattices, keyed by (k, factor), for the one
+# (field, system) pair normed last.  Norming any other pair replaces it, so
+# every B/F norm of one field shares one inverse FFT per block and factor,
+# and no magnitudes outlive the next field.
+_memo_lock = threading.Lock()
+_memo = (None, None, {})
+
+
+def _block_abs(f: Field, sys: DyadicSystem, factors: List[int]) -> List[np.ndarray]:
+    """Read-only |S_k f| upsampled by factors[k], for k = 0 .. len(factors)-1."""
+    global _memo
+    with _memo_lock:
+        if _memo[0] is not f or _memo[1] is not sys:
+            _memo = (f, sys, {})
+        mags = _memo[2]
+        out = [mags.get(key) for key in enumerate(factors)]
+    missing = [k for k, mag in enumerate(out) if mag is None]
+    if missing:
+        blocks = lp_blocks(f, sys)
+        for k in missing:
+            out[k] = np.abs(upsample_values(blocks[k], factors[k]))
+            out[k].setflags(write=False)
+        # If another field replaced the memo meanwhile, this dict is no
+        # longer held and the store is dropped with it.
+        with _memo_lock:
+            mags.update(((k, factors[k]), out[k]) for k in missing)
+    return out
+
+
 def besov_norm(f: Field, s, p, q, gamma, sys: Optional[DyadicSystem] = None) -> NormResult:
     """(sum_k (2^{ks} ||S_k f||_{L^p(w)})^q)^{1/q}, sup over k at q = inf."""
     s, p, q, gamma = float(s), float(p), float(q), float(gamma)
     sys = _system_for(f, sys)
     warnings: List[str] = []
     _check_boundary(f, warnings)
+    check_lp_range(f.grid.d, p, gamma)
     kmax = _active_blocks(f, sys)
-    blocks = lp_blocks(f, sys)
+    # Each block is upsampled as far as its own band asks; the weighted sup
+    # norm is the weight-free max over the lattice samples.
+    factors = [1 if p == math.inf else auto_oversample(f.grid, _block_band(f, sys, k))
+               for k in range(kmax + 1)]
     per_block = []
-    for k in range(kmax + 1):
-        nk = weighted_lp(blocks[k], p, gamma)
+    for k, mag in enumerate(_block_abs(f, sys, factors)):
+        nk = (float(np.max(mag)) if p == math.inf
+              else weighted_cell_sum(f.grid, mag, p, gamma, factors[k]))
         per_block.append((k, 2.0 ** (k * s) * nk))
     value = _ell_q([v for _, v in per_block], q)
     return NormResult(value, per_block=per_block, warnings=warnings)
@@ -103,23 +140,22 @@ def triebel_norm(f: Field, s, p, q, gamma, sys: Optional[DyadicSystem] = None) -
     sys = _system_for(f, sys)
     warnings: List[str] = []
     _check_boundary(f, warnings)
+    check_lp_range(f.grid.d, p, gamma)
     kmax = _active_blocks(f, sys)
-    blocks = lp_blocks(f, sys)
     # Pointwise-first aggregation: blocks are band-limited, so upsample them
-    # exactly before taking magnitudes, then do the weighted cell sum on the
-    # refined lattice.
-    band = min(x for x in (sys.block_band(kmax), f.band_limit) if x is not None)
-    factor = auto_oversample(f.grid, band)
-    stack = np.stack(
-        [
-            np.abs(upsample_values(blocks[k], factor)) * 2.0 ** (k * s)
-            for k in range(kmax + 1)
-        ]
-    )
-    if q == math.inf:
-        agg = np.max(stack, axis=0)
-    else:
-        agg = np.sum(stack ** q, axis=0) ** (1.0 / q)
+    # exactly, all by the factor the widest one needs, before taking
+    # magnitudes, then do the weighted cell sum on the refined lattice.
+    factor = auto_oversample(f.grid, _block_band(f, sys, kmax))
+    agg = None
+    for k, mag in enumerate(_block_abs(f, sys, [factor] * (kmax + 1))):
+        term = mag * 2.0 ** (k * s)
+        if q == math.inf:
+            agg = term if agg is None else np.maximum(agg, term, out=agg)
+        else:
+            term **= q
+            agg = term if agg is None else np.add(agg, term, out=agg)
+    if q != math.inf:
+        agg **= 1.0 / q
     return NormResult(
         weighted_cell_sum(f.grid, agg, p, gamma, factor), warnings=warnings
     )

@@ -272,32 +272,29 @@ def check_norm_equivalences(gamma, count: int = 100, seed: int = 0,
     )
     s, sigma, p, q = 0.5, 1.0, 2.0, 4.0
     for f in fields:
+        # Every norm of f comes before those of J_sigma f and f', so the
+        # B and F norms of f share one decomposition.
         b_s = norms.besov_norm(f, s, p, q, gamma, sys=sys).value
-        lifted = norms.besov_norm(bessel_apply(f, sigma), s - sigma, p, q,
-                                  gamma, sys=sys).value
-        lifting.append(lifted / b_s)
-
-        d_sum = (
-            norms.besov_norm(f, s - 1, p, q, gamma, sys=sys).value
-            + norms.besov_norm(derivative(f, (1,)), s - 1, p, q, gamma,
-                               sys=sys).value
-        )
-        diffn.append(d_sum / b_s)
-
+        b_lo = norms.besov_norm(f, s - 1, p, q, gamma, sys=sys).value
         f_n = norms.triebel_norm(f, s, p, q, gamma, sys=sys).value
         b_min = norms.besov_norm(f, s, p, min(p, q), gamma, sys=sys).value
         b_max = norms.besov_norm(f, s, p, max(p, q), gamma, sys=sys).value
-        sand_f_lo.append(f_n / b_min)
-        sand_f_hi.append(b_max / f_n)
-
-        h_n = norms.bessel_norm(f, s, p, gamma).value
         f1 = norms.triebel_norm(f, s, p, 1, gamma, sys=sys).value
         finf = norms.triebel_norm(f, s, p, math.inf, gamma, sys=sys).value
-        squeeze_lo.append(h_n / f1)
-        squeeze_hi.append(finf / h_n)
-
+        h_n = norms.bessel_norm(f, s, p, gamma).value
         w_n = norms.sobolev_norm(f, 1, p, gamma).value
         h1 = norms.bessel_norm(f, 1, p, gamma).value
+        lifted = norms.besov_norm(bessel_apply(f, sigma), s - sigma, p, q,
+                                  gamma, sys=sys).value
+        b_df = norms.besov_norm(derivative(f, (1,)), s - 1, p, q, gamma,
+                                sys=sys).value
+
+        lifting.append(lifted / b_s)
+        diffn.append((b_lo + b_df) / b_s)
+        sand_f_lo.append(f_n / b_min)
+        sand_f_hi.append(b_max / f_n)
+        squeeze_lo.append(h_n / f1)
+        squeeze_hi.append(finf / h_n)
         wh.append(w_n / h1)
 
     tag = f"gamma={gamma},seed={seed},n={count}"

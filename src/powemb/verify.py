@@ -513,8 +513,9 @@ def _pair_floats(src: SpaceSpec, tgt: SpaceSpec):
 def _ratio_family_report(experiment_id, kind, fam: WitnessFamily, src, tgt,
                          predicted, formula, tolerance, residual_cap,
                          grow_margin) -> ExperimentReport:
-    src_vals = [_member_norm(m, src) for m in fam.members()]
-    tgt_vals = [_member_norm(m, tgt) for m in fam.members()]
+    # Both norms of a member are taken together, so they share its blocks.
+    pairs = [(_member_norm(m, src), _member_norm(m, tgt)) for m in fam.members()]
+    src_vals, tgt_vals = [list(v) for v in zip(*pairs)]
     # Peaks are indexed by the block number n; the family parameter on the
     # log axis is the frequency scale 2^n.
     if fam.kind == "SpectralPeak":

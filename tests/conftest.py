@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from powemb.lpengine import Grid, make_dyadic
@@ -31,3 +32,18 @@ def sys1d_fine(grid1d_fine):
 @pytest.fixture(scope="session")
 def sys2d(grid2d):
     return make_dyadic(grid2d)
+
+
+@pytest.fixture
+def fft_calls(monkeypatch):
+    """Count every numpy.fft transform made while the test runs."""
+    calls = []
+    for name in ("fft", "ifft", "fftn", "ifftn"):
+        orig = getattr(np.fft, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            calls.append(_name)
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return calls

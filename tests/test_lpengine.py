@@ -28,6 +28,7 @@ from powemb.lpengine import (
     save_field,
     save_profile_csv,
     upsample_values,
+    weighted_cell_sum,
     weighted_lp,
 )
 from powemb.params import RangeError
@@ -211,6 +212,19 @@ class TestWeightedLp:
                                band_limit=9.0)
         exact = math.sqrt(math.gamma(0.25))
         assert weighted_lp(f, 2, -0.5) == pytest.approx(exact, rel=1e-4)
+
+    @pytest.mark.parametrize("d,p,gamma", [(1, 1.0, -0.5), (1, 2.0, 0.0),
+                                           (1, 3.5, 1.0), (2, 2.0, -1.5),
+                                           (2, 3.0, 0.5)])
+    def test_cell_sum_in_one_buffer(self, d, p, gamma):
+        # Powers and weights are applied in place; the sum is the one of
+        # the separate temporaries, bit for bit.
+        grid = Grid(d, 8.0, 64)
+        vals = _random_coefficients(grid, 4)
+        w = lpengine._get_weights(d, 8.0, 64 * 2, gamma)
+        up = upsample_values(Field(grid, spectrum=vals), 2)
+        expected = float(np.sum(np.abs(up) ** p * w)) ** (1.0 / p)
+        assert weighted_cell_sum(grid, up, p, gamma, 2) == expected
 
     def test_gamma_at_minus_d_rejected(self, grid1d):
         with pytest.raises(RangeError):
@@ -467,3 +481,41 @@ class TestFieldRepresentation:
         up_ab = upsample_values(Field(g2, spectrum=np.outer(a, b)), factor)
         assert up_ab.shape == (16 * factor,) * 2
         assert np.allclose(up_ab, np.outer(up_a, up_b), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d,factor", [(1, 2), (1, 32), (2, 2), (2, 4)])
+    def test_upsampling_is_one_inverse_fft(self, d, factor, fft_calls):
+        # The zero-padded buffer is transformed in place; the samples are
+        # those of a separate transform and a scaling, bit for bit.
+        grid = Grid(d, 8.0, 16)
+        f = Field(grid, spectrum=_random_coefficients(grid, 3))
+        fft_calls.clear()
+        up = upsample_values(f, factor)
+        assert fft_calls == ["ifftn"]
+        m, half = 16 * factor, 8
+        pad = np.zeros((m,) * d, dtype=np.complex128)
+        idx = np.r_[0:half, m - half:m]
+        pad[np.ix_(*(idx,) * d)] = f.spectrum
+        assert np.array_equal(up, np.fft.ifftn(pad) * factor ** d)
+
+
+class TestOriginPhase:
+    @pytest.mark.parametrize("n", [16, 4096])
+    def test_phase_vector_shared_and_exact(self, n):
+        ph = lpengine._origin_phase_axis(n)
+        assert lpengine._origin_phase_axis(n) is ph
+        k = np.fft.fftfreq(n, d=1.0 / n)
+        assert np.array_equal(ph, np.exp(-1j * math.pi * k))
+        with pytest.raises(ValueError):
+            ph[0] = 1.0
+
+    def test_spectral_fields_unchanged(self, grid2d):
+        # Built from the shared vector, a spectrum equals the one built from
+        # a freshly evaluated phase.
+        fn = lambda *xi: np.exp(-sum(x * x for x in xi))
+        f = field_from_spectral(grid2d, fn)
+        k = np.fft.fftfreq(grid2d.N, d=1.0 / grid2d.N)
+        ph = np.exp(-1j * math.pi * k)
+        weight = (math.pi / grid2d.L) ** 2 / (2.0 * math.pi)
+        coeff = np.asarray(fn(*grid2d.freqs()), dtype=np.complex128)
+        expected = coeff * weight * np.multiply.outer(ph, ph) * grid2d.N ** 2
+        assert np.array_equal(f.spectrum, expected)

@@ -1,6 +1,7 @@
 """The four space norms: worked identities and equivalence-scale behavior."""
 
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,10 +11,14 @@ from powemb.lpengine import (
     Grid,
     GridMismatch,
     _active_blocks,
+    auto_oversample,
     bessel_apply,
     derivative,
     field_from_samples,
+    lp_blocks,
     make_dyadic,
+    upsample_values,
+    weighted_cell_sum,
     weighted_lp,
 )
 from powemb.norms import (
@@ -118,6 +123,13 @@ class TestTriebel:
     def test_p_inf_rejected(self, grid1d, batch):
         with pytest.raises(RangeError):
             triebel_norm(batch[0], 0.5, math.inf, 2, 0.0)
+
+    @pytest.mark.parametrize("norm", [besov_norm, triebel_norm])
+    @pytest.mark.parametrize("p,gamma", [(2, -1.0), (2, -1.5), (0.5, 0.0)])
+    def test_weight_and_exponent_range(self, batch, norm, p, gamma):
+        # gamma <= -d makes the cell integrals of |x|^gamma diverge.
+        with pytest.raises(RangeError):
+            norm(batch[0], 0.5, p, 2, gamma)
 
 
 class TestBessel:
@@ -268,33 +280,26 @@ def test_pinned_norm_values(pinned_fields, key):
     assert got == pytest.approx(PINNED[key], rel=1e-12)
 
 
-@pytest.fixture
-def fft_calls(monkeypatch):
-    """Count every numpy.fft transform made while the test runs."""
-    calls = []
-    for name in ("fft", "ifft", "fftn", "ifftn"):
-        orig = getattr(np.fft, name)
-
-        def counted(*args, _orig=orig, _name=name, **kwargs):
-            calls.append(_name)
-            return _orig(*args, **kwargs)
-
-        monkeypatch.setattr(np.fft, name, counted)
-    return calls
+def fresh_band96(seed=7):
+    # A new field object: the norms share block magnitudes only within the
+    # field normed last, so a counting test must not reuse a fixture field.
+    return random_band_limited(Grid(1, 16.0, 2 ** 12), seed, band=96.0)
 
 
 @pytest.mark.parametrize("norm", [
     lambda f, sys: besov_norm(f, 0.5, 2, 2, 0.5, sys=sys),
     lambda f, sys: triebel_norm(f, 0.5, 2, 1, 0.5, sys=sys),
 ], ids=["besov", "triebel"])
-def test_one_fft_per_active_block(band96, norm, fft_calls):
+def test_one_fft_per_active_block(norm, fft_calls):
     # The field's own samples (read by the boundary check) are cached first;
     # after that each active block costs exactly one (padded) inverse FFT.
-    sys = make_dyadic(band96.grid)
-    band96.values
-    kmax = _active_blocks(band96, sys)
+    f = fresh_band96()
+    sys = make_dyadic(f.grid)
+    f.values
+    fft_calls.clear()
+    kmax = _active_blocks(f, sys)
     assert kmax + 1 == 8
-    norm(band96, sys)
+    norm(f, sys)
     assert len(fft_calls) == kmax + 1
 
 
@@ -302,3 +307,139 @@ def test_one_fft_per_active_block(band96, norm, fft_calls):
 def test_foreign_dyadic_system_rejected(band96, sys1d, norm):
     with pytest.raises(GridMismatch):
         norm(band96, 0.5, 2, 2, 0.0, sys=sys1d)
+
+
+class TestSharedBlocks:
+    """B and F norms of one field reuse its block magnitudes."""
+
+    def test_later_norms_of_the_field_need_no_fft(self, fft_calls):
+        f = fresh_band96()
+        sys = make_dyadic(f.grid)
+        f.values
+        kmax = _active_blocks(f, sys)
+        # Besov upsamples each block by its own factor, Triebel all blocks
+        # by the factor of the widest; blocks whose factors differ are
+        # transformed once more, and nothing else is.
+        widest = auto_oversample(f.grid, min(sys.block_band(kmax), f.band_limit))
+        own = [auto_oversample(f.grid, min(sys.block_band(k), f.band_limit))
+               for k in range(kmax + 1)]
+        steps = [
+            (lambda: besov_norm(f, 0.5, 2, 2, 0.5, sys=sys), kmax + 1),
+            (lambda: besov_norm(f, -0.5, 3, math.inf, 1.0, sys=sys), 0),
+            (lambda: besov_norm(f, 1.25, 1, 1, -0.5, sys=sys), 0),
+            (lambda: triebel_norm(f, 0.5, 2, 1, 0.5, sys=sys),
+             sum(fac != widest for fac in own)),
+            (lambda: triebel_norm(f, -0.5, 4, math.inf, 0.0, sys=sys), 0),
+            (lambda: besov_norm(f, 0.5, 1.5, 4, 0.0, sys=sys), 0),
+        ]
+        for norm, ffts in steps:
+            fft_calls.clear()
+            norm()
+            assert len(fft_calls) == ffts
+
+    def test_only_the_last_field_is_held(self, fft_calls):
+        f, g = fresh_band96(7), fresh_band96(8)
+        sys = make_dyadic(f.grid)
+        f.values, g.values
+        kmax = _active_blocks(f, sys)
+        for field_, ffts in ((f, kmax + 1), (f, 0), (g, kmax + 1), (f, kmax + 1)):
+            fft_calls.clear()
+            besov_norm(field_, 0.5, 2, 2, 0.5, sys=sys)
+            assert len(fft_calls) == ffts
+        # Another system object for the same grid is another pair, too.
+        fft_calls.clear()
+        besov_norm(f, 0.5, 2, 2, 0.5, sys=make_dyadic(f.grid))
+        assert len(fft_calls) == kmax + 1
+
+    def test_block_magnitudes_are_read_only(self):
+        from powemb.norms import _block_abs
+
+        f = fresh_band96()
+        sys = make_dyadic(f.grid)
+        for mag in _block_abs(f, sys, [1, 2]):
+            with pytest.raises(ValueError):
+                mag[0] = 0.0
+
+    def test_threads_alternating_fields_get_sequential_values(self):
+        import sys as _sys
+        import threading
+
+        fields = [fresh_band96(7), fresh_band96(8)]
+        dyadic = make_dyadic(fields[0].grid)
+        norms_ = [
+            lambda f: besov_norm(f, 0.5, 2, 2, 0.5, sys=dyadic).value,
+            lambda f: triebel_norm(f, 0.5, 3, 1, 0.0, sys=dyadic).value,
+            lambda f: besov_norm(f, -0.5, math.inf, 4, 0.0, sys=dyadic).value,
+        ]
+        expected = [[norm(f) for norm in norms_] for f in fields]
+        got, errors = [], []
+
+        def worker(i):
+            # More threads than cores, each switching field on every round,
+            # so the one-field memo is replaced under the others' feet.
+            try:
+                for rep in range(6):
+                    j = (i + rep) % 2
+                    for n, norm in enumerate(norms_):
+                        got.append((j, n, norm(fields[j])))
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        old = _sys.getswitchinterval()
+        _sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            _sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert len(got) == 4 * 6 * len(norms_)
+        assert all(v == expected[j][n] for j, n, v in got)
+
+
+def _per_call_besov(f, s, p, q, gamma, sys):
+    """The per-call Besov path: every block transformed and normed afresh."""
+    blocks = lp_blocks(f, sys)
+    vals = [2.0 ** (k * s) * weighted_lp(blocks[k], p, gamma)
+            for k in range(_active_blocks(f, sys) + 1)]
+    return max(vals) if q == math.inf else float(
+        np.sum(np.asarray(vals) ** q) ** (1.0 / q))
+
+
+def _per_call_triebel(f, s, p, q, gamma, sys):
+    """The per-call F path: a stack of all upsampled block magnitudes."""
+    kmax = _active_blocks(f, sys)
+    blocks = lp_blocks(f, sys)
+    band = min(x for x in (sys.block_band(kmax), f.band_limit) if x is not None)
+    factor = auto_oversample(f.grid, band)
+    stack = np.stack([np.abs(upsample_values(blocks[k], factor)) * 2.0 ** (k * s)
+                      for k in range(kmax + 1)])
+    if q == math.inf:
+        agg = np.max(stack, axis=0)
+    else:
+        agg = np.sum(stack ** q, axis=0) ** (1.0 / q)
+    return weighted_cell_sum(f.grid, agg, p, gamma, factor)
+
+
+@pytest.mark.parametrize("which", ["band96_1d", "unbanded_1d", "random_2d"])
+def test_shared_blocks_match_per_call_path(which):
+    # Bit for bit: the shared magnitudes are the per-call ones, reused.
+    f = {
+        "band96_1d": lambda: fresh_band96(),
+        "unbanded_1d": lambda: field_from_samples(
+            Grid(1, 16.0, 2 ** 9), lambda x: np.exp(-x * x / 2.0)),
+        "random_2d": lambda: random_band_limited(Grid(2, 8.0, 2 ** 6), 5, band=4.0),
+    }[which]()
+    sys = make_dyadic(f.grid)
+    low = -0.5 if f.grid.d == 1 else -1.5
+    for s, q, p, g in product((-0.5, 1.25), (1.0, 2.0, 3.5, math.inf),
+                              (1.0, 2.0, 3.0, math.inf), (low, 0.0, 1.0)):
+        got = besov_norm(f, s, p, q, g, sys=sys)
+        assert got.value == _per_call_besov(f, s, p, q, g, sys)
+        if p != math.inf:
+            got = triebel_norm(f, s, p, q, g, sys=sys).value
+            assert got == _per_call_triebel(f, s, p, q, g, sys)
