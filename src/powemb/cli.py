@@ -26,6 +26,7 @@ from .witnesses import (
     gaussian_spectral_base,
     lacunary_sum,
     log_singularity,
+    random_band_limited,
     riesz_log,
     spectral_peaks,
     translation_family,
@@ -178,8 +179,8 @@ def cmd_witness(args) -> int:
             fam = spectral_peaks(grid, _parse_range(args.n), int(args.j))
         elif kind == "dilation":
             grid = grid or Grid(1, 16.0, 2 ** 14)
-            base = (random_base(grid, args.seed) if args.seed is not None
-                    else gaussian_spectral_base(grid))
+            base = (random_band_limited(grid, args.seed, band=1.0)
+                    if args.seed is not None else gaussian_spectral_base(grid))
             fam = dilation_family(base, [float(t) for t in _parse_range(args.t)])
         elif kind == "translation":
             grid = grid or Grid(1, 128.0, 2 ** 14)
@@ -245,13 +246,9 @@ def cmd_witness(args) -> int:
         return EX_USAGE
 
 
-def random_base(grid, seed):
-    from .witnesses import random_band_limited
-
-    return random_band_limited(grid, int(seed), band=1.0)
-
-
 def cmd_verify(args) -> int:
+    if args.jobs is not None and args.jobs < 1:
+        raise RangeError(f"--jobs wants a positive count, got {args.jobs}")
     if args.list:
         for name, (desc, _) in suite.CATALOG.items():
             print(f"{name:<14} {desc}")
@@ -259,39 +256,44 @@ def cmd_verify(args) -> int:
     config = {"experiments": None, "seed": 0}
     if args.config:
         try:
-            config.update(json.loads(Path(args.config).read_text(encoding="utf-8")))
+            loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return EX_USAGE
+            raise RangeError(str(exc)) from None
+        if not isinstance(loaded, dict):
+            raise RangeError("a verify config must be a JSON object")
+        config.update(loaded)
     if args.seed is not None:
         config["seed"] = args.seed
-    names = []
-    overrides = {}
-    selected = config.get("experiments") or list(suite.CATALOG.keys())
-    for entry in selected:
-        if isinstance(entry, str):
-            names.append(entry)
-        else:
-            names.append(entry["id"])
-            overrides[entry["id"]] = entry.get("overrides", {})
-    if any(n not in suite.CATALOG for n in names):
-        bad = [n for n in names if n not in suite.CATALOG]
-        print(f"error: unknown experiments {bad}", file=sys.stderr)
-        return EX_USAGE
-    gridless = [n for n in names if "grid" in overrides.get(n, {})
-                and n not in suite.GRID_EXPERIMENTS]
-    if gridless:
-        print(f"error: experiments {gridless} use no grid; remove their "
-              f"'grid' override", file=sys.stderr)
-        return EX_USAGE
+    if type(config["seed"]) is not int:
+        raise RangeError(f"seed must be an integer, got {config['seed']!r}")
+    experiments = config["experiments"] or list(suite.CATALOG)
+    if not isinstance(experiments, list):
+        raise RangeError("experiments must be a JSON array")
+    names, overrides = [], {}
+    for entry in experiments:
+        entry = {"id": entry} if isinstance(entry, str) else entry
+        if (not isinstance(entry, dict) or "id" not in entry
+                or set(entry) - {"id", "overrides"}
+                or not isinstance(entry.get("overrides", {}), dict)):
+            raise RangeError(f"experiment entry {json.dumps(entry)} wants an "
+                             f"'id' and optionally an 'overrides' object")
+        names.append(entry["id"])
+        overrides[entry["id"]] = entry.get("overrides", {})
+    problems = suite.config_problems(names, overrides)
+    unknown = sorted(set(config) - {"experiments", "seed", "grid", "out"})
+    if unknown:
+        problems.insert(0, f"unknown config key {', '.join(map(repr, unknown))}"
+                           f"; a config takes experiments, grid, out, seed")
+    if problems:
+        raise RangeError("; ".join(problems))
     if config.get("grid"):
         for name in names:
-            if name in suite.GRID_EXPERIMENTS:
+            if "grid" in suite.parameters(name):
                 overrides.setdefault(name, {}).setdefault("grid", config["grid"])
 
     cfg_hash = _config_hash(config)
     out = _out_dir(args, config_out=config.get("out"))
-    results = suite.run_experiments(names, overrides, seed=int(config["seed"]),
+    results = suite.run_experiments(names, overrides, seed=config["seed"],
                                     jobs=args.jobs or 1)
     all_pass = True
     for name, reports in results.items():
@@ -355,10 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("specs_file")
     p.set_defaults(func=cmd_lattice)
 
-    p = sub.add_parser("witness", help="generate a witness family")
+    p = sub.add_parser("witness", help="generate a witness family", allow_abbrev=False)
     p.add_argument("kind", help="peaks|dilation|translation|lacunary|logsing|rieszlog")
-    p.add_argument("--p", default=2)
-    p.add_argument("--gamma", default=0)
     p.add_argument("--j", default=0)
     p.add_argument("--n", default="3..7")
     p.add_argument("--t", default="0.125,0.25,0.5,1")

@@ -495,15 +495,11 @@ def _wrap_down(spec: SpaceSpec):
     return replace(spec, family="B", q=Fraction(1)), RuleCitation(SANDWICH_HW, note)
 
 
-def _can_lower_wrap(spec: SpaceSpec) -> bool:
-    """Whether B_{p0,1} embeds into spec (necessity sandwich, source side)."""
-    if spec.family in ("B", "F"):
-        return True
-    return ap_gate(spec.p, spec.gamma, spec.d)
-
-
-def _can_upper_wrap(spec: SpaceSpec) -> bool:
-    """Whether spec embeds into B_{p1,inf} (necessity sandwich, target side)."""
+def _in_besov_sandwich(spec: SpaceSpec) -> bool:
+    """Whether B^s_{p,1} embeds into spec and spec into B^s_{p,inf}, both at
+    spec's p and weight: the necessity sandwich, on the source side (to
+    reach spec from B_{p0,1}) and on the target side (to leave it for
+    B_{p1,inf}).  Always on the B and F scales; on H and W iff A_p."""
     if spec.family in ("B", "F"):
         return True
     return ap_gate(spec.p, spec.gamma, spec.d)
@@ -565,7 +561,7 @@ def decide_cross(src: SpaceSpec, tgt: SpaceSpec) -> Verdict:
             )
 
     # Stage (iii): necessity through the reverse sandwich.
-    if _can_lower_wrap(src) and _can_upper_wrap(tgt):
+    if _in_besov_sandwich(src) and _in_besov_sandwich(tgt):
         nec_ok = pr.sh0 >= pr.sh1 and pr.w1 <= pr.w0 and pr.dim1 <= pr.dim0
         if not nec_ok:
             return _verdict(NO, _first_violated_necessity(pr))
@@ -754,7 +750,7 @@ def lp_target(src: SpaceSpec, p1, gamma1) -> Verdict:
             )
 
     # Necessity by the reverse sandwich (L^{p1}(w1) norms hit directly).
-    if _can_lower_wrap(src):
+    if _in_besov_sandwich(src):
         nec_ok = nec and pr.dim1 <= pr.dim0
         if not nec_ok:
             return _verdict(NO, _first_violated_necessity(pr))

@@ -6,6 +6,7 @@ Everything here is deterministic given a seed.  The catalog drives the CLI
 
 from __future__ import annotations
 
+import inspect
 import math
 import random as _random
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from .oracle import (
     decide_besov,
     decide_triebel,
 )
-from .params import INF, SpaceSpec, as_rational, indices, is_inf, spec_to_dict, validate
+from .params import INF, RangeError, SpaceSpec, as_rational, indices, is_inf, spec_to_dict, validate
 from .verify import (
     ExperimentReport,
     check_embedding_bounded,
@@ -417,76 +418,59 @@ def coherence_suite(grid: Optional[Grid] = None) -> List[ExperimentReport]:
 # ---------------------------------------------------------------------------
 
 
-def _grid_from(cfg) -> Optional[Grid]:
-    g = cfg.get("grid")
-    if not g:
-        return None
-    return Grid(int(g["d"]), float(g["L"]), int(g["N"]))
+def _exp_peaks(seed, grid=None,
+               combos=({"p": 2, "gamma": 0}, {"p": 2, "gamma": 0.5},
+                       {"p": 4, "gamma": 1}, {"p": 1.5, "gamma": -1 / 3}),
+               j_values=(-1, 0, 1), n_min=3, n_max=7,
+               tolerance=0.02) -> List[ExperimentReport]:
+    return [check_peak_scaling(combo["p"], combo["gamma"], j,
+                               n_range=range(n_min, n_max + 1), grid=grid,
+                               tolerance=tolerance)
+            for combo in combos for j in j_values]
 
 
-def _exp_peaks(cfg, seed) -> List[ExperimentReport]:
-    combos = cfg.get("combos", [
-        {"p": 2, "gamma": 0}, {"p": 2, "gamma": 0.5},
-        {"p": 4, "gamma": 1}, {"p": 1.5, "gamma": -1 / 3},
-    ])
-    n_range = range(cfg.get("n_min", 3), cfg.get("n_max", 7) + 1)
-    tol = cfg.get("tolerance", 0.02)
-    grid = _grid_from(cfg)
+def _exp_translation(seed, grid=None, gammas=(-0.5, 0, 1, 2), ps=(2, 4),
+                     lambdas=(4, 8, 16, 32, 64),
+                     tolerance=0.05) -> List[ExperimentReport]:
+    return [check_translation_scaling(p, gamma, lambdas, grid=grid,
+                                      tolerance=tolerance)
+            for gamma in gammas for p in ps]
+
+
+def _exp_nikolskij(seed, grid=None, bases=5,
+                   parameter_sets=(
+                       {"p0": 2, "g0": 0, "p1": 1.5, "g1": -1 / 3},
+                       {"p0": 2, "g0": 0.5, "p1": 2, "g1": 0},
+                       {"p0": 2, "g0": 0.5, "p1": 1.5, "g1": -1 / 3},
+                       {"p0": 2, "g0": 0.5, "p1": 4, "g1": 1},
+                       {"p0": 4, "g0": 1, "p1": 1.5, "g1": -1 / 3},
+                   ),
+                   t_values=(1, 2, 4, 8, 16)) -> List[ExperimentReport]:
+    grid = grid or default_grid(1)
     out = []
-    for combo in combos:
-        for j in cfg.get("j_values", (-1, 0, 1)):
-            out.append(check_peak_scaling(combo["p"], combo["gamma"], j,
-                                          n_range=n_range, grid=grid,
-                                          tolerance=tol))
-    return out
-
-
-def _exp_translation(cfg, seed) -> List[ExperimentReport]:
-    out = []
-    for gamma in cfg.get("gammas", (-0.5, 0, 1, 2)):
-        for p in cfg.get("ps", (2, 4)):
-            out.append(check_translation_scaling(
-                p, gamma, cfg.get("lambdas", (4, 8, 16, 32, 64)),
-                grid=_grid_from(cfg), tolerance=cfg.get("tolerance", 0.05)))
-    return out
-
-
-def _exp_nikolskij(cfg, seed) -> List[ExperimentReport]:
-    sets = cfg.get("parameter_sets", [
-        {"p0": 2, "g0": 0, "p1": 1.5, "g1": -1 / 3},
-        {"p0": 2, "g0": 0.5, "p1": 2, "g1": 0},
-        {"p0": 2, "g0": 0.5, "p1": 1.5, "g1": -1 / 3},
-        {"p0": 2, "g0": 0.5, "p1": 4, "g1": 1},
-        {"p0": 4, "g0": 1, "p1": 1.5, "g1": -1 / 3},
-    ])
-    grid = _grid_from(cfg) or default_grid(1)
-    out = []
-    for i in range(cfg.get("bases", 5)):
+    for i in range(bases):
         base = random_band_limited(grid, seed + i, band=1.0)
-        for ps in sets:
+        for ps in parameter_sets:
             for alpha in ((0,), (1,)):
                 out.append(check_nikolskij(
                     base, ps["p0"], ps["g0"], ps["p1"], ps["g1"], alpha=alpha,
-                    t_values=cfg.get("t_values", (1, 2, 4, 8, 16)),
+                    t_values=t_values,
                 ))
     return out
 
 
-def _exp_dichotomy(cfg, seed) -> List[ExperimentReport]:
-    p0, g0 = cfg.get("p0", 2), cfg.get("gamma0", 0)
-    p1, g1 = cfg.get("p1", 1.5), cfg.get("gamma1", -0.25)
-    d = cfg.get("d", 1)
-    prof = log_singularity(p0, g0, p1, d)
-    src = radial_weighted_lp(prof, float(p0), float(g0))
-    tgt = radial_weighted_lp(prof, float(p1), float(g1))
+def _exp_dichotomy(seed, p0=2, gamma0=0, p1=1.5, gamma1=-0.25,
+                   d=1) -> List[ExperimentReport]:
+    prof = log_singularity(p0, gamma0, p1, d)
+    src = radial_weighted_lp(prof, float(p0), float(gamma0))
+    tgt = radial_weighted_lp(prof, float(p1), float(gamma1))
     # source convergence: < 1% relative norm change over the last two
     # eps-refinements of the cumulative quadrature
-    h = src.history
-    norms_tail = [x ** (1.0 / float(p0)) for x in h[-3:]]
+    norms_tail = [x ** (1.0 / float(p0)) for x in src.history[-3:]]
     rel = [abs(b - a) / b for a, b in zip(norms_tail, norms_tail[1:])]
     src_ok = (not src.diverged) and max(rel) < 0.01
     rep = verify._profile_report(
-        f"log_singularity_dichotomy[p0={p0},g0={g0},p1={p1},g1={g1}]",
+        f"log_singularity_dichotomy[p0={p0},g0={gamma0},p1={p1},g1={gamma1}]",
         "dichotomy", None, None, src, tgt,
         details={"src_tail_rel_changes": rel, "src_converged": src_ok},
     )
@@ -494,51 +478,48 @@ def _exp_dichotomy(cfg, seed) -> List[ExperimentReport]:
     return [rep]
 
 
-def _exp_lacunary(cfg, seed) -> List[ExperimentReport]:
+def _exp_lacunary(seed, grid=None, p0=2, gamma0=0, q0=math.inf, p1=4,
+                  gamma1=0, q1=1, s0=1, s1=0.75,
+                  n_values=(4, 6, 8, 12, 16, 24, 32),
+                  tolerance=0.1) -> List[ExperimentReport]:
     # Sharp line with q0 = inf, q1 = 1: p0=2, p1=4, gamma=0, s0=1, s1=3/4.
-    grid = _grid_from(cfg)
     return [check_lacunary_qnecessity(
-        cfg.get("p0", 2), cfg.get("gamma0", 0), cfg.get("q0", math.inf),
-        cfg.get("p1", 4), cfg.get("gamma1", 0), cfg.get("q1", 1),
-        cfg.get("s0", 1), cfg.get("s1", 0.75),
-        n_values=cfg.get("n_values", (4, 6, 8, 12, 16, 24, 32)),
-        tolerance=cfg.get("tolerance", 0.1),
-        grid=grid, d=grid.d if grid else 1,
+        p0, gamma0, q0, p1, gamma1, q1, s0, s1, n_values=n_values,
+        tolerance=tolerance, grid=grid, d=grid.d if grid else 1,
     )]
 
 
-def _exp_equivalences(cfg, seed) -> List[ExperimentReport]:
+def _exp_equivalences(seed, grid=None, gammas=(0, 0.5),
+                      count=100) -> List[ExperimentReport]:
     out = []
-    for gamma in cfg.get("gammas", (0, 0.5)):
-        out.extend(check_norm_equivalences(
-            gamma, count=cfg.get("count", 100), seed=seed, grid=_grid_from(cfg)))
+    for gamma in gammas:
+        out.extend(check_norm_equivalences(gamma, count=count, seed=seed,
+                                           grid=grid))
     return out
 
 
-def _exp_gagliardo(cfg, seed) -> List[ExperimentReport]:
-    grid = _grid_from(cfg) or Grid(1, 16.0, 2 ** 12)
-    out = []
-    for gamma in cfg.get("gammas", (0, 0.5)):
-        fields = random_field_batch(grid, cfg.get("count", 20), seed)
-        out.append(check_gagliardo(
-            fields, cfg.get("s0", 0), cfg.get("s1", 2), cfg.get("theta", 0.5),
-            cfg.get("p", 2), cfg.get("q", 2), gamma, cap=cfg.get("cap", 10.0)))
-    return out
+def _exp_gagliardo(seed, grid=None, gammas=(0, 0.5), count=20, s0=0, s1=2,
+                   theta=0.5, p=2, q=2, cap=10.0) -> List[ExperimentReport]:
+    grid = grid or Grid(1, 16.0, 2 ** 12)
+    return [check_gagliardo(random_field_batch(grid, count, seed), s0, s1,
+                            theta, p, q, gamma, cap=cap)
+            for gamma in gammas]
 
 
-def _exp_oracle(cfg, seed) -> List[ExperimentReport]:
-    return [oracle_random_suite(seed=seed, count=cfg.get("count", 10000),
-                                triples=cfg.get("triples", 2000))]
+def _exp_oracle(seed, count=10000, triples=2000) -> List[ExperimentReport]:
+    return [oracle_random_suite(seed=seed, count=count, triples=triples)]
 
 
-def _exp_sharp(cfg, seed) -> List[ExperimentReport]:
-    return [sharp_case_fidelity(seed=seed, count=cfg.get("count", 200))]
+def _exp_sharp(seed, count=200) -> List[ExperimentReport]:
+    return [sharp_case_fidelity(seed=seed, count=count)]
 
 
-def _exp_coherence(cfg, seed) -> List[ExperimentReport]:
-    return coherence_suite(grid=_grid_from(cfg))
+def _exp_coherence(seed, grid=None) -> List[ExperimentReport]:
+    return coherence_suite(grid=grid)
 
 
+# Each runner declares the parameters its experiment accepts, with their
+# defaults, after ``seed``; a runner that takes a ``grid`` samples a lattice.
 CATALOG: Dict[str, Tuple[str, Callable]] = {
     "peaks": ("block-pair norm scaling along n (exponent d-(d+gamma)/p)", _exp_peaks),
     "translation": ("translate-by-lambda norm scaling (exponent gamma/p)", _exp_translation),
@@ -553,25 +534,43 @@ CATALOG: Dict[str, Tuple[str, Callable]] = {
 }
 
 
-# Experiments whose checks sample fields on a lattice and honour a ``grid``
-# override; the others (radial quadrature, exact oracle) have no lattice.
-GRID_EXPERIMENTS = ("peaks", "translation", "nikolskij", "lacunary",
-                    "equivalences", "gagliardo", "coherence")
+def parameters(name: str) -> Dict[str, object]:
+    """The parameters experiment ``name`` accepts, with their defaults."""
+    params = inspect.signature(CATALOG[name][1]).parameters
+    return {key: p.default for key, p in params.items() if key != "seed"}
+
+
+def config_problems(names, overrides) -> List[str]:
+    """One message per unknown experiment and per override no runner reads."""
+    problems = [f"unknown experiment {n!r}" for n in names if n not in CATALOG]
+    for name in (n for n in names if n in CATALOG):
+        accepted = parameters(name)
+        unknown = sorted(set(overrides.get(name, {})) - set(accepted))
+        if unknown:
+            problems.append(f"experiment {name!r} has no parameter "
+                            f"{', '.join(unknown)}; it accepts "
+                            f"{', '.join(accepted)}")
+    return problems
 
 
 def run_experiments(names=None, overrides=None, seed: int = 0,
                     jobs: int = 1) -> Dict[str, List[ExperimentReport]]:
-    """Run catalog experiments; returns {name: [reports]}."""
+    """Run catalog experiments; returns {name: [reports]}.  A ``grid``
+    override is a {"d", "L", "N"} dict; unknown keys raise RangeError."""
     names = list(names) if names else list(CATALOG.keys())
     overrides = overrides or {}
-    unknown = [n for n in names if n not in CATALOG]
-    if unknown:
-        raise KeyError(f"unknown experiments: {unknown}")
+    problems = config_problems(names, overrides)
+    if problems:
+        raise RangeError("; ".join(problems))
 
     def run_one(name):
-        _, fn = CATALOG[name]
+        kw = dict(overrides.get(name, {}))
         try:
-            return name, fn(overrides.get(name, {}), seed)
+            if "grid" in kw:
+                g = kw["grid"]
+                kw["grid"] = (Grid(int(g["d"]), float(g["L"]), int(g["N"]))
+                              if g else None)
+            return name, CATALOG[name][1](seed, **kw)
         except Exception as exc:
             return name, [ExperimentReport(
                 experiment_id=f"{name}[error]",

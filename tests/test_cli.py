@@ -109,8 +109,7 @@ class TestWitness:
     def test_peaks_family_files(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "w"
         monkeypatch.setenv("POWEMB_OUT", str(out))
-        code = main(["witness", "peaks", "--p", "2", "--gamma", "0.5",
-                     "--j", "0", "--n", "3..7"])
+        code = main(["witness", "peaks", "--j", "0", "--n", "3..7"])
         assert code == 0
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["kind"] == "SpectralPeak"
@@ -137,6 +136,14 @@ class TestWitness:
     def test_nyquist_error_exit_64(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("POWEMB_OUT", str(tmp_path / "w"))
         assert main(["witness", "peaks", "--n", "3..20"]) == 64
+
+    def test_unread_witness_flags_exit_64(self, tmp_path, monkeypatch, capsys):
+        # No kind reads --p or --gamma; neither may pass as a prefix of
+        # --p0 or --gamma0 either.
+        monkeypatch.setenv("POWEMB_OUT", str(tmp_path / "w"))
+        for flag in ("--p", "--gamma"):
+            assert main(["witness", "peaks", flag, "7"]) == 64, flag
+        assert not (tmp_path / "w").exists()
 
 
 class TestVerify:
@@ -199,6 +206,35 @@ class TestVerify:
                         + (out / "lacunary_000.csv").read_bytes())
         assert outs[0] == outs[1]
 
+    @pytest.mark.parametrize("payload, named", [
+        ({"experiments": [{"id": "translation",
+                           "overrides": {"tolerence": 0.5, "gamma": [9]}}],
+          "bogus_key": 1},
+         ("translation", "tolerence", "gamma", "bogus_key", "tolerance")),
+        ({"experiments": ["dichotomy"], "sede": 3}, ("sede",)),
+        ({"experiments": [{"id": "dichotomy", "overide": {"p0": 3}}]},
+         ("overide",)),
+        ({"experiments": [{"overrides": {"p0": 3}}]}, ("'id'",)),
+        ([1, 2], ("JSON object",)),
+        ({"experiments": {"peaks": {"n_max": 5}}}, ("JSON array",)),
+        ({"seed": "1", "experiments": ["dichotomy"]}, ("seed",)),
+        ({"seed": 1.5, "experiments": ["dichotomy"]}, ("seed",)),
+        ({"seed": True, "experiments": ["dichotomy"]}, ("seed",)),
+    ], ids=["misspelled_override", "top_level_key", "entry_key", "no_id",
+            "not_object", "experiments_not_array", "seed_str", "seed_float", "seed_bool"])
+    def test_bad_config_exit_64(self, tmp_path, monkeypatch, capsys,
+                                payload, named):
+        out = tmp_path / "v"
+        monkeypatch.setenv("POWEMB_OUT", str(out))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(payload))
+        assert main(["verify", str(cfg)]) == 64
+        err = capsys.readouterr().err
+        assert "internal error" not in err
+        for word in named:
+            assert word in err, (word, err)
+        assert not out.exists()
+
     def test_help_exit_zero(self, capsys):
         assert main(["--help"]) == 0
 
@@ -232,6 +268,16 @@ class TestJobs:
             outs.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert len(outs[0]) > 2
         assert outs[0] == outs[1]
+
+    def test_jobs_below_one_exit_64(self, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "v"
+        monkeypatch.setenv("POWEMB_OUT", str(out))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiments": ["dichotomy"]}))
+        for jobs in ("0", "-4"):
+            assert main(["--jobs", jobs, "verify", str(cfg)]) == 64, jobs
+            assert "--jobs" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestGridFlag:
@@ -305,11 +351,28 @@ class TestConfigGrid:
 
     def test_every_lattice_runner_reads_its_grid(self):
         from powemb import suite
-        from powemb.params import RangeError
 
-        for name in suite.GRID_EXPERIMENTS:
-            with pytest.raises(RangeError, match="power of two"):
-                suite.CATALOG[name][1]({"grid": self.BAD}, 0)
+        lattice = [n for n in suite.CATALOG if "grid" in suite.parameters(n)]
+        assert lattice == ["peaks", "translation", "nikolskij", "lacunary",
+                           "equivalences", "gagliardo", "coherence"]
+        for name in lattice:
+            [report] = suite.run_experiments(
+                [name], {name: {"grid": self.BAD}})[name]
+            assert report.kind == "error"
+            assert "power of two" in report.details["error"]
+
+        # The conversion above fails before the runner is called; a grid
+        # that raises when read shows that each runner reads the one given.
+        class Read(Exception):
+            pass
+
+        class Probe:
+            def __getattr__(self, attr):
+                raise Read(attr)
+
+        for name in lattice:
+            with pytest.raises(Read):
+                suite.CATALOG[name][1](0, grid=Probe())
 
     def test_top_level_grid_reaches_lattice_runners_only(
             self, tmp_path, monkeypatch, capsys):
@@ -332,7 +395,9 @@ class TestConfigGrid:
             cfg = self._cfg(tmp_path, {"experiments": [
                 {"id": name, "overrides": {"grid": grid}}]})
             assert main(["verify", cfg]) == 64
-            assert name in capsys.readouterr().err
+            err = capsys.readouterr().err
+            assert name in err and "grid" in err
+        assert not (tmp_path / "v").exists()
 
 
 class TestMatrixRendering:
