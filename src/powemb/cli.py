@@ -278,7 +278,7 @@ def cmd_verify(args) -> int:
             raise RangeError(f"experiment entry {json.dumps(entry)} wants an "
                              f"'id' and optionally an 'overrides' object")
         names.append(entry["id"])
-        overrides[entry["id"]] = entry.get("overrides", {})
+        overrides[entry["id"]] = dict(entry.get("overrides", {}))
     problems = suite.config_problems(names, overrides)
     unknown = sorted(set(config) - {"experiments", "seed", "grid", "out"})
     if unknown:
@@ -323,14 +323,15 @@ _GLOBAL_FLAGS_READ = {
     "verify": ("jobs", "seed"),
 }
 # Each witness kind reads only part of witness's flags: only ``dilation``
-# draws a random base, and the radial profiles have no lattice.
+# draws a random base, the radial profiles have no lattice, and each kind
+# has its own parameters.
 _WITNESS_FLAGS_READ = {
-    "peaks": ("grid",),
-    "dilation": ("grid", "seed"),
-    "translation": ("grid",),
-    "lacunary": ("grid",),
-    "logsing": (),
-    "rieszlog": (),
+    "peaks": ("grid", "n", "j"),
+    "dilation": ("grid", "seed", "t"),
+    "translation": ("grid", "sigma", "lam"),
+    "lacunary": ("grid", "coeffs", "n_terms", "s0", "p0", "gamma0"),
+    "logsing": ("p0", "gamma0", "p1", "dim", "eps"),
+    "rieszlog": ("a", "b", "dim", "eps"),
 }
 
 
@@ -395,10 +396,14 @@ def main(argv=None) -> int:
         parser.print_help()
         return EX_USAGE
     what, read = args.cmd, _GLOBAL_FLAGS_READ[args.cmd]
+    defaults = dict.fromkeys(("grid", "jobs", "seed"))
     if args.cmd == "witness" and args.kind in _WITNESS_FLAGS_READ:
         what, read = f"witness {args.kind}", _WITNESS_FLAGS_READ[args.kind]
-    unread = [f"--{flag}" for flag in ("grid", "jobs", "seed")
-              if getattr(args, flag) is not None and flag not in read]
+        defaults.update(vars(parser.parse_args(["witness", args.kind])))
+    # A flag counts as given when it differs from its default; --out is
+    # not checked.
+    unread = [f"--{flag.replace('_', '-')}" for flag, default in defaults.items()
+              if flag not in read + ("out",) and getattr(args, flag) != default]
     if unread:
         print(f"error: {what} does not use {', '.join(unread)}",
               file=sys.stderr)

@@ -221,6 +221,14 @@ def _trivial_citation(pr: _Pair) -> RuleCitation:
     return RuleCitation(TRIVIAL_13, f"{scale}, {detail}")
 
 
+def _necessity_fails(pr: _Pair) -> bool:
+    """Whether a necessary condition fails: the shifted smoothness, the
+    weight index or the dim index rises, or the dim index does not drop
+    strictly at p1 < p0.  ``_first_violated_necessity`` names which."""
+    held = pr.sh0 >= pr.sh1 and pr.w1 <= pr.w0 and pr.dim1 <= pr.dim0
+    return not held or (pr.tgt.p < pr.src.p and pr.dim1 == pr.dim0)
+
+
 def _first_violated_necessity(pr: _Pair) -> RuleCitation:
     """Cite the first violated necessary condition.
 
@@ -235,10 +243,8 @@ def _first_violated_necessity(pr: _Pair) -> RuleCitation:
     if pr.dim1 > pr.dim0:
         return RuleCitation(NEC_42, "violated: " + _note_dim(pr, ">"))
     if pr.dim1 == pr.dim0 and pr.tgt.p < pr.src.p:
-        return RuleCitation(
-            NEC_STRICT_45,
-            "violated strict necessity at p1 < p0: " + _note_dim(pr, "="),
-        )
+        return RuleCitation(NEC_STRICT_45, "violated strict necessity at "
+                            "p1 < p0: " + _note_dim(pr, "="))
     return RuleCitation(
         Q_NECESSITY,
         "sharp line (" + _note_shifted(pr, "=") + ") forces q0 <= q1; "
@@ -384,16 +390,9 @@ def _decide_hw(src: SpaceSpec, tgt: SpaceSpec, fam: str) -> Verdict:
                     _note_dim(pr, "<") + "; " + _note_shifted(pr, ">"),
                 ),
             )
-        if pr.sh0 < pr.sh1 or pr.dim1 > pr.dim0:
+        # Equal dim indices at p1 < p0 force w1 < w0: NEC_STRICT_45 applies.
+        if pr.sh0 < pr.sh1 or pr.dim1 >= pr.dim0:
             return _verdict(NO, _first_violated_necessity(pr))
-        if pr.dim1 == pr.dim0:
-            return _verdict(
-                NO,
-                RuleCitation(
-                    NEC_STRICT_45,
-                    "violated strict necessity at p1 < p0: " + _note_dim(pr, "="),
-                ),
-            )
         return _verdict(
             NO,
             RuleCitation(
@@ -416,16 +415,7 @@ def _decide_hw(src: SpaceSpec, tgt: SpaceSpec, fam: str) -> Verdict:
                 f"s0 = {src.s} >= {tgt.s} = s1 (same scale)",
             ),
         )
-    nec_ok = pr.sh0 >= pr.sh1 and pr.w1 <= pr.w0 and pr.dim1 <= pr.dim0
-    if nec_ok and p1 < p0 and pr.dim1 == pr.dim0:
-        return _verdict(
-            NO,
-            RuleCitation(
-                NEC_STRICT_45,
-                "violated strict necessity at p1 < p0: " + _note_dim(pr, "="),
-            ),
-        )
-    if not nec_ok:
+    if _necessity_fails(pr):
         return _verdict(NO, _first_violated_necessity(pr))
     which = []
     if not pr.ap0:
@@ -561,18 +551,9 @@ def decide_cross(src: SpaceSpec, tgt: SpaceSpec) -> Verdict:
             )
 
     # Stage (iii): necessity through the reverse sandwich.
-    if _in_besov_sandwich(src) and _in_besov_sandwich(tgt):
-        nec_ok = pr.sh0 >= pr.sh1 and pr.w1 <= pr.w0 and pr.dim1 <= pr.dim0
-        if not nec_ok:
-            return _verdict(NO, _first_violated_necessity(pr))
-        if tgt.p < src.p and pr.dim1 == pr.dim0:
-            return _verdict(
-                NO,
-                RuleCitation(
-                    NEC_STRICT_45,
-                    "violated strict necessity at p1 < p0: " + _note_dim(pr, "="),
-                ),
-            )
+    if (_in_besov_sandwich(src) and _in_besov_sandwich(tgt)
+            and _necessity_fails(pr)):
+        return _verdict(NO, _first_violated_necessity(pr))
     return _verdict(
         UNKNOWN,
         RuleCitation(
@@ -750,18 +731,8 @@ def lp_target(src: SpaceSpec, p1, gamma1) -> Verdict:
             )
 
     # Necessity by the reverse sandwich (L^{p1}(w1) norms hit directly).
-    if _in_besov_sandwich(src):
-        nec_ok = nec and pr.dim1 <= pr.dim0
-        if not nec_ok:
-            return _verdict(NO, _first_violated_necessity(pr))
-        if tgt.p < p0 and pr.dim1 == pr.dim0:
-            return _verdict(
-                NO,
-                RuleCitation(
-                    NEC_STRICT_45,
-                    "violated strict necessity at p1 < p0: " + _note_dim(pr, "="),
-                ),
-            )
+    if _in_besov_sandwich(src) and _necessity_fails(pr):
+        return _verdict(NO, _first_violated_necessity(pr))
     return _verdict(
         UNKNOWN,
         RuleCitation(

@@ -170,16 +170,26 @@ class DerivedIndices:
 
 
 def validate(spec: SpaceSpec) -> SpaceSpec:
-    """Check ranges and return the canonicalized spec.
+    """Check ranges and return the canonicalized spec, carrying its indices.
 
     Canonicalization: fractional Sobolev -> Besov with q = p; Lebesgue -> H
     with s = 0.  Raises RangeError on any definitional violation.
-    Idempotent; already-validated instances pass through untouched.
+    Idempotent; already-validated instances pass through untouched.  The
+    derived indices are stored on the returned spec for ``indices`` to read;
+    ``dataclasses.replace`` builds a spec without them, so a replaced spec
+    is validated and derived afresh.
     """
-    if getattr(spec, "_validated", False):
+    if getattr(spec, "_indices", None) is not None:
         return spec
     out = _validate_impl(spec)
-    object.__setattr__(out, "_validated", True)
+    if out.family == "Holder":
+        # Unweighted sup-norm scale: p = inf, gamma irrelevant.
+        derived = DerivedIndices(out.s, _ZERO, _ZERO)
+    else:
+        dim_index = divide(Fraction(out.d) + out.gamma, out.p)
+        derived = DerivedIndices(out.s - dim_index, divide(out.gamma, out.p),
+                                 dim_index)
+    object.__setattr__(out, "_indices", derived)
     return out
 
 
@@ -238,13 +248,9 @@ def _validate_impl(spec: SpaceSpec) -> SpaceSpec:
 
 
 def indices(spec: SpaceSpec) -> DerivedIndices:
-    """Derived indices of a validated spec (exact arithmetic, 1/inf = 0)."""
-    if spec.family == "Holder":
-        # Unweighted sup-norm scale: p = inf, gamma irrelevant.
-        return DerivedIndices(spec.s, Fraction(0), Fraction(0))
-    dim_index = divide(Fraction(spec.d) + spec.gamma, spec.p)
-    weight_index = divide(spec.gamma, spec.p)
-    return DerivedIndices(spec.s - dim_index, weight_index, dim_index)
+    """Derived indices of a spec (exact arithmetic, 1/inf = 0), as stored by
+    ``validate``."""
+    return validate(spec)._indices
 
 
 def in_ap_range(p: Extended, gamma: Fraction, d: int) -> bool:

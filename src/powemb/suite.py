@@ -24,7 +24,8 @@ from .oracle import (
     decide_besov,
     decide_triebel,
 )
-from .params import INF, RangeError, SpaceSpec, as_rational, indices, is_inf, spec_to_dict, validate
+from .params import (INF, RangeError, SpaceSpec, indices, is_inf, spec_from_dict,
+                     spec_to_dict, validate)
 from .verify import (
     ExperimentReport,
     check_embedding_bounded,
@@ -42,16 +43,9 @@ from .lpengine import radial_weighted_lp
 
 def S(family, s=0, p=None, q=None, gamma=None, d=1) -> SpaceSpec:
     """Shorthand spec builder accepting ints, floats, strings and 'inf'."""
-    conv = lambda v: (INF if (isinstance(v, str) and v == "inf") or is_inf(v)
-                      else as_rational(v))
-    return validate(SpaceSpec(
-        family=family,
-        d=d,
-        s=as_rational(s),
-        p=None if p is None else conv(p),
-        q=None if q is None else conv(q),
-        gamma=None if gamma is None else as_rational(gamma),
-    ))
+    given = {"p": p, "q": q, "gamma": gamma}
+    return spec_from_dict({"family": family, "dim": d, "s": s,
+                           **{k: v for k, v in given.items() if v is not None}})
 
 
 # ---------------------------------------------------------------------------

@@ -249,6 +249,11 @@ def _member_norm(member: Field, spec: SpaceSpec) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _dim_index(p, gamma, d) -> float:
+    """(d+gamma)/p in floats, 0 at p = inf."""
+    return 0.0 if float(p) == math.inf else (d + float(gamma)) / float(p)
+
+
 def check_peak_scaling(p, gamma, j, n_range=range(3, 8), grid: Optional[Grid] = None,
                        tolerance=0.02, residual_cap=0.05) -> ExperimentReport:
     """Fit of log ||phi_n * phi_{n+j}||_{L^p(w)} against n.
@@ -260,7 +265,7 @@ def check_peak_scaling(p, gamma, j, n_range=range(3, 8), grid: Optional[Grid] = 
     grid = grid or default_grid(d)
     fam = spectral_peaks(grid, list(n_range), j)
     values = [weighted_lp(m, p, float(gamma)) for m in fam.members()]
-    dim = 0.0 if float(p) == math.inf else (d + float(gamma)) / float(p)
+    dim = _dim_index(p, gamma, d)
     predicted = d - dim
     params = [2.0 ** n for n in fam.member_params]
     rows_src = values
@@ -415,7 +420,7 @@ def peak_constants(p, gamma, grid: Optional[Grid] = None, n_check=(5, 6),
     """
     grid = grid or default_grid(1)
     d = grid.d
-    dim = 0.0 if float(p) == math.inf else (d + float(gamma)) / float(p)
+    dim = _dim_index(p, gamma, d)
     out = {}
     for l in (-1, 0, 1):
         consts = []
@@ -443,7 +448,7 @@ def lacunary_norm_from_constants(coeffs, s, p, q, gamma, d=1,
     """
     if constants is None:
         constants = peak_constants(p, gamma, grid=grid)
-    dim = 0.0 if float(p) == math.inf else (d + float(gamma)) / float(p)
+    dim = _dim_index(p, gamma, d)
     level = [constants[-l] * 2.0 ** (l * (float(s) + d - dim)) for l in (-1, 0, 1)]
     qf = float(q)
     if qf == math.inf:

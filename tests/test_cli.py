@@ -327,6 +327,19 @@ class TestGlobalFlags:
              "witness logsing", "--grid"),
             (["--grid", "1,16,256", "--seed", "1", "witness", "rieszlog"],
              "witness rieszlog", "--grid, --seed"),
+            # each kind's own flags: a flag of another kind is not read
+            (["witness", "peaks", "--n", "3..4", "--s0", "5", "--eps", "3",
+              "--a", "9"], "witness peaks", "--s0, --a, --eps"),
+            (["witness", "logsing", "--j", "4", "--lam", "2"],
+             "witness logsing", "--j, --lam"),
+            (["witness", "dilation", "--sigma", "2"], "witness dilation",
+             "--sigma"),
+            (["witness", "translation", "--t", "1"], "witness translation",
+             "--t"),
+            (["witness", "lacunary", "--n-terms", "4", "--dim", "2"],
+             "witness lacunary", "--dim"),
+            (["--seed", "3", "witness", "rieszlog", "--coeffs", "1,2",
+              "--p1", "3"], "witness rieszlog", "--seed, --coeffs, --p1"),
         ]
         for argv, what, named in cases:
             assert main(argv) == 64, argv
@@ -385,6 +398,24 @@ class TestConfigGrid:
         text = capsys.readouterr().out
         assert "[PASS] dichotomy" in text
         report = json.loads((out / "gagliardo_000.json").read_text())
+        assert "power of two" in report["details"]["error"]
+
+    def test_config_hash_is_of_the_config_as_read(
+            self, tmp_path, monkeypatch, capsys):
+        # The top-level grid reaches the runner without entering the
+        # entry's own overrides, so a config that spells out every key
+        # hashes as written.
+        from powemb.cli import _config_hash
+
+        out = tmp_path / "v"
+        monkeypatch.setenv("POWEMB_OUT", str(out))
+        payload = {"seed": 0, "grid": self.BAD, "experiments": [
+            {"id": "gagliardo", "overrides": {"count": 1}}]}
+        assert main(["verify", self._cfg(tmp_path, payload)]) == 3
+        expected = _config_hash(payload)
+        assert f"config_hash: {expected}" in capsys.readouterr().out
+        report = json.loads((out / "gagliardo_000.json").read_text())
+        assert report["config_hash"] == expected
         assert "power of two" in report["details"]["error"]
 
     def test_grid_override_on_gridless_experiment_exit_64(

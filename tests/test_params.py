@@ -1,6 +1,7 @@
 """Parameter algebra: validation, canonicalization, derived indices."""
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -136,6 +137,14 @@ class TestIndices:
         assert ix.shifted_smoothness == 0
         assert ix.weight_index == Fraction(1, 2)
         assert ix.dim_index == Fraction(3, 4)
+
+    def test_stored_once_and_fresh_after_replace(self):
+        v = validate(sp("B", 1, 2, 1, gamma=0))
+        first = indices(v)
+        assert indices(v) is first and indices(validate(v)) is first
+        moved = replace(v, s=v.s + 1)
+        assert indices(moved).shifted_smoothness == first.shifted_smoothness + 1
+        assert indices(moved).dim_index == first.dim_index
 
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=16)
