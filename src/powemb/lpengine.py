@@ -10,7 +10,8 @@ Quadrature conventions:
   * weighted L^p sums use the exact cell integral of |x|^gamma per lattice
     cell (closed form in 1-D, tensor Gauss-Legendre in 2-D with the origin
     cell done in polar coordinates), never a point sample of the weight at
-    the origin;
+    the origin; the weight is radial, so only the half-line (1-D) or the
+    quadrant (2-D) of cells is integrated and stored;
   * band-limited integrands are upsampled by zero-padding before summation
     so that cell sums resolve the carrier oscillation.
 """
@@ -22,6 +23,7 @@ import itertools
 import json
 import math
 import threading
+from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, List, Optional
 
@@ -298,12 +300,14 @@ def bessel_apply(f: Field, s: float) -> Field:
 
 
 def derivative(f: Field, alpha) -> Field:
-    """Spectral derivative D^alpha via the (i xi)^alpha multiplier."""
+    """Spectral derivative D^alpha via the (i xi)^alpha multiplier; D^0 f is f."""
     if isinstance(alpha, int):
         alpha = (alpha,)
     alpha = tuple(int(a) for a in alpha)
     if len(alpha) != f.grid.d or any(a < 0 for a in alpha):
         raise RangeError(f"multiindex {alpha} does not fit dimension {f.grid.d}")
+    if not any(alpha):
+        return f
     return apply_multiplier(
         f, lambda *k: functools.reduce(
             np.multiply, ((1j * x) ** a for x, a in zip(k, alpha))))
@@ -313,17 +317,63 @@ def derivative(f: Field, alpha) -> Field:
 # Weighted quadrature
 # ---------------------------------------------------------------------------
 
-_weight_cache = {}
+class LRUCache(OrderedDict):
+    """A map that keeps its most recently used entries up to a total size.
+
+    ``size(value)`` is an entry's cost (1 by default, so ``capacity`` counts
+    entries); a store past ``capacity`` evicts the least recently used
+    entries, never the one just stored.  Not locked: each cache's owner
+    holds its own lock around every call.
+    """
+
+    def __init__(self, capacity, size=lambda value: 1):
+        super().__init__()
+        self.capacity = capacity
+        self.size = size
+
+    def lookup(self, key):
+        """The value stored under key, marked as just used, or None."""
+        value = self.get(key)
+        if value is not None:
+            self.move_to_end(key)
+        return value
+
+    def store(self, key, value):
+        self[key] = value
+        self.move_to_end(key)
+        while len(self) > 1 and sum(map(self.size, self.values())) > self.capacity:
+            self.popitem(last=False)
+
+
+# Cell weights by (d, L, n, gamma), at most this many bytes.  Weights are
+# stored per half-line (1-D) or quadrant (2-D): the default 2-D grid at its
+# largest oversampling (n = 2048) takes 8.4 MB per gamma, and a whole
+# default ``powemb verify`` run stores 39 entries, 3.3 MB, building each once.
+WEIGHT_CACHE_BYTES = 64 * 2 ** 20
+_weight_cache = LRUCache(WEIGHT_CACHE_BYTES, size=lambda w: w.nbytes)
 _weight_lock = threading.Lock()
 
 _GL_NODES_2D = 8
 _THETA_NODES = 64
 
 
+def _gauss_legendre(n: int):
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for a in rule:
+        a.setflags(write=False)
+    return rule
+
+
+_GL_RULE_2D = _gauss_legendre(_GL_NODES_2D)
+_THETA_RULE = _gauss_legendre(_THETA_NODES)
+
+
 def _cell_weights_1d(L: float, n: int, gamma: float) -> np.ndarray:
-    """Exact integrals of |x|^gamma over the n cells centered on the lattice."""
+    """Exact integrals of |x|^gamma over the half-line cells centred at
+    0, h, ..., L; lattice cell i has the weight of entry |i - n/2|."""
     h = 2.0 * L / n
-    x = -L + h * np.arange(n)
+    x = h * np.arange(n // 2 + 1)
     a, b = x - h / 2.0, x + h / 2.0
 
     def anti(t):
@@ -334,17 +384,19 @@ def _cell_weights_1d(L: float, n: int, gamma: float) -> np.ndarray:
 
 
 def _cell_weights_2d(L: float, n: int, gamma: float) -> np.ndarray:
-    """Cell integrals of |x|^gamma in 2-D.
+    """Cell integrals of |x|^gamma in 2-D on the quadrant |x|, |y| in
+    {0, h, ..., L}; lattice cell (i, j) has the weight of entry
+    (|i - n/2|, |j - n/2|).
 
     Tensor Gauss-Legendre on every cell; the cell containing the origin is
     replaced by four quadrant squares integrated in polar coordinates with a
     closed-form radial part.  The weight depends on |x| and |y| only, and the
-    rule is symmetric, so only the quadrant |x|, |y| in {0, h, ..., L} is
-    integrated, one node pair at a time, and then mirrored onto the lattice.
+    rule is symmetric, so the quadrant holds every lattice value; it is
+    integrated one node pair at a time.
     """
     h = 2.0 * L / n
     m = n // 2
-    nodes, wts = np.polynomial.legendre.leggauss(_GL_NODES_2D)
+    nodes, wts = _GL_RULE_2D
     wts = wts * (h / 2.0)
     sq = (h * np.arange(m + 1) + nodes[:, None] * (h / 2.0)) ** 2
     # The (v, u) term is the transpose of the (u, v) one: the off-diagonal
@@ -362,25 +414,24 @@ def _cell_weights_2d(L: float, n: int, gamma: float) -> np.ndarray:
 
     # Origin cell: 4 * integral of r^gamma over [0, h/2]^2 in polar form.
     half = h / 2.0
-    theta, tw = np.polynomial.legendre.leggauss(_THETA_NODES)
+    theta, tw = _THETA_RULE
     theta = (theta + 1.0) * (math.pi / 8.0)  # [0, pi/4]
     tw = tw * (math.pi / 8.0)
     sec_int = float(np.sum(tw / np.cos(theta) ** (gamma + 2.0)))
     q[0, 0] = 4.0 * 2.0 * half ** (gamma + 2.0) / (gamma + 2.0) * sec_int
-    idx = np.abs(np.arange(n) - m)
-    return q[np.ix_(idx, idx)]
+    return q
 
 
 def _get_weights(d: int, L: float, n: int, gamma: float) -> np.ndarray:
     key = (d, float(L), int(n), float(gamma))
     with _weight_lock:
-        w = _weight_cache.get(key)
+        w = _weight_cache.lookup(key)
     if w is not None:
         return w
     w = _cell_weights_1d(L, n, gamma) if d == 1 else _cell_weights_2d(L, n, gamma)
     w.setflags(write=False)
     with _weight_lock:
-        _weight_cache[key] = w
+        _weight_cache.store(key, w)
     return w
 
 
@@ -400,21 +451,30 @@ def auto_oversample(grid: Grid, band_limit) -> int:
 
 
 def upsample_values(f: Field, factor: int) -> np.ndarray:
-    """Exact samples of the trig interpolant on a factor-times finer lattice."""
+    """Exact samples of the trig interpolant on a factor-times finer lattice.
+
+    The zero-padded spectrum is inverse-transformed one axis at a time, last
+    axis first as ``ifftn`` does, so the samples are ``ifftn``'s bit for
+    bit; but each axis is padded only just before its own transform, so no
+    lane that is still all padding is transformed.
+    """
     if factor == 1:
         return f.values
     d, n = f.grid.d, f.grid.N
-    m = n * factor
-    half = n // 2
-    # (source, target) slices per axis: the non-negative frequencies stay in
-    # front, the negative ones (Nyquist bin included) move to the back.
-    halves = ((slice(None, half), slice(None, half)),
-              (slice(half, None), slice(m - half, None)))
+    m, half = n * factor, n // 2
     pad = np.zeros((m,) * d, dtype=np.complex128)
-    for corner in itertools.product(halves, repeat=d):
-        src, dst = zip(*corner)
-        pad[dst] = f.spectrum[src]
-    np.fft.ifftn(pad, out=pad)
+    pad[(slice(None, n),) * d] = f.spectrum
+    for axis in reversed(range(d)):
+        # Axes before this one are untransformed, their coefficients still
+        # in the first n indices; only those lanes are transformed.
+        lanes = pad[(slice(None, n),) * axis]
+        line = np.moveaxis(lanes, axis, 0)
+        # The non-negative frequencies stay in front, the negative ones
+        # (Nyquist bin included) move to the back; indices n.. are still
+        # the zeros the buffer was made with.
+        line[m - half:] = line[half:n]
+        line[half:n] = 0.0
+        np.fft.ifft(lanes, axis=axis, out=lanes)
     pad *= factor ** d
     return pad
 
@@ -422,11 +482,22 @@ def upsample_values(f: Field, factor: int) -> np.ndarray:
 def weighted_cell_sum(grid: Grid, abs_values: np.ndarray, p: float, gamma: float,
                       factor: int = 1) -> float:
     """(sum |values|^p W_c)^{1/p} over a factor-refined lattice of the grid."""
-    w = _get_weights(grid.d, grid.L, grid.N * factor, float(gamma))
+    n = grid.N * factor
+    w = _get_weights(grid.d, grid.L, n, float(gamma))
     # |values|^p W_c in one buffer: refined lattices reach 2^20 cells in 2-D.
+    # The weights are one half-line or quadrant; 2^d mirrored views of it
+    # multiply the lattice in place.
     terms = np.abs(abs_values)
     terms **= p
-    terms *= w
+    # Lattice index i reads weight entry |i - n/2| on each axis: indices
+    # 0..n/2 read the entries backwards, n/2+1..n-1 read entries 1..n/2-1.
+    half = n // 2
+    mirror = ((slice(None, half + 1), slice(None, None, -1)),
+              (slice(half + 1, None), slice(1, half)))
+    for parts in itertools.product(mirror, repeat=grid.d):
+        cells, entries = zip(*parts)
+        view = terms[cells]
+        view *= w[entries]
     return float(np.sum(terms)) ** (1.0 / p)
 
 
@@ -451,8 +522,9 @@ def weighted_lp(f: Field, p, gamma: float, oversample: Optional[int] = None) -> 
     if p == math.inf:
         return float(np.max(np.abs(f.values)))
     factor = auto_oversample(f.grid, f.band_limit) if oversample is None else int(oversample)
-    vals = upsample_values(f, factor)
-    return weighted_cell_sum(f.grid, np.abs(vals), p, gamma, factor)
+    # The complex samples are dropped as soon as their magnitudes exist.
+    return weighted_cell_sum(f.grid, np.abs(upsample_values(f, factor)), p, gamma,
+                             factor)
 
 
 def boundary_decay(f: Field, fraction: float = 0.02) -> float:
@@ -534,11 +606,12 @@ class RadialNorm:
 DIVERGENCE_DELTA = 0.1
 CAUCHY_TOL = 1e-3
 _PANEL_NODES = 24
+_PANEL_RULE = _gauss_legendre(_PANEL_NODES)
 
 
 def _panel_integral(fn, lo: float, hi: float) -> float:
     """Gauss-Legendre in u = log r over [lo, hi]."""
-    nodes, wts = np.polynomial.legendre.leggauss(_PANEL_NODES)
+    nodes, wts = _PANEL_RULE
     ulo, uhi = math.log(lo), math.log(hi)
     u = (nodes + 1.0) * (uhi - ulo) / 2.0 + ulo
     w = wts * (uhi - ulo) / 2.0

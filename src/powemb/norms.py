@@ -102,8 +102,13 @@ def _block_abs(f: Field, sys: DyadicSystem, factors: List[int]) -> List[np.ndarr
     if missing:
         blocks = lp_blocks(f, sys)
         for k in missing:
-            out[k] = np.abs(upsample_values(blocks[k], factors[k]))
-            out[k].setflags(write=False)
+            if blocks[k].spectrum.any():
+                out[k] = np.abs(upsample_values(blocks[k], factors[k]))
+                out[k].setflags(write=False)
+            else:
+                # A block whose annulus misses the spectrum (most blocks of
+                # a spectral peak) is zero on every lattice: no transform.
+                out[k] = np.broadcast_to(0.0, (f.grid.N * factors[k],) * f.grid.d)
         # If another field replaced the memo meanwhile, this dict is no
         # longer held and the store is dropped with it.
         with _memo_lock:

@@ -21,7 +21,9 @@ from . import norms
 from .lpengine import (
     Field,
     Grid,
+    LRUCache,
     RadialProfile,
+    derivative,
     make_dyadic,
     radial_weighted_lp,
     weighted_lp,
@@ -198,19 +200,22 @@ WIDE_GRID_2D = (2, 64.0, 2 ** 9)
 DIM_GRID_1D = (1, 1024.0, 2 ** 13)
 DIM_GRID_2D = (2, 256.0, 2 ** 9)
 
-_sys_cache = {}
+# Dyadic systems by grid, at most this many.  The default catalog uses four
+# grids; a 2-D system on the default grid holds 20 MB.
+DYADIC_CACHE_ENTRIES = 8
+_sys_cache = LRUCache(DYADIC_CACHE_ENTRIES)
 _sys_lock = threading.Lock()  # ``--jobs`` threads share the cache
 
 
 def _dyadic_for(grid: Grid):
     key = (grid.d, grid.L, grid.N)
     with _sys_lock:
-        sys = _sys_cache.get(key)
+        sys = _sys_cache.lookup(key)
     if sys is not None:
         return sys
     sys = make_dyadic(grid)
     with _sys_lock:
-        _sys_cache[key] = sys
+        _sys_cache.store(key, sys)
     return sys
 
 
@@ -333,8 +338,6 @@ def check_nikolskij(base: Field, p0, gamma0, p1, gamma1, alpha=0,
             f"need gamma1/p1 <= gamma0/p0 and (d+gamma1)/p1 < (d+gamma0)/p0; "
             f"got weight indices {w1} vs {w0} and dim indices {dim1} vs {dim0}"
         )
-    from .lpengine import derivative
-
     fam = dilation_family(base, [float(t) for t in t_values])
     ratios = []
     rows = []

@@ -155,9 +155,14 @@ class TestMultipliers:
         factor = (1 + xi0 ** 2)
         assert np.allclose(out.values, factor * f.values, rtol=1e-10)
 
-    def test_derivative_identity(self, grid1d):
+    def test_derivative_identity(self, grid1d, grid2d):
         f = gaussian(grid1d)
         assert np.max(np.abs(derivative(f, (0,)).values - f.values)) <= 1e-13
+        # D^0 is no multiplier at all: the field itself, no copy, no FFT.
+        assert derivative(f, (0,)) is f
+        assert derivative(f, 0) is f
+        g = Field(grid2d, spectrum=_random_coefficients(grid2d))
+        assert derivative(g, (0, 0)) is g
 
     def test_derivative_sine(self, grid1d):
         om = abs(grid1d.axis_freqs()[48])
@@ -217,11 +222,12 @@ class TestWeightedLp:
                                            (1, 3.5, 1.0), (2, 2.0, -1.5),
                                            (2, 3.0, 0.5)])
     def test_cell_sum_in_one_buffer(self, d, p, gamma):
-        # Powers and weights are applied in place; the sum is the one of
-        # the separate temporaries, bit for bit.
+        # Powers and mirrored weights are applied in place; the sum is the
+        # one of the separate temporaries with full-lattice weights, bit
+        # for bit.
         grid = Grid(d, 8.0, 64)
         vals = _random_coefficients(grid, 4)
-        w = lpengine._get_weights(d, 8.0, 64 * 2, gamma)
+        w = _full_weights(d, 8.0, 64 * 2, gamma)
         up = upsample_values(Field(grid, spectrum=vals), 2)
         expected = float(np.sum(np.abs(up) ** p * w)) ** (1.0 / p)
         assert weighted_cell_sum(grid, up, p, gamma, 2) == expected
@@ -251,6 +257,34 @@ class TestWeightedLp:
                 expected, rel=1e-3)
 
 
+def _full_lattice(w, n):
+    """The n^d lattice of weights from a half-line or quadrant: cell i reads
+    entry |i - n/2| on each axis."""
+    idx = np.abs(np.arange(n) - n // 2)
+    return w[np.ix_(*(idx,) * w.ndim)]
+
+
+def _full_cell_weights_1d(L, n, gamma):
+    """The closed-form integrals of |x|^gamma on all n lattice cells, kept as
+    the reference for the half-line build."""
+    h = 2.0 * L / n
+    x = -L + h * np.arange(n)
+    a, b = x - h / 2.0, x + h / 2.0
+
+    def anti(t):
+        return np.sign(t) * np.abs(t) ** (gamma + 1.0) / (gamma + 1.0)
+
+    return anti(b) - anti(a)
+
+
+def _full_weights(d, L, n, gamma):
+    """Full-lattice cell weights: the closed form on every cell in 1-D, the
+    quadrant gathered onto the lattice in 2-D."""
+    if d == 1:
+        return _full_cell_weights_1d(L, n, gamma)
+    return _full_lattice(lpengine._cell_weights_2d(L, n, gamma), n)
+
+
 def _einsum_cell_weights_2d(L, n, gamma):
     """The direct 8x8 Gauss-Legendre rule on all n^2 cells through (n, n, 8, 8)
     arrays, kept as the reference for the mirrored-quadrant build."""
@@ -275,21 +309,33 @@ def _einsum_cell_weights_2d(L, n, gamma):
     return out
 
 
+class TestCellWeights1d:
+    @pytest.mark.parametrize("n", [16, 1024])
+    @pytest.mark.parametrize("L", [8.0, 3.0, 1024.0])
+    @pytest.mark.parametrize("gamma", [-0.5, 0.0, 1.0, 3.0])
+    def test_half_line_is_the_full_lattice(self, n, L, gamma):
+        w = lpengine._cell_weights_1d(L, n, gamma)
+        assert w.shape == (n // 2 + 1,)
+        assert np.array_equal(_full_lattice(w, n),
+                              _full_cell_weights_1d(L, n, gamma))
+
+
 class TestCellWeights2d:
     @pytest.mark.parametrize("n", [16, 64, 256])
     @pytest.mark.parametrize("L", [8.0, 3.0])
     @pytest.mark.parametrize("gamma", [-1.5, -0.5, 0.0, 0.5, 1.0, 3.0])
     def test_matches_einsum_reference(self, n, L, gamma):
-        w = lpengine._cell_weights_2d(L, n, gamma)
-        assert w.shape == (n, n)
-        np.testing.assert_allclose(w, _einsum_cell_weights_2d(L, n, gamma),
+        q = lpengine._cell_weights_2d(L, n, gamma)
+        assert q.shape == (n // 2 + 1,) * 2
+        np.testing.assert_allclose(_full_lattice(q, n),
+                                   _einsum_cell_weights_2d(L, n, gamma),
                                    rtol=1e-13, atol=0)
 
     @pytest.mark.parametrize("L", [8.0, 3.0])
     def test_unit_weight_gives_cell_areas(self, L):
         n = 64
         h = 2.0 * L / n
-        w = lpengine._cell_weights_2d(L, n, 0.0)
+        w = _full_weights(2, L, n, 0.0)
         np.testing.assert_allclose(w, h * h, rtol=1e-13)
         assert w.sum() == pytest.approx((2.0 * L) ** 2, rel=1e-13)
 
@@ -301,16 +347,15 @@ class TestCellWeights2d:
         h = 2.0 * L / n
         a, b = -L - h / 2.0, L - h / 2.0
         exact = 2.0 * (b - a) * (b ** 3 - a ** 3) / 3.0
-        w = lpengine._cell_weights_2d(L, n, 2.0)
+        w = _full_weights(2, L, n, 2.0)
         assert w.sum() == pytest.approx(exact, rel=1e-13)
 
     @pytest.mark.parametrize("gamma", [-1.5, 0.5, 3.0])
     def test_mirror_and_transpose_symmetry(self, gamma):
-        w = lpengine._cell_weights_2d(3.0, 64, gamma)
-        inner = w[1:, 1:]
-        assert np.array_equal(inner, inner[::-1, :])
-        assert np.array_equal(inner, inner[:, ::-1])
-        assert np.array_equal(w, w.T)
+        # Mirror symmetry holds by storing one quadrant; the quadrant itself
+        # is symmetric under transposition, bit for bit.
+        q = lpengine._cell_weights_2d(3.0, 64, gamma)
+        assert np.array_equal(q, q.T)
 
     def test_default_grid_peak_memory_bounded(self):
         # DEFAULT_GRID_2D (N=512) at the 2-D oversampling cap of 4 asks for
@@ -324,14 +369,181 @@ class TestCellWeights2d:
                 "from powemb.lpengine import _get_weights\n"
                 f"_get_weights(2, {L!r}, {n}, 0.5)\n"
                 "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n")
-        src = os.path.dirname(os.path.dirname(lpengine.__file__))
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (src, env.get("PYTHONPATH")) if p)
-        out = subprocess.run([sys.executable, "-c", code], env=env,
-                             capture_output=True, text=True, check=True)
-        peak_mb = int(out.stdout.strip()) / 1024.0  # ru_maxrss is in KiB
+        peak_mb = int(_run_child(code)) / 1024.0  # ru_maxrss is in KiB
         assert peak_mb < 300.0, peak_mb
+
+    def test_default_grid_peak_check_memory_bounded(self):
+        # One 2-D peak check on the default grid (N=512): its widest member
+        # is upsampled to n=2048, where a complex buffer is 64 MB.  The
+        # child keeps freed memory in the heap, so ru_maxrss is the heap's
+        # high-water mark; full-lattice weights and the complex samples
+        # held through the cell sum took it 235 MB above the imports, the
+        # quadrant weights and magnitudes alone 160 MB.
+        code = ("import resource\n"
+                "from powemb.verify import check_peak_scaling, default_grid\n"
+                "base = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+                "check_peak_scaling(2, 0.5, -1, n_range=range(2, 6),\n"
+                "                   grid=default_grid(2))\n"
+                "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - base)\n")
+        heap = {"MALLOC_MMAP_THRESHOLD_": "4000000000",
+                "MALLOC_TRIM_THRESHOLD_": "4000000000"}
+        peak_mb = int(_run_child(code, heap)) / 1024.0
+        assert peak_mb < 200.0, peak_mb
+
+
+# Linux carries the RSS high-water mark of the process that execs into the
+# new program's ru_maxrss, so a child of this test process starts at the test
+# process's size.  The child therefore forks at once, before any import, and
+# the code runs in the fork, whose ru_maxrss starts at the bare interpreter.
+_FORK_PRELUDE = ("import os, sys\n"
+                 "if os.fork():\n"
+                 "    sys.exit(os.waitstatus_to_exitcode(os.wait()[1]))\n")
+
+
+def _run_child(code, env_extra=()):
+    """stdout of code run in a fresh interpreter (in a fork of it, see
+    _FORK_PRELUDE) with this package importable."""
+    src = os.path.dirname(os.path.dirname(lpengine.__file__))
+    env = dict(os.environ)
+    env.update(env_extra)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", _FORK_PRELUDE + code], env=env,
+                          capture_output=True, text=True, check=True).stdout.strip()
+
+
+def _full_upsample(f, factor):
+    """One inverse FFT of the whole zero-padded spectrum, kept as the
+    reference for the axis-by-axis transform."""
+    if factor == 1:
+        return f.values
+    d, n = f.grid.d, f.grid.N
+    m, half = n * factor, n // 2
+    pad = np.zeros((m,) * d, dtype=np.complex128)
+    idx = np.r_[0:half, m - half:m]
+    pad[np.ix_(*(idx,) * d)] = f.spectrum
+    return np.fft.ifftn(pad) * factor ** d
+
+
+def _full_cell_sum(grid, mag, p, gamma, factor):
+    w = _full_weights(grid.d, grid.L, grid.N * factor, gamma)
+    return float(np.sum(np.abs(mag) ** p * w)) ** (1.0 / p)
+
+
+def _full_weighted_lp(f, p, gamma):
+    factor = lpengine.auto_oversample(f.grid, f.band_limit)
+    return _full_cell_sum(f.grid, np.abs(_full_upsample(f, factor)), p, gamma, factor)
+
+
+def _full_block_abs(f, sys, k, factor):
+    block = Field(f.grid, spectrum=f.spectrum * sys.hat_phi[k])
+    return np.abs(_full_upsample(block, factor))
+
+
+def _full_besov(f, s, p, q, gamma, sys):
+    vals = []
+    for k in range(lpengine._active_blocks(f, sys) + 1):
+        factor = lpengine.auto_oversample(f.grid, lpengine._block_band(f, sys, k))
+        vals.append(2.0 ** (k * s) * _full_cell_sum(
+            f.grid, _full_block_abs(f, sys, k, factor), p, gamma, factor))
+    return max(vals) if q == math.inf else float(
+        np.sum(np.asarray(vals) ** q) ** (1.0 / q))
+
+
+def _full_triebel(f, s, p, q, gamma, sys):
+    kmax = lpengine._active_blocks(f, sys)
+    factor = lpengine.auto_oversample(f.grid, lpengine._block_band(f, sys, kmax))
+    agg = None
+    for k in range(kmax + 1):
+        term = _full_block_abs(f, sys, k, factor) * 2.0 ** (k * s)
+        if q == math.inf:
+            agg = term if agg is None else np.maximum(agg, term)
+        else:
+            term **= q
+            agg = term if agg is None else agg + term
+    if q != math.inf:
+        agg **= 1.0 / q
+    return _full_cell_sum(f.grid, agg, p, gamma, factor)
+
+
+@pytest.mark.parametrize("which", ["band96_1d", "gauss_1d", "peak_1d",
+                                   "random_2d", "peak_2d"])
+def test_norms_match_full_lattice_reference(which):
+    # Mirrored weights, axis-by-axis upsampling and skipped zero blocks give
+    # the values of full-lattice weights and one ifftn per block, bit for bit.
+    from powemb.norms import besov_norm, triebel_norm
+    from powemb.witnesses import random_band_limited, spectral_peaks
+
+    g1, g2 = Grid(1, 16.0, 2 ** 12), Grid(2, 8.0, 2 ** 6)
+    f = {
+        "band96_1d": lambda: random_band_limited(g1, 7, band=96.0),
+        "gauss_1d": lambda: field_from_samples(
+            g1, lambda x: np.exp(-x * x / 8.0), band_limit=4.3),
+        "peak_1d": lambda: spectral_peaks(g1, [5], 0).member(0),
+        "random_2d": lambda: random_band_limited(g2, 5, band=6.0),
+        "peak_2d": lambda: spectral_peaks(g2, [3], -1).member(0),
+    }[which]()
+    sys = lpengine.make_dyadic(f.grid)
+    low = -0.5 if f.grid.d == 1 else -1.5
+    for p, gamma in [(1.0, low), (2.0, 0.0), (3.5, 1.0)]:
+        assert weighted_lp(f, p, gamma) == _full_weighted_lp(f, p, gamma)
+        for s, q in [(0.5, 2.0), (-0.5, math.inf)]:
+            assert (besov_norm(f, s, p, q, gamma, sys=sys).value
+                    == _full_besov(f, s, p, q, gamma, sys))
+            assert (triebel_norm(f, s, p, q, gamma, sys=sys).value
+                    == _full_triebel(f, s, p, q, gamma, sys))
+
+
+class TestCacheBounds:
+    def test_lru_keeps_recent_entries_within_capacity(self):
+        cache = lpengine.LRUCache(10, size=len)
+        cache.store("a", "aaaa")
+        cache.store("b", "bbbb")
+        assert cache.lookup("a") == "aaaa"  # now the most recent
+        cache.store("c", "cccc")  # 12 > 10: the least recent, b, goes
+        assert list(cache) == ["a", "c"]
+        assert cache.lookup("b") is None
+        cache.store("a", "aa")  # a replaced entry is counted once
+        cache.store("e", "eeee")
+        assert list(cache) == ["c", "a", "e"]
+        cache.store("d", "d" * 11)  # too large alone: kept, all else evicted
+        assert list(cache) == ["d"]
+        cache.clear()
+        assert len(cache) == 0
+
+    def test_weight_cache_stays_within_its_bytes(self):
+        # 1-D half-lines at n = 2^20 are 4 MB each; twenty of them exceed
+        # the bound, and only the most recent that fit are kept.
+        cache = lpengine._weight_cache
+        n = 2 ** 20
+        gammas = [0.05 * i for i in range(20)]
+        cache.clear()
+        try:
+            for gamma in gammas:
+                lpengine._get_weights(1, 16.0, n, gamma)
+            entry = (n // 2 + 1) * 8
+            kept = lpengine.WEIGHT_CACHE_BYTES // entry
+            assert kept < len(gammas)
+            assert len(cache) == kept
+            assert sum(w.nbytes for w in cache.values()) == kept * entry
+            assert kept * entry <= lpengine.WEIGHT_CACHE_BYTES
+            assert list(cache) == [(1, 16.0, n, g) for g in gammas[-kept:]]
+        finally:
+            cache.clear()
+
+    def test_dyadic_cache_stays_within_its_entries(self):
+        from powemb import verify
+
+        bound = verify.DYADIC_CACHE_ENTRIES
+        grids = [Grid(1, 16.0 + i, 64) for i in range(bound + 2)]
+        verify._sys_cache.clear()
+        try:
+            systems = [verify._dyadic_for(g) for g in grids]
+            assert len(verify._sys_cache) == bound
+            assert list(verify._sys_cache) == [(1, g.L, 64) for g in grids[2:]]
+            assert verify._dyadic_for(grids[-1]) is systems[-1]
+        finally:
+            verify._sys_cache.clear()
 
 
 class TestRadial:
@@ -484,18 +696,15 @@ class TestFieldRepresentation:
 
     @pytest.mark.parametrize("d,factor", [(1, 2), (1, 32), (2, 2), (2, 4)])
     def test_upsampling_is_one_inverse_fft(self, d, factor, fft_calls):
-        # The zero-padded buffer is transformed in place; the samples are
-        # those of a separate transform and a scaling, bit for bit.
+        # One in-place transform per axis, of the lanes holding coefficients
+        # only; the samples are those of one inverse FFT of the whole padded
+        # spectrum and a scaling, bit for bit.
         grid = Grid(d, 8.0, 16)
         f = Field(grid, spectrum=_random_coefficients(grid, 3))
         fft_calls.clear()
         up = upsample_values(f, factor)
-        assert fft_calls == ["ifftn"]
-        m, half = 16 * factor, 8
-        pad = np.zeros((m,) * d, dtype=np.complex128)
-        idx = np.r_[0:half, m - half:m]
-        pad[np.ix_(*(idx,) * d)] = f.spectrum
-        assert np.array_equal(up, np.fft.ifftn(pad) * factor ** d)
+        assert fft_calls == ["ifft"] * d
+        assert np.array_equal(up, _full_upsample(f, factor))
 
 
 class TestOriginPhase:

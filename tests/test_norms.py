@@ -30,7 +30,7 @@ from powemb.norms import (
 )
 from powemb.params import RangeError
 from powemb.suite import S
-from powemb.witnesses import random_band_limited
+from powemb.witnesses import random_band_limited, spectral_peaks
 
 
 @pytest.fixture(scope="module")
@@ -301,6 +301,28 @@ def test_one_fft_per_active_block(norm, fft_calls):
     assert kmax + 1 == 8
     norm(f, sys)
     assert len(fft_calls) == kmax + 1
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_zero_blocks_need_no_fft(d, fft_calls):
+    # A spectral peak fills 3 of its active blocks; the others are zero on
+    # every lattice and cost no transform, yet keep their per-block entry.
+    grid = Grid(1, 16.0, 2 ** 12) if d == 1 else Grid(2, 8.0, 2 ** 7)
+    sys = make_dyadic(grid)
+    f = spectral_peaks(grid, [5 if d == 1 else 4], 0).member(0)
+    f.values
+    kmax = _active_blocks(f, sys)
+    nonzero = [k for k, block in enumerate(lp_blocks(f, sys)[:kmax + 1])
+               if block.spectrum.any()]
+    assert len(nonzero) == 3 and kmax + 1 > 3
+    factors = [auto_oversample(grid, min(sys.block_band(k), f.band_limit))
+               for k in range(kmax + 1)]
+    fft_calls.clear()
+    res = besov_norm(f, 0.5, 2, 2, 0.5, sys=sys)
+    # An upsampled block is one transform per axis, a plain one one ifftn.
+    assert len(fft_calls) == sum(1 if factors[k] == 1 else d for k in nonzero)
+    assert [k for k, _ in res.per_block] == list(range(kmax + 1))
+    assert all((v > 0.0) == (k in nonzero) for k, v in res.per_block)
 
 
 @pytest.mark.parametrize("norm", [besov_norm, triebel_norm])
