@@ -357,16 +357,17 @@ _GL_NODES_2D = 8
 _THETA_NODES = 64
 
 
+@functools.lru_cache(maxsize=4)
 def _gauss_legendre(n: int):
-    """Read-only Gauss-Legendre nodes and weights on [-1, 1]."""
+    """Read-only Gauss-Legendre nodes and weights on [-1, 1], made once per n.
+
+    Made on first use, not at import: importing ``numpy.polynomial`` adds
+    about 2 MB and several ms to every process, and 1-D norms never need it.
+    """
     rule = np.polynomial.legendre.leggauss(n)
     for a in rule:
         a.setflags(write=False)
     return rule
-
-
-_GL_RULE_2D = _gauss_legendre(_GL_NODES_2D)
-_THETA_RULE = _gauss_legendre(_THETA_NODES)
 
 
 def _cell_weights_1d(L: float, n: int, gamma: float) -> np.ndarray:
@@ -396,7 +397,7 @@ def _cell_weights_2d(L: float, n: int, gamma: float) -> np.ndarray:
     """
     h = 2.0 * L / n
     m = n // 2
-    nodes, wts = _GL_RULE_2D
+    nodes, wts = _gauss_legendre(_GL_NODES_2D)
     wts = wts * (h / 2.0)
     sq = (h * np.arange(m + 1) + nodes[:, None] * (h / 2.0)) ** 2
     # The (v, u) term is the transpose of the (u, v) one: the off-diagonal
@@ -414,7 +415,7 @@ def _cell_weights_2d(L: float, n: int, gamma: float) -> np.ndarray:
 
     # Origin cell: 4 * integral of r^gamma over [0, h/2]^2 in polar form.
     half = h / 2.0
-    theta, tw = _THETA_RULE
+    theta, tw = _gauss_legendre(_THETA_NODES)
     theta = (theta + 1.0) * (math.pi / 8.0)  # [0, pi/4]
     tw = tw * (math.pi / 8.0)
     sec_int = float(np.sum(tw / np.cos(theta) ** (gamma + 2.0)))
@@ -606,12 +607,11 @@ class RadialNorm:
 DIVERGENCE_DELTA = 0.1
 CAUCHY_TOL = 1e-3
 _PANEL_NODES = 24
-_PANEL_RULE = _gauss_legendre(_PANEL_NODES)
 
 
 def _panel_integral(fn, lo: float, hi: float) -> float:
     """Gauss-Legendre in u = log r over [lo, hi]."""
-    nodes, wts = _PANEL_RULE
+    nodes, wts = _gauss_legendre(_PANEL_NODES)
     ulo, uhi = math.log(lo), math.log(hi)
     u = (nodes + 1.0) * (uhi - ulo) / 2.0 + ulo
     w = wts * (uhi - ulo) / 2.0

@@ -583,6 +583,19 @@ class TestRadial:
             b = weighted_lp(f, p, gamma)
             assert a == pytest.approx(b, rel=0.01)
 
+    def test_quadrature_rule_made_once(self, monkeypatch):
+        # The panel rule is computed on first use and then shared read-only.
+        prof = RadialProfile(d=2, kind="power_log", a=0.5, b=0.0, R0=0.5)
+        first = radial_weighted_lp(prof, 2, 0.0)
+        calls = []
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss",
+                            lambda n: calls.append(n))
+        assert radial_weighted_lp(prof, 2, 0.0).value == first.value
+        assert calls == []
+        nodes, wts = lpengine._gauss_legendre(lpengine._PANEL_NODES)
+        with pytest.raises(ValueError):
+            nodes[0] = 0.0
+
     def test_rejects_bad_parameters(self):
         prof = RadialProfile(d=1, kind="power_log", a=0.5, b=0.5)
         with pytest.raises(RangeError):
