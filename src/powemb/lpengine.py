@@ -25,7 +25,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -105,8 +105,9 @@ class Field:
 
     A field keeps the representation it was built in, lattice samples
     (``values``) or raw FFT coefficients (``spectrum``); the other one is
-    computed on first read and cached.  Both arrays are read-only, so
-    threads racing on a first read at worst compute equal arrays twice.
+    computed on first read and cached, as is ``rim``, the field's
+    ``boundary_decay``.  Both arrays are read-only, so threads racing on a
+    first read at worst compute equal values twice.
 
     ``band_limit`` records a radius R with the discrete spectrum supported in
     |xi| <= R; it is enforced (coefficients beyond R zeroed) for fields built
@@ -124,6 +125,7 @@ class Field:
         self._values = None if values is None else _frozen(grid, values, "values")
         self._spectrum = (None if spectrum is None
                           else _frozen(grid, spectrum, "spectrum"))
+        self._rim = None
         self.band_limit = band_limit
         self.spectral_gen = spectral_gen
         self.physical_gen = physical_gen
@@ -145,6 +147,13 @@ class Field:
             spectrum.setflags(write=False)
             self._spectrum = spectrum
         return self._spectrum
+
+    @property
+    def rim(self) -> float:
+        """``boundary_decay`` at its default fraction, scanned once."""
+        if self._rim is None:
+            self._rim = boundary_decay(self)
+        return self._rim
 
     def spectrum_consistent(self, tol=1e-9) -> bool:
         back = np.fft.ifftn(self.spectrum)
@@ -253,17 +262,20 @@ def make_dyadic(grid: Grid) -> DyadicSystem:
     return DyadicSystem(grid, K, hats)
 
 
-def lp_blocks(f: Field, sys: DyadicSystem) -> List[Field]:
-    """Littlewood-Paley blocks S_0 f .. S_K f by spectral multiplication.
+def lp_blocks(f: Field, sys: DyadicSystem,
+              ks: Optional[Sequence[int]] = None) -> List[Field]:
+    """Littlewood-Paley blocks S_k f for k in ks (default 0 .. K), in that
+    order, by spectral multiplication.
 
-    Blocks hold coefficients only, so a block never read costs no transform.
+    Only the blocks asked for are built, and they hold coefficients only,
+    so a block never read costs no transform.
     """
     if f.grid != sys.grid:
         raise GridMismatch("field and dyadic system live on different grids")
     spec = f.spectrum
     return [Field(f.grid, spectrum=spec * sys.hat_phi[k],
                   band_limit=_block_band(f, sys, k))
-            for k in range(sys.K + 1)]
+            for k in (range(sys.K + 1) if ks is None else ks)]
 
 
 def _block_band(f: Field, sys: DyadicSystem, k: int) -> float:
@@ -464,7 +476,9 @@ def upsample_values(f: Field, factor: int) -> np.ndarray:
     d, n = f.grid.d, f.grid.N
     m, half = n * factor, n // 2
     pad = np.zeros((m,) * d, dtype=np.complex128)
-    pad[(slice(None, n),) * d] = f.spectrum
+    # Scaled before padding, n^d values instead of m^d: a power of two
+    # scales every step of the transform exactly.
+    np.multiply(f.spectrum, factor ** d, out=pad[(slice(None, n),) * d])
     for axis in reversed(range(d)):
         # Axes before this one are untransformed, their coefficients still
         # in the first n indices; only those lanes are transformed.
@@ -476,7 +490,6 @@ def upsample_values(f: Field, factor: int) -> np.ndarray:
         line[m - half:] = line[half:n]
         line[half:n] = 0.0
         np.fft.ifft(lanes, axis=axis, out=lanes)
-    pad *= factor ** d
     return pad
 
 

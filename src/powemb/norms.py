@@ -13,7 +13,7 @@ import math
 import threading
 from dataclasses import dataclass, field
 from itertools import product
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -24,7 +24,6 @@ from .lpengine import (
     _block_band,
     auto_oversample,
     bessel_apply,
-    boundary_decay,
     check_lp_range,
     derivative,
     lp_blocks,
@@ -61,10 +60,9 @@ class NormResult:
 
 
 def _check_boundary(f: Field, warnings: List[str]):
-    rim = boundary_decay(f)
-    if rim > BOUNDARY_TOL:
+    if f.rim > BOUNDARY_TOL:
         warnings.append(
-            f"field magnitude {rim:.2e} of its peak near the torus boundary "
+            f"field magnitude {f.rim:.2e} of its peak near the torus boundary "
             f"(requirement {BOUNDARY_TOL:g}); periodization error possible"
         )
 
@@ -82,37 +80,69 @@ def _system_for(f: Field, sys: Optional[DyadicSystem]) -> DyadicSystem:
     return make_dyadic(f.grid) if sys is None else sys
 
 
-# |S_k f| on factor-refined lattices, keyed by (k, factor), for the one
-# (field, system) pair normed last.  Norming any other pair replaces it, so
-# every B/F norm of one field shares one inverse FFT per block and factor,
-# and no magnitudes outlive the next field.
+# For the one (field, system) pair normed last: |S_k f| on factor-refined
+# lattices keyed by (k, factor), None for a block that is identically zero,
+# and the Besov block norms ||S_k f||_{L^p(|x|^gamma)} keyed by
+# (k, factor, p, gamma).  Norming any other pair replaces it, so every B/F
+# norm of one field shares one inverse FFT per block and factor, a Besov
+# norm at another (s, q) is a ladder over stored block norms, and nothing
+# outlives the next field.
 _memo_lock = threading.Lock()
 _memo = (None, None, {})
+_MISSING = object()
 
 
-def _block_abs(f: Field, sys: DyadicSystem, factors: List[int]) -> List[np.ndarray]:
-    """Read-only |S_k f| upsampled by factors[k], for k = 0 .. len(factors)-1."""
+def _field_memo(f: Field, sys: DyadicSystem) -> dict:
+    """The memo of (f, sys); the memo of any other pair is dropped first,
+    so its magnitudes are freed before this field's are computed."""
     global _memo
     with _memo_lock:
         if _memo[0] is not f or _memo[1] is not sys:
             _memo = (f, sys, {})
-        mags = _memo[2]
-        out = [mags.get(key) for key in enumerate(factors)]
-    missing = [k for k, mag in enumerate(out) if mag is None]
+        return _memo[2]
+
+
+def _block_abs(f: Field, sys: DyadicSystem, memo: dict,
+               factors: Dict[int, int]) -> Dict[int, Optional[np.ndarray]]:
+    """Read-only |S_k f| upsampled by factors[k] for each k, in the order
+    given; None where S_k f is identically zero."""
+    with _memo_lock:
+        out = {k: memo.get((k, factor), _MISSING) for k, factor in factors.items()}
+    missing = [k for k, mag in out.items() if mag is _MISSING]
     if missing:
-        blocks = lp_blocks(f, sys)
-        for k in missing:
-            if blocks[k].spectrum.any():
-                out[k] = np.abs(upsample_values(blocks[k], factors[k]))
+        for k, block in zip(missing, lp_blocks(f, sys, missing)):
+            if block.spectrum.any():
+                out[k] = np.abs(upsample_values(block, factors[k]))
                 out[k].setflags(write=False)
             else:
                 # A block whose annulus misses the spectrum (most blocks of
                 # a spectral peak) is zero on every lattice: no transform.
-                out[k] = np.broadcast_to(0.0, (f.grid.N * factors[k],) * f.grid.d)
+                out[k] = None
         # If another field replaced the memo meanwhile, this dict is no
         # longer held and the store is dropped with it.
         with _memo_lock:
-            mags.update(((k, factors[k]), out[k]) for k in missing)
+            memo.update(((k, factors[k]), out[k]) for k in missing)
+    return out
+
+
+def _block_norms(f: Field, sys: DyadicSystem, memo: dict, factors: List[int],
+                 p: float, gamma: float) -> List[float]:
+    """||S_k f||_{L^p(|x|^gamma)} on lattices refined by factors[k], for
+    k = 0 .. len(factors)-1; the weighted sup norm is the weight-free max."""
+    keys = [(k, factor, p, gamma) for k, factor in enumerate(factors)]
+    with _memo_lock:
+        out = [memo.get(key) for key in keys]
+    missing = {k: factors[k] for k, nk in enumerate(out) if nk is None}
+    if missing:
+        for k, mag in _block_abs(f, sys, memo, missing).items():
+            if mag is None:
+                out[k] = 0.0  # a zero block: no cell sum
+            elif p == math.inf:
+                out[k] = float(np.max(mag))
+            else:
+                out[k] = weighted_cell_sum(f.grid, mag, p, gamma, factors[k])
+        with _memo_lock:
+            memo.update((keys[k], out[k]) for k in missing)
     return out
 
 
@@ -120,19 +150,16 @@ def besov_norm(f: Field, s, p, q, gamma, sys: Optional[DyadicSystem] = None) -> 
     """(sum_k (2^{ks} ||S_k f||_{L^p(w)})^q)^{1/q}, sup over k at q = inf."""
     s, p, q, gamma = float(s), float(p), float(q), float(gamma)
     sys = _system_for(f, sys)
+    memo = _field_memo(f, sys)
     warnings: List[str] = []
     _check_boundary(f, warnings)
     check_lp_range(f.grid.d, p, gamma)
     kmax = _active_blocks(f, sys)
-    # Each block is upsampled as far as its own band asks; the weighted sup
-    # norm is the weight-free max over the lattice samples.
+    # Each block is upsampled as far as its own band asks.
     factors = [1 if p == math.inf else auto_oversample(f.grid, _block_band(f, sys, k))
                for k in range(kmax + 1)]
-    per_block = []
-    for k, mag in enumerate(_block_abs(f, sys, factors)):
-        nk = (float(np.max(mag)) if p == math.inf
-              else weighted_cell_sum(f.grid, mag, p, gamma, factors[k]))
-        per_block.append((k, 2.0 ** (k * s) * nk))
+    per_block = [(k, 2.0 ** (k * s) * nk) for k, nk in
+                 enumerate(_block_norms(f, sys, memo, factors, p, gamma))]
     value = _ell_q([v for _, v in per_block], q)
     return NormResult(value, per_block=per_block, warnings=warnings)
 
@@ -143,6 +170,7 @@ def triebel_norm(f: Field, s, p, q, gamma, sys: Optional[DyadicSystem] = None) -
     if p == math.inf:
         raise RangeError("the F-scale needs p < inf")
     sys = _system_for(f, sys)
+    memo = _field_memo(f, sys)
     warnings: List[str] = []
     _check_boundary(f, warnings)
     check_lp_range(f.grid.d, p, gamma)
@@ -152,13 +180,20 @@ def triebel_norm(f: Field, s, p, q, gamma, sys: Optional[DyadicSystem] = None) -
     # magnitudes, then do the weighted cell sum on the refined lattice.
     factor = auto_oversample(f.grid, _block_band(f, sys, kmax))
     agg = None
-    for k, mag in enumerate(_block_abs(f, sys, [factor] * (kmax + 1))):
+    mags = _block_abs(f, sys, memo, dict.fromkeys(range(kmax + 1), factor))
+    for k, mag in mags.items():
+        if mag is None:
+            # Every term is >= 0, so adding 0 or taking the max with 0
+            # leaves the aggregate as it is.
+            continue
         term = mag * 2.0 ** (k * s)
         if q == math.inf:
             agg = term if agg is None else np.maximum(agg, term, out=agg)
         else:
             term **= q
             agg = term if agg is None else np.add(agg, term, out=agg)
+    if agg is None:
+        return NormResult(0.0, warnings=warnings)
     if q != math.inf:
         agg **= 1.0 / q
     return NormResult(

@@ -21,7 +21,6 @@ from .lpengine import (
     Field,
     Grid,
     RadialProfile,
-    boundary_decay,
     bump_hat,
     field_from_samples,
     field_from_spectral,
@@ -200,9 +199,9 @@ def translation_family(base: Field, lambda_values: Sequence[float],
             f = field_from_spectral(grid, mod, band_limit=base.band_limit)
         else:
             raise RangeError("translation needs a base with a generator")
-        if boundary_decay(f) > rim_tol:
+        if f.rim > rim_tol:
             raise BoundaryError(
-                f"lambda={lam} leaves {boundary_decay(f):.2e} of the peak at "
+                f"lambda={lam} leaves {f.rim:.2e} of the peak at "
                 f"the torus rim (tolerance {rim_tol:g})"
             )
         return f

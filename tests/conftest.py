@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
+from powemb import norms
 from powemb.lpengine import Grid, make_dyadic
+
+
+@pytest.fixture(autouse=True)
+def empty_norm_memo():
+    """Start every test with the norms' one-field memo empty, so no test
+    depends on which field an earlier test normed last."""
+    with norms._memo_lock:
+        norms._memo = (None, None, {})
 
 
 @pytest.fixture(scope="session")
@@ -46,4 +55,18 @@ def fft_calls(monkeypatch):
             return _orig(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
+    return calls
+
+
+@pytest.fixture
+def cell_sums(monkeypatch):
+    """Record every weighted cell sum the norms make while the test runs."""
+    calls = []
+    orig = norms.weighted_cell_sum
+
+    def counted(*args, **kwargs):
+        calls.append(args[2:])  # (p, gamma, factor)
+        return orig(*args, **kwargs)
+
+    monkeypatch.setattr(norms, "weighted_cell_sum", counted)
     return calls

@@ -129,6 +129,21 @@ class TestBlocks:
             overlap = sys1d.hat_phi[k] * sys1d.hat_phi[k + 2]
             assert np.max(np.abs(overlap)) == 0.0
 
+    def test_only_the_blocks_asked_for_are_built(self, grid1d, sys1d, monkeypatch):
+        f = gaussian(grid1d)
+        every = lp_blocks(f, sys1d)
+        built = []
+        init = Field.__init__
+        monkeypatch.setattr(Field, "__init__",
+                            lambda obj, *a, **kw: built.append(obj) or init(obj, *a, **kw))
+        ks = [5, 0, 3]
+        blocks = lp_blocks(f, sys1d, ks)
+        assert built == blocks and len(blocks) == len(ks)
+        for k, block in zip(ks, blocks):
+            assert np.array_equal(block.spectrum, every[k].spectrum)
+            assert block.band_limit == every[k].band_limit
+        assert lp_blocks(f, sys1d, []) == []
+
     def test_grid_mismatch(self, grid1d, sys1d):
         other = Grid(1, 16.0, 2 ** 8)
         f = gaussian(other)

@@ -1,11 +1,14 @@
 """The four space norms: worked identities and equivalence-scale behavior."""
 
 import math
-from itertools import product
+import weakref
+from itertools import permutations, product
 
 import numpy as np
 import pytest
 
+from powemb import lpengine
+from powemb import norms as norms_mod
 from powemb.lpengine import (
     Field,
     Grid,
@@ -281,8 +284,8 @@ def test_pinned_norm_values(pinned_fields, key):
 
 
 def fresh_band96(seed=7):
-    # A new field object: the norms share block magnitudes only within the
-    # field normed last, so a counting test must not reuse a fixture field.
+    # A field object no other test holds, for tests that need two fields or
+    # watch one being freed.
     return random_band_limited(Grid(1, 16.0, 2 ** 12), seed, band=96.0)
 
 
@@ -290,10 +293,10 @@ def fresh_band96(seed=7):
     lambda f, sys: besov_norm(f, 0.5, 2, 2, 0.5, sys=sys),
     lambda f, sys: triebel_norm(f, 0.5, 2, 1, 0.5, sys=sys),
 ], ids=["besov", "triebel"])
-def test_one_fft_per_active_block(norm, fft_calls):
+def test_one_fft_per_active_block(norm, band96, fft_calls):
     # The field's own samples (read by the boundary check) are cached first;
     # after that each active block costs exactly one (padded) inverse FFT.
-    f = fresh_band96()
+    f = band96
     sys = make_dyadic(f.grid)
     f.values
     fft_calls.clear()
@@ -304,9 +307,10 @@ def test_one_fft_per_active_block(norm, fft_calls):
 
 
 @pytest.mark.parametrize("d", [1, 2])
-def test_zero_blocks_need_no_fft(d, fft_calls):
+def test_zero_blocks_need_no_fft(d, fft_calls, cell_sums):
     # A spectral peak fills 3 of its active blocks; the others are zero on
-    # every lattice and cost no transform, yet keep their per-block entry.
+    # every lattice and cost no transform and no cell sum, yet keep their
+    # per-block entry.
     grid = Grid(1, 16.0, 2 ** 12) if d == 1 else Grid(2, 8.0, 2 ** 7)
     sys = make_dyadic(grid)
     f = spectral_peaks(grid, [5 if d == 1 else 4], 0).member(0)
@@ -321,6 +325,7 @@ def test_zero_blocks_need_no_fft(d, fft_calls):
     res = besov_norm(f, 0.5, 2, 2, 0.5, sys=sys)
     # An upsampled block is one transform per axis, a plain one one ifftn.
     assert len(fft_calls) == sum(1 if factors[k] == 1 else d for k in nonzero)
+    assert len(cell_sums) == len(nonzero)
     assert [k for k, _ in res.per_block] == list(range(kmax + 1))
     assert all((v > 0.0) == (k in nonzero) for k, v in res.per_block)
 
@@ -373,12 +378,73 @@ class TestSharedBlocks:
         besov_norm(f, 0.5, 2, 2, 0.5, sys=make_dyadic(f.grid))
         assert len(fft_calls) == kmax + 1
 
+    def test_besov_at_another_s_q_reads_stored_block_norms(self, band96,
+                                                            fft_calls, cell_sums):
+        f = band96
+        sys = make_dyadic(f.grid)
+        kmax = _active_blocks(f, sys)
+        besov_norm(f, 0.5, 2, 2, 0.5, sys=sys)
+        # (s, q) only move the ladder: no cell sum, no transform.
+        for s, q in ((-0.5, math.inf), (1.25, 1), (0.5, 4)):
+            fft_calls.clear(), cell_sums.clear()
+            besov_norm(f, s, 2, q, 0.5, sys=sys)
+            assert (len(cell_sums), len(fft_calls)) == (0, 0)
+        # Another gamma or p is one cell sum per block on stored magnitudes.
+        for p, gamma in ((2, 1.0), (3, 0.5)):
+            fft_calls.clear(), cell_sums.clear()
+            besov_norm(f, 0.5, p, 2, gamma, sys=sys)
+            assert (len(cell_sums), len(fft_calls)) == (kmax + 1, 0)
+            assert {args[:2] for args in cell_sums} == {(float(p), gamma)}
+
+    def test_block_norms_are_kept_per_lattice(self, band96):
+        from powemb.norms import _block_norms, _field_memo
+
+        f = band96
+        sys = make_dyadic(f.grid)
+        blocks = lp_blocks(f, sys)
+        for factor in (1, 4, 1):
+            got = _block_norms(f, sys, _field_memo(f, sys), [factor] * 3, 2.0, 0.5)
+            assert got == [weighted_lp(blocks[k], 2.0, 0.5, oversample=factor)
+                           for k in range(3)]
+
+    def test_rim_is_scanned_once_per_field(self, monkeypatch):
+        scans = []
+        orig = lpengine.boundary_decay
+        monkeypatch.setattr(lpengine, "boundary_decay",
+                            lambda f, *a: scans.append(f) or orig(f, *a))
+        f = fresh_band96()
+        sys = make_dyadic(f.grid)
+        besov_norm(f, 0.5, 2, 2, 0.5, sys=sys)
+        triebel_norm(f, 0.5, 2, 1, 0.5, sys=sys)
+        bessel_norm(f, 0.5, 2, 0.5)
+        sobolev_norm(f, 1, 2, 0.5)
+        assert scans == [f]
+
+    @pytest.mark.parametrize("norm", [besov_norm, triebel_norm])
+    def test_previous_field_is_freed_before_the_next_is_normed(self, norm,
+                                                               monkeypatch):
+        old = fresh_band96(7)
+        sys = make_dyadic(old.grid)
+        norm(old, 0.5, 2, 2, 0.5, sys=sys)
+        gone = weakref.ref(old)
+        del old
+        # Seen from the new field's rim scan and its block builds: the old
+        # field, and with it its magnitudes, are already freed.
+        seen = []
+        scan, build = lpengine.boundary_decay, norms_mod.lp_blocks
+        monkeypatch.setattr(lpengine, "boundary_decay",
+                            lambda *a: seen.append(gone() is None) or scan(*a))
+        monkeypatch.setattr(norms_mod, "lp_blocks",
+                            lambda *a: seen.append(gone() is None) or build(*a))
+        norm(fresh_band96(8), 0.5, 2, 2, 0.5, sys=sys)
+        assert seen == [True, True]
+
     def test_block_magnitudes_are_read_only(self):
-        from powemb.norms import _block_abs
+        from powemb.norms import _block_abs, _field_memo
 
         f = fresh_band96()
         sys = make_dyadic(f.grid)
-        for mag in _block_abs(f, sys, [1, 2]):
+        for mag in _block_abs(f, sys, _field_memo(f, sys), {0: 1, 1: 2}).values():
             with pytest.raises(ValueError):
                 mag[0] = 0.0
 
@@ -447,15 +513,19 @@ def _per_call_triebel(f, s, p, q, gamma, sys):
     return weighted_cell_sum(f.grid, agg, p, gamma, factor)
 
 
-@pytest.mark.parametrize("which", ["band96_1d", "unbanded_1d", "random_2d"])
+SHARED_FIELDS = {
+    "band96_1d": lambda: fresh_band96(),
+    "unbanded_1d": lambda: field_from_samples(
+        Grid(1, 16.0, 2 ** 9), lambda x: np.exp(-x * x / 2.0)),
+    "random_2d": lambda: random_band_limited(Grid(2, 8.0, 2 ** 6), 5, band=4.0),
+}
+
+
+@pytest.mark.parametrize("which", list(SHARED_FIELDS))
 def test_shared_blocks_match_per_call_path(which):
-    # Bit for bit: the shared magnitudes are the per-call ones, reused.
-    f = {
-        "band96_1d": lambda: fresh_band96(),
-        "unbanded_1d": lambda: field_from_samples(
-            Grid(1, 16.0, 2 ** 9), lambda x: np.exp(-x * x / 2.0)),
-        "random_2d": lambda: random_band_limited(Grid(2, 8.0, 2 ** 6), 5, band=4.0),
-    }[which]()
+    # Bit for bit: the shared magnitudes and block norms are the per-call
+    # ones, reused.
+    f = SHARED_FIELDS[which]()
     sys = make_dyadic(f.grid)
     low = -0.5 if f.grid.d == 1 else -1.5
     for s, q, p, g in product((-0.5, 1.25), (1.0, 2.0, 3.5, math.inf),
@@ -465,3 +535,26 @@ def test_shared_blocks_match_per_call_path(which):
         if p != math.inf:
             got = triebel_norm(f, s, p, q, g, sys=sys).value
             assert got == _per_call_triebel(f, s, p, q, g, sys)
+
+
+@pytest.mark.parametrize("which", list(SHARED_FIELDS))
+def test_block_memo_values_do_not_depend_on_call_order(which):
+    # B norms sharing (p, gamma), a sup-norm ladder on unrefined lattices and
+    # an F norm on the widest factor, in every order: each value is the
+    # per-call one, whatever an earlier call left in the memo.
+    f = SHARED_FIELDS[which]()
+    g = 0.0 if f.grid.d == 1 else -0.5
+    calls = [
+        (besov_norm, _per_call_besov, (0.5, 2.0, 2.0, g)),
+        (besov_norm, _per_call_besov, (-0.5, 2.0, math.inf, g)),
+        (besov_norm, _per_call_besov, (1.25, 3.0, 1.0, 1.0)),
+        (besov_norm, _per_call_besov, (0.5, math.inf, 2.0, 0.0)),
+        (triebel_norm, _per_call_triebel, (0.5, 2.0, 1.0, g)),
+    ]
+    sys = make_dyadic(f.grid)
+    expected = [ref(f, *args, sys) for _, ref, args in calls]
+    for order in permutations(range(len(calls))):
+        sys = make_dyadic(f.grid)  # another pair: the memo starts empty
+        for i in order:
+            norm, _, args = calls[i]
+            assert norm(f, *args, sys=sys).value == expected[i]

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from powemb import lpengine
 from powemb.lpengine import Grid, radial_weighted_lp, weighted_lp
 from powemb.norms import besov_norm
 from powemb.params import RangeError
@@ -84,11 +85,17 @@ class TestTranslation:
         )
         assert abs(fit.slope - gamma / p) <= 0.05
 
-    def test_boundary_guard(self, grid1d):
+    def test_boundary_guard(self, grid1d, monkeypatch):
         base = gaussian_base(grid1d, sigma=1.0)  # L = 16 torus
         fam = translation_family(base, [14.0])
+        scans = []
+        orig = lpengine.boundary_decay
+        monkeypatch.setattr(lpengine, "boundary_decay",
+                            lambda f, *a: scans.append(f) or orig(f, *a))
         with pytest.raises(BoundaryError):
             fam.member(0)
+        # The check and the message read one scan of the member's rim.
+        assert len(scans) == 1
 
     def test_spectral_translation_matches_physical(self):
         grid = Grid(1, 64.0, 2 ** 12)
