@@ -330,6 +330,16 @@ def test_zero_blocks_need_no_fft(d, fft_calls, cell_sums):
     assert all((v > 0.0) == (k in nonzero) for k, v in res.per_block)
 
 
+def test_zero_field_has_zero_norms(cell_sums):
+    # Every block is zero: no cell sum, and the F-scale sum is empty.
+    f = Field(Grid(1, 16.0, 2 ** 9), spectrum=np.zeros(2 ** 9))
+    sys = make_dyadic(f.grid)
+    for q in (1.0, math.inf):
+        assert besov_norm(f, 0.5, 2, q, 0.5, sys=sys).value == 0.0
+        assert triebel_norm(f, 0.5, 2, q, 0.5, sys=sys).value == 0.0
+    assert cell_sums == []
+
+
 @pytest.mark.parametrize("norm", [besov_norm, triebel_norm])
 def test_foreign_dyadic_system_rejected(band96, sys1d, norm):
     with pytest.raises(GridMismatch):
