@@ -25,7 +25,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -90,10 +90,21 @@ def magnitude(*axes) -> np.ndarray:
     return np.sqrt(functools.reduce(np.add, (x * x for x in axes)))
 
 
+class _Fresh(NamedTuple):
+    """A lattice array made for the one Field it is handed to and held
+    nowhere else: the Field freezes it in place instead of copying it."""
+
+    array: np.ndarray
+
+
 def _frozen(grid: Grid, array, name: str) -> np.ndarray:
-    """A read-only complex copy of a lattice array, checked against the grid."""
+    """A read-only complex lattice array, checked against the grid: a copy of
+    the caller's array, or a ``_Fresh`` array itself."""
     expected = (grid.N,) * grid.d
-    array = np.array(array, dtype=np.complex128)
+    if isinstance(array, _Fresh):
+        array = np.asarray(array.array, dtype=np.complex128)
+    else:
+        array = np.array(array, dtype=np.complex128)
     if array.shape != expected:
         raise GridMismatch(f"{name} shape {array.shape} != {expected}")
     array.setflags(write=False)
@@ -181,20 +192,35 @@ def field_from_spectral(grid: Grid, spectral_fn: Callable, band_limit=None) -> F
     with Riemann weight (pi/L)^d / (2 pi)^{d/2} reproduces the periodized
     inverse transform exactly when the transform is supported in the
     representable ball.
+
+    ``spectral_fn`` takes one frequency array per axis and must act
+    elementwise: it is evaluated only on the box |xi_i| <= band_limit (the
+    whole lattice without a band), and the coefficients outside the ball
+    |xi| <= band_limit are zero.  Every bin of the ball lies in the box,
+    since sqrt(fl(x^2)) = |x| and fl(x^2 + y^2) >= fl(x^2).
     """
-    coeff = np.asarray(spectral_fn(*grid.freqs()), dtype=np.complex128)
+    d, n = grid.d, grid.N
+    axis = grid.axis_freqs()
+    idx = (np.arange(n) if band_limit is None
+           else np.flatnonzero(np.abs(axis) <= band_limit))
+    # The spectrum the field keeps is made before the box's temporaries, so
+    # it sits below them on the heap and their release leaves no hole under
+    # it; made after them, it raised the peak heap size of 2-D passes.
+    spectrum = np.zeros((n,) * d, dtype=np.complex128) if idx.size < n else None
+    box = np.meshgrid(*(axis[idx],) * d, indexing="ij")
+    coeff = np.asarray(spectral_fn(*box), dtype=np.complex128)
     if band_limit is not None:
-        coeff = np.where(grid.freq_magnitude() <= band_limit, coeff, 0.0)
-    weight = (math.pi / grid.L) ** grid.d / (2.0 * math.pi) ** (grid.d / 2.0)
+        coeff = np.where(magnitude(*box) <= band_limit, coeff, 0.0)
+    weight = (math.pi / grid.L) ** d / (2.0 * math.pi) ** (d / 2.0)
     # Trig-interpolant coefficients carry the (-1)^k phase of the -L origin.
-    spectrum = coeff * weight * _origin_phase(grid) * grid.N ** grid.d
-    return Field(grid, spectrum=spectrum, band_limit=band_limit,
+    phase = functools.reduce(np.multiply.outer, (_origin_phase_axis(n)[idx],) * d)
+    inner = coeff * weight * phase * n ** d
+    if spectrum is None:
+        spectrum = inner
+    else:
+        spectrum[np.ix_(*(idx,) * d)] = inner
+    return Field(grid, spectrum=_Fresh(spectrum), band_limit=band_limit,
                  spectral_gen=spectral_fn)
-
-
-def _origin_phase(grid: Grid) -> np.ndarray:
-    ph = _origin_phase_axis(grid.N)
-    return functools.reduce(np.multiply.outer, (ph,) * grid.d)
 
 
 @functools.lru_cache(maxsize=8)
@@ -273,7 +299,7 @@ def lp_blocks(f: Field, sys: DyadicSystem,
     if f.grid != sys.grid:
         raise GridMismatch("field and dyadic system live on different grids")
     spec = f.spectrum
-    return [Field(f.grid, spectrum=spec * sys.hat_phi[k],
+    return [Field(f.grid, spectrum=_Fresh(spec * sys.hat_phi[k]),
                   band_limit=_block_band(f, sys, k))
             for k in (range(sys.K + 1) if ks is None else ks)]
 
@@ -302,7 +328,7 @@ def _active_blocks(f: Field, sys: DyadicSystem) -> int:
 def apply_multiplier(f: Field, symbol: Callable, band_limit=None) -> Field:
     """F^-1 [ symbol(xi) F f ]; symbol takes one frequency array per axis."""
     m = symbol(*f.grid.freqs())
-    return Field(f.grid, spectrum=f.spectrum * m,
+    return Field(f.grid, spectrum=_Fresh(f.spectrum * m),
                  band_limit=band_limit if band_limit is not None else f.band_limit)
 
 

@@ -1,15 +1,20 @@
 """Spectral core: dyadic system, multipliers, weighted quadrature, radial
 integrals, and field serialization."""
 
+import functools
+import importlib
 import math
 import os
+import pkgutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from powemb import lpengine
+import powemb
+from powemb import lpengine, witnesses
 from powemb.lpengine import (
     Field,
     Grid,
@@ -24,6 +29,7 @@ from powemb.lpengine import (
     load_field,
     load_profile_csv,
     lp_blocks,
+    make_dyadic,
     radial_weighted_lp,
     save_field,
     save_profile_csv,
@@ -756,3 +762,129 @@ class TestOriginPhase:
         coeff = np.asarray(fn(*grid2d.freqs()), dtype=np.complex128)
         expected = coeff * weight * np.multiply.outer(ph, ph) * grid2d.N ** 2
         assert np.array_equal(f.spectrum, expected)
+
+
+def _full_lattice_spectrum(grid, fn, band_limit=None):
+    """field_from_spectral's coefficients with ``fn`` evaluated on the whole
+    lattice and the band applied by a mask afterwards."""
+    coeff = np.asarray(fn(*grid.freqs()), dtype=np.complex128)
+    if band_limit is not None:
+        coeff = np.where(grid.freq_magnitude() <= band_limit, coeff, 0.0)
+    weight = (math.pi / grid.L) ** grid.d / (2.0 * math.pi) ** (grid.d / 2.0)
+    ph = np.exp(-1j * math.pi * np.fft.fftfreq(grid.N, d=1.0 / grid.N))
+    phase = functools.reduce(np.multiply.outer, (ph,) * grid.d)
+    return coeff * weight * phase * grid.N ** grid.d
+
+
+def _witness_members(grid):
+    """One member of every spectral witness kind that fits the grid."""
+    peak_n = 2 if grid.d == 2 else 6
+    rand = witnesses.random_band_limited(grid, seed=7, band=1.0)
+    gauss = witnesses.gaussian_spectral_base(grid, sigma_xi=2.0)
+    members = {
+        "bump": witnesses.bump_base(grid),
+        "gaussian_spectral": gauss,
+        "random": rand,
+        "dilation": witnesses.dilation_family(rand, [4.0]).member(0),
+        "translation": witnesses.translation_family(gauss, [1.5]).member(0),
+        "lacunary": witnesses.lacunary_sum(
+            grid, [1.0, -0.5] if grid.d == 1 else [1.0], 1.0, 2.0, 0.5),
+    }
+    for j in (-1, 0, 1):
+        members[f"peak_j{j}"] = witnesses.spectral_peaks(grid, [peak_n], j).member(0)
+    return members
+
+
+class TestSpectralBox:
+    """field_from_spectral evaluates its generator on the band's frequency
+    box only; every coefficient equals the whole-lattice evaluation."""
+
+    @staticmethod
+    def assert_matches_full_lattice(f, fn, band_limit):
+        ref = _full_lattice_spectrum(f.grid, fn, band_limit)
+        assert np.array_equal(f.spectrum, ref)
+        assert np.array_equal(np.abs(f.values), np.abs(np.fft.ifftn(ref)))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_witness_members(self, grid1d, grid2d, d):
+        grid = grid1d if d == 1 else grid2d
+        for name, f in _witness_members(grid).items():
+            assert f.band_limit is not None, name
+            self.assert_matches_full_lattice(f, f.spectral_gen, f.band_limit)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("band", ["none", "whole_axis", "whole_lattice",
+                                      "on_a_bin", "below_first_bin", "negative"])
+    @pytest.mark.parametrize("scalar", [False, True])
+    def test_edge_bands(self, grid1d, grid2d, d, band, scalar):
+        grid = grid1d if d == 1 else grid2d
+        band_limit = {
+            "none": None,
+            "whole_axis": grid.xi_max,  # in 2-D the disc still cuts corners
+            "whole_lattice": 2.0 * grid.xi_max,
+            "on_a_bin": float(grid.axis_freqs()[3]),  # bins at the edge kept
+            "below_first_bin": 0.5 * math.pi / grid.L,  # the zero bin only
+            "negative": -1.0,
+        }[band]
+        if scalar:
+            fn = lambda *k: 2.0 - 1.0j
+        else:
+            fn = lambda *k: np.exp(-sum(x * x for x in k) / 50.0) * (1.0 + 0.5j)
+        f = field_from_spectral(grid, fn, band_limit=band_limit)
+        self.assert_matches_full_lattice(f, fn, band_limit)
+        if band in ("below_first_bin", "negative"):
+            assert np.count_nonzero(f.spectrum) == (band == "below_first_bin")
+
+    @pytest.mark.parametrize("d, band", [(1, 1.0), (1, 20.0), (2, 3.0), (2, 10.0)])
+    def test_generator_sees_only_the_box(self, grid1d, grid2d, d, band):
+        grid = grid1d if d == 1 else grid2d
+        seen = []
+
+        def recording(*k):
+            seen.append(k[0].size)
+            return np.cos(k[0])
+
+        f = field_from_spectral(grid, recording, band_limit=band)
+        K = math.floor(band * grid.L / math.pi)
+        assert seen and max(seen) <= (2 * K + 1) ** d < grid.N ** d
+        self.assert_matches_full_lattice(f, lambda *k: np.cos(k[0]), band)
+
+
+class TestFreshArrays:
+    def test_block_spectrum_frozen_in_place(self):
+        grid = Grid(2, 8.0, 256)
+        sys_ = make_dyadic(grid)
+        f = field_from_spectral(grid, lambda *k: np.exp(-sum(x * x for x in k)))
+        spec = f.spectrum
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            (block,) = lp_blocks(f, sys_, [3])
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        # One spectrum is made, the product itself, and no copy of it.
+        assert spec.nbytes <= peak < 1.5 * spec.nbytes
+        with pytest.raises(ValueError):
+            block.spectrum.flat[0] = 1.0
+        assert np.array_equal(block.spectrum, spec * sys_.hat_phi[3])
+
+
+def test_every_lru_cache_is_bounded():
+    """Memory stays bounded: no functools cache in powemb grows without
+    limit, whatever grids or seeds a process sees."""
+    caches = {}
+    for mod in pkgutil.iter_modules(powemb.__path__):
+        module = importlib.import_module(f"powemb.{mod.name}")
+        scopes = [vars(module)] + [vars(obj) for obj in vars(module).values()
+                                   if isinstance(obj, type)
+                                   and obj.__module__ == module.__name__]
+        for scope in scopes:
+            for name, obj in scope.items():
+                obj = getattr(obj, "__func__", obj)  # static/class methods
+                if hasattr(obj, "cache_parameters"):
+                    caches[f"{module.__name__}.{name}"] = obj.cache_parameters()
+    assert "powemb.lpengine._origin_phase_axis" in caches
+    unbounded = [name for name, params in caches.items()
+                 if params["maxsize"] is None]
+    assert not unbounded
