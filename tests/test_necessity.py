@@ -10,12 +10,14 @@ oracle, so the whole trace, rule id and note, is pinned per route.
 import hashlib
 import json
 import random
+from dataclasses import replace
+from fractions import Fraction
 
 import pytest
 
-from powemb.oracle import decide, lp_target
-from powemb.params import ap_gate
-from powemb.suite import S, random_spec
+from powemb.oracle import decide, embedding_matrix, lp_target
+from powemb.params import SpaceSpec, ap_gate, validate
+from powemb.suite import S, frac, random_spec
 
 _NOTE = "violated strict necessity at p1 < p0: (d+g1)/p1 = {0} = {0} = (d+g0)/p0"
 
@@ -65,3 +67,47 @@ def test_random_trace_digest_pinned():
                     line = json.dumps(decide(a, b).to_dict(), sort_keys=True)
                     digest.update((line + "\n").encode("utf-8"))
     assert digest.hexdigest() == TRACE_DIGEST
+
+
+def _holder_source(rng, fam, d):
+    """A random_spec source moved inside the Holder rule's range: gamma0 >= 0,
+    and gamma0 < d(p0-1) for H/W sources."""
+    spec = random_spec(rng, fam, d)
+    hi = 4 * d if fam in "BF" else d * (spec.p - 1) - Fraction(1, 24)
+    return validate(replace(spec, gamma=frac(rng, 0, hi)))
+
+
+def _line(verdict):
+    return json.dumps(verdict.to_dict(), sort_keys=True) + "\n"
+
+
+# sha256 over the JSON verdicts of 1600 Lebesgue-target decisions (800
+# through decide, 800 through lp_target), 400 Holder-target decisions and
+# one 24 x 24 embedding_matrix (with its transitivity audit), rng seed 11.
+TARGET_DIGEST = "8fa2dfbec1cbd6907f0fde23893098658ac66aa1d53ab40625d062ed20da255e"
+
+
+def test_target_and_matrix_digest_pinned():
+    rng = random.Random(11)
+    digest = hashlib.sha256()
+    for d in (1, 2):
+        for fam in "BFHW":
+            for _ in range(100):
+                src = random_spec(rng, fam, d)
+                p1 = frac(rng, Fraction(9, 8), 8)
+                g1 = frac(rng, Fraction(1, 8) - d, 4 * d)
+                tgt = validate(SpaceSpec(family="Lp", d=d, p=p1, gamma=g1))
+                digest.update(_line(decide(src, tgt)).encode("utf-8"))
+                digest.update(_line(lp_target(src, p1, g1)).encode("utf-8"))
+            for _ in range(50):
+                src = _holder_source(rng, fam, d)
+                tgt = validate(SpaceSpec(family="Holder", d=d,
+                                         s=frac(rng, Fraction(1, 8), 4)))
+                digest.update(_line(decide(src, tgt)).encode("utf-8"))
+    specs = [random_spec(rng, fam, 1) for fam in "BFHW" for _ in range(5)]
+    specs += [validate(SpaceSpec(family="Lp", d=1, p=Fraction(2), gamma=Fraction(0))),
+              validate(SpaceSpec(family="Lp", d=1, p=Fraction(4), gamma=Fraction(1))),
+              S("W", 1, 2, gamma=0), S("H", 0, 3, gamma="-1/2")]
+    report = embedding_matrix(specs)
+    digest.update(json.dumps(report.to_dict(), sort_keys=True).encode("utf-8"))
+    assert digest.hexdigest() == TARGET_DIGEST
