@@ -13,7 +13,7 @@ never extrapolates past the characterized parameter regimes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -21,9 +21,9 @@ from .params import (
     INF,
     RangeError,
     SpaceSpec,
-    ap_gate,
     indices,
     is_inf,
+    rebrand,
     validate,
 )
 
@@ -112,7 +112,7 @@ def _verdict(outcome, *citations) -> Verdict:
 
 @dataclass(frozen=True)
 class _Pair:
-    """Both specs with their derived indices, plus convenience flags."""
+    """Both specs with their derived indices and stored A_p flags."""
 
     src: SpaceSpec
     tgt: SpaceSpec
@@ -122,20 +122,14 @@ class _Pair:
     w1: Fraction
     dim0: Fraction
     dim1: Fraction
-
-    @property
-    def ap0(self) -> bool:
-        return ap_gate(self.src.p, self.src.gamma, self.src.d)
-
-    @property
-    def ap1(self) -> bool:
-        return ap_gate(self.tgt.p, self.tgt.gamma, self.tgt.d)
+    ap0: bool
+    ap1: bool
 
 
 def _pair(src: SpaceSpec, tgt: SpaceSpec) -> _Pair:
     if src.d != tgt.d:
         raise FamilyError(f"dimension mismatch: {src.d} vs {tgt.d}")
-    i0, i1 = indices(src), indices(tgt)
+    i0, i1 = src._indices, tgt._indices  # callers pass validated specs
     pr = _Pair(
         src,
         tgt,
@@ -145,6 +139,8 @@ def _pair(src: SpaceSpec, tgt: SpaceSpec) -> _Pair:
         i1.weight_index,
         i0.dim_index,
         i1.dim_index,
+        src._ap,
+        tgt._ap,
     )
     _implication_audit(pr)
     return pr
@@ -464,11 +460,11 @@ def _wrap_up(spec: SpaceSpec):
     if spec.family == "F":
         q = spec.p if spec.q <= spec.p else spec.q
         note = f"F^s_{{p,q}} embeds into B^s_{{p,max(p,q)={q}}}"
-        return replace(spec, family="B", q=q), RuleCitation(SANDWICH_BF, note)
-    if not ap_gate(spec.p, spec.gamma, spec.d):
+        return rebrand(spec, "B", q), RuleCitation(SANDWICH_BF, note)
+    if not spec._ap:
         return None
     note = f"{spec.family}-space with A_p weight embeds into B^s_{{p,inf}}"
-    return replace(spec, family="B", q=INF), RuleCitation(SANDWICH_HW, note)
+    return rebrand(spec, "B", INF), RuleCitation(SANDWICH_HW, note)
 
 
 def _wrap_down(spec: SpaceSpec):
@@ -478,11 +474,11 @@ def _wrap_down(spec: SpaceSpec):
     if spec.family == "F":
         q = spec.p if spec.p <= spec.q else spec.q
         note = f"B^s_{{p,min(p,q)={q}}} embeds into F^s_{{p,q}}"
-        return replace(spec, family="B", q=q), RuleCitation(SANDWICH_BF, note)
-    if not ap_gate(spec.p, spec.gamma, spec.d):
+        return rebrand(spec, "B", q), RuleCitation(SANDWICH_BF, note)
+    if not spec._ap:
         return None
     note = f"B^s_{{p,1}} embeds into the {spec.family}-space (A_p weight)"
-    return replace(spec, family="B", q=Fraction(1)), RuleCitation(SANDWICH_HW, note)
+    return rebrand(spec, "B", Fraction(1)), RuleCitation(SANDWICH_HW, note)
 
 
 def _in_besov_sandwich(spec: SpaceSpec) -> bool:
@@ -490,9 +486,7 @@ def _in_besov_sandwich(spec: SpaceSpec) -> bool:
     spec's p and weight: the necessity sandwich, on the source side (to
     reach spec from B_{p0,1}) and on the target side (to leave it for
     B_{p1,inf}).  Always on the B and F scales; on H and W iff A_p."""
-    if spec.family in ("B", "F"):
-        return True
-    return ap_gate(spec.p, spec.gamma, spec.d)
+    return spec.family in ("B", "F") or spec._ap
 
 
 def decide_cross(src: SpaceSpec, tgt: SpaceSpec) -> Verdict:
@@ -582,7 +576,7 @@ def holder_embedding(src: SpaceSpec) -> Verdict:
         raise FamilyError("source cannot be a Holder space")
     if src.gamma < 0:
         raise RangeError(f"Holder embedding needs gamma0 >= 0, got {src.gamma}")
-    if src.family in ("H", "W") and not src.gamma < src.d * (src.p - 1):
+    if src.family in ("H", "W") and not src._ap:  # gamma0 >= 0 > -d here
         raise RangeError(
             f"{src.family}-source needs gamma0 < d(p0-1); "
             f"gamma0={src.gamma}, bound={src.d * (src.p - 1)}"
@@ -670,7 +664,7 @@ def lp_target(src: SpaceSpec, p1, gamma1) -> Verdict:
     p0 = src.p
 
     if src.family in ("H", "W") and pr.ap0 and pr.ap1:
-        inner = _decide_hw(src, replace(tgt, family=src.family), src.family)
+        inner = _decide_hw(src, rebrand(tgt, src.family), src.family)
         return inner.prepend(
             RuleCitation(
                 LP_TARGET_72,
@@ -770,11 +764,11 @@ def decide(src: SpaceSpec, tgt: SpaceSpec) -> Verdict:
     if src.family != tgt.family:
         if tgt.family in ("H", "W") and tgt.s == 0:
             if src.family in ("H", "W"):
-                tgt = replace(tgt, family=src.family)
+                tgt = rebrand(tgt, src.family)
             else:
                 return lp_target(src, tgt.p, tgt.gamma)
         elif src.family in ("H", "W") and src.s == 0 and tgt.family in ("H", "W"):
-            src = replace(src, family=tgt.family)
+            src = rebrand(src, tgt.family)
     if src.family == tgt.family:
         return _SAME_FAMILY[src.family](src, tgt)
     return decide_cross(src, tgt)

@@ -82,22 +82,27 @@ def as_rational(value, *, what="value") -> Fraction:
     decimal repr is exact (floats go through their shortest decimal form, so
     0.1 means 1/10, not the binary expansion).
     """
-    if isinstance(value, Fraction):
-        return value
+    if isinstance(value, str):
+        text = value.strip()
+        # Plain ASCII "n" and "n/m" skip Fraction's regex parse; every other
+        # spelling goes through it, so both accept and reject the same text.
+        num, slash, den = text.partition("/")
+        digits = num[1:] if num[:1] in ("+", "-") else num
+        plain = text.isascii() and digits.isdecimal() and (den.isdecimal() or not slash)
+        try:
+            return Fraction(int(num), int(den or 1)) if plain else Fraction(text)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise RangeError(f"{what}: cannot parse {value!r} as a rational") from exc
     if isinstance(value, bool):
         raise RangeError(f"{what}: expected a number, got {value!r}")
     if isinstance(value, int):
         return Fraction(value)
+    if isinstance(value, Fraction):
+        return value
     if isinstance(value, float):
         if value != value or value in (float("inf"), float("-inf")):
             raise RangeError(f"{what}: {value!r} is not a finite number")
         return Fraction(repr(value))
-    if isinstance(value, str):
-        text = value.strip()
-        try:
-            return Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise RangeError(f"{what}: cannot parse {value!r} as a rational") from exc
     raise RangeError(f"{what}: cannot parse {value!r} as a rational")
 
 
@@ -175,21 +180,46 @@ def validate(spec: SpaceSpec) -> SpaceSpec:
     Canonicalization: fractional Sobolev -> Besov with q = p; Lebesgue -> H
     with s = 0.  Raises RangeError on any definitional violation.
     Idempotent; already-validated instances pass through untouched.  The
-    derived indices are stored on the returned spec for ``indices`` to read;
-    ``dataclasses.replace`` builds a spec without them, so a replaced spec
-    is validated and derived afresh.
+    derived indices and the A_p flag (``in_ap_range``, False at p = inf and
+    for Holder targets) are stored on the returned spec, for ``indices`` and
+    the oracle to read; ``dataclasses.replace`` builds a spec without them,
+    so a replaced spec is validated and derived afresh (``rebrand`` keeps
+    them).
     """
     if getattr(spec, "_indices", None) is not None:
         return spec
     out = _validate_impl(spec)
-    if out.family == "Holder":
-        # Unweighted sup-norm scale: p = inf, gamma irrelevant.
-        derived = DerivedIndices(out.s, _ZERO, _ZERO)
+    if out.family == "Holder" or is_inf(out.p):
+        # Unweighted sup-norm scale, or 1/p = 0: gamma is irrelevant.
+        derived, ap = DerivedIndices(out.s, _ZERO, _ZERO), False
     else:
-        dim_index = divide(Fraction(out.d) + out.gamma, out.p)
-        derived = DerivedIndices(out.s - dim_index, divide(out.gamma, out.p),
-                                 dim_index)
+        # Integer cross-multiplication with p = a/b, gamma = g/h, s = m/n:
+        # (d+gamma)/p = (dh+g)b/(ha), gamma/p = gb/(ha), and A_p is
+        # gb < d(a-b)h (gamma > -d is a range check above).
+        a, b = out.p.numerator, out.p.denominator
+        g, h = out.gamma.numerator, out.gamma.denominator
+        m, n = out.s.numerator, out.s.denominator
+        dim, den = (out.d * h + g) * b, h * a
+        derived = DerivedIndices(Fraction(m * den - dim * n, n * den),
+                                 Fraction(g * b, den), Fraction(dim, den))
+        ap = g * b < out.d * (a - b) * h
     object.__setattr__(out, "_indices", derived)
+    object.__setattr__(out, "_ap", ap)
+    return out
+
+
+def rebrand(spec: SpaceSpec, family: str, q: Optional[Extended] = None) -> SpaceSpec:
+    """The validated spec moved to family B, F, H or W with index q.
+
+    The range checks run on the new spec.  Its indices and A_p flag depend
+    only on (s, p, gamma, d), so the stored ones carry over.
+    """
+    if family not in ("B", "F", "H", "W"):
+        raise RangeError(f"rebrand keeps s, so it cannot target {family!r}")
+    spec = validate(spec)
+    out = _validate_impl(SpaceSpec(family, spec.d, spec.s, spec.p, q, spec.gamma))
+    object.__setattr__(out, "_indices", spec._indices)
+    object.__setattr__(out, "_ap", spec._ap)
     return out
 
 
@@ -197,7 +227,7 @@ def _validate_impl(spec: SpaceSpec) -> SpaceSpec:
     fam = spec.family
     if fam not in FAMILIES:
         raise RangeError(f"unknown family {fam!r}")
-    if not isinstance(spec.d, int) or spec.d < 1:
+    if isinstance(spec.d, bool) or not isinstance(spec.d, int) or spec.d < 1:
         raise RangeError(f"dimension must be a positive integer, got {spec.d!r}")
 
     if fam == "Holder":
@@ -265,13 +295,6 @@ def in_ap_range(p: Extended, gamma: Fraction, d: int) -> bool:
     return -d < gamma < d * (p - 1)
 
 
-def ap_gate(p: Extended, gamma: Optional[Fraction], d: int) -> bool:
-    """Non-raising A_p test used by the oracle: False at p = inf."""
-    if gamma is None or is_inf(p):
-        return False
-    return in_ap_range(p, gamma, d)
-
-
 # ---------------------------------------------------------------------------
 # JSON descriptors
 # ---------------------------------------------------------------------------
@@ -315,7 +338,7 @@ def parse_spec(data: dict) -> SpaceSpec:
     if fam is None:
         raise RangeError(f"unknown family {raw_fam!r}")
     d = data.get("dim", data.get("d"))
-    if not isinstance(d, int):
+    if isinstance(d, bool) or not isinstance(d, int):
         raise RangeError(f"dimension must be an integer, got {d!r}")
     s = as_rational(data.get("s", 0), what="s")
     p = as_extended(data["p"], what="p") if "p" in data else None

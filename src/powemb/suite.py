@@ -53,14 +53,15 @@ def S(family, s=0, p=None, q=None, gamma=None, d=1) -> SpaceSpec:
 # ---------------------------------------------------------------------------
 
 _DENS = (1, 2, 3, 4, 5, 6, 8, 12)
+_P_LO = Fraction(9, 8)
 
 
 def frac(rng, lo, hi, dens=_DENS) -> Fraction:
-    # math.ceil/floor are exact on Fraction bounds, so sampled values never
-    # leak past exact-range floors
+    # exact integer ceil/floor of lo*den and hi*den (int or Fraction bounds),
+    # so sampled values never leak past exact-range floors
     den = dens[rng.randrange(len(dens))]
-    lo_n = math.ceil(lo * den)
-    hi_n = math.floor(hi * den)
+    lo_n = -(-lo.numerator * den // lo.denominator)
+    hi_n = hi.numerator * den // hi.denominator
     if hi_n < lo_n:
         hi_n = lo_n
     return Fraction(rng.randint(lo_n, hi_n), den)
@@ -70,9 +71,9 @@ def random_spec(rng, family: str, d: int = 1) -> SpaceSpec:
     if family == "B" and rng.random() < 0.08:
         p = INF
     else:
-        p = frac(rng, Fraction(9, 8), 8)
+        p = frac(rng, _P_LO, 8)
     q = INF if rng.random() < 0.12 else frac(rng, 1, 8)
-    gamma = frac(rng, Fraction(-d) + Fraction(1, 8), 4 * d)
+    gamma = frac(rng, Fraction(1 - 8 * d, 8), 4 * d)
     if family == "W":
         s = Fraction(rng.randrange(5))
     else:

@@ -39,6 +39,15 @@ class TestDecide:
         bad = '{"family":"B","s":1,"p":2,"q":1,"gamma":-1,"dim":1}'
         assert main(["decide", bad, TGT]) == 64
 
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_boolean_dim_exit_64(self, capsys, side):
+        bad = '{"family":"B","s":1,"p":2,"q":1,"gamma":0,"dim":true}'
+        args = [bad, TGT] if side == 0 else [SRC, bad]
+        assert main(["decide", *args]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "dimension must be an integer, got True" in captured.err
+
     def test_rational_strings_accepted(self, capsys):
         a = '{"family":"B","s":"3/4","p":"3/2","q":"7/3","gamma":"-1/2","dim":1}'
         assert main(["decide", a, a]) == 0

@@ -16,7 +16,7 @@ from fractions import Fraction
 import pytest
 
 from powemb.oracle import decide, embedding_matrix, lp_target
-from powemb.params import SpaceSpec, ap_gate, validate
+from powemb.params import SpaceSpec, in_ap_range, is_inf, validate
 from powemb.suite import S, frac, random_spec
 
 _NOTE = "violated strict necessity at p1 < p0: (d+g1)/p1 = {0} = {0} = (d+g0)/p0"
@@ -28,7 +28,7 @@ def _strict_no(dim):
 
 
 def _ap(spec):
-    return ap_gate(spec.p, spec.gamma, spec.d)
+    return not is_inf(spec.p) and in_ap_range(spec.p, spec.gamma, spec.d)
 
 
 @pytest.mark.parametrize("src, tgt, route, dim", [

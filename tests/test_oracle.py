@@ -122,9 +122,9 @@ class TestTriebel:
 
 
 def _in_ap(spec):
-    from powemb.params import ap_gate
+    from powemb.params import in_ap_range, is_inf
 
-    return ap_gate(spec.p, spec.gamma, spec.d)
+    return not is_inf(spec.p) and in_ap_range(spec.p, spec.gamma, spec.d)
 
 
 class TestBesselSobolev:
@@ -488,3 +488,41 @@ class TestSamplerStream:
                 line = repr([[str(x) for x in side] for side in pair])
                 digest.update((line + "\n").encode("utf-8"))
         assert digest.hexdigest() == self.DIGEST
+
+
+class TestStoredApFlag:
+    def test_decide_reads_stored_flags(self, monkeypatch):
+        """With ``in_ap_range`` made to raise, ``decide`` still answers every
+        family pair and the Lebesgue and Holder targets: the oracle reads the
+        A_p flags stored at validation."""
+        from powemb import params
+        from powemb.params import SpaceSpec
+
+        rng = random.Random(31)
+        pairs = []
+        for d in (1, 2):
+            for fam0 in "BFHW":
+                for fam1 in "BFHW":
+                    pairs += [(random_spec(rng, fam0, d), random_spec(rng, fam1, d))
+                              for _ in range(40)]
+                src = random_spec(rng, fam0, d)
+                for _ in range(40):
+                    lp = SpaceSpec(family="Lp", d=d, p=frac(rng, Fraction(9, 8), 8),
+                                   gamma=frac(rng, Fraction(1, 8) - d, 4 * d))
+                    pairs.append((src, validate(lp)))
+                    pairs.append((src, validate(SpaceSpec(family="Holder", d=d,
+                                                          s=frac(rng, 1, 3)))))
+
+        def refuse(*args):
+            raise AssertionError("in_ap_range called after validation")
+
+        def answer(a, b):
+            try:
+                return decide(a, b).to_dict()
+            except RangeError as exc:  # a Holder source outside the rule
+                return {"outcome": "error", "trace": str(exc)}
+
+        expected = [answer(a, b) for a, b in pairs]
+        monkeypatch.setattr(params, "in_ap_range", refuse)
+        assert [answer(a, b) for a, b in pairs] == expected
+        assert {v["outcome"] for v in expected} == {EMBEDS, NO, UNKNOWN, "error"}

@@ -1,6 +1,7 @@
 """Parameter algebra: validation, canonicalization, derived indices."""
 
 import json
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -18,6 +19,8 @@ from powemb.params import (
     in_ap_range,
     indices,
     is_inf,
+    parse_spec,
+    rebrand,
     reciprocal,
     spec_from_dict,
     spec_from_json,
@@ -212,3 +215,140 @@ class TestJson:
             spec_from_json(json.dumps({"family": "Z", "dim": 1}))
         with pytest.raises(RangeError):
             spec_from_json(json.dumps({"s": 1, "dim": 1}))
+
+
+def _indices_reference(spec):
+    """The three indices in chained Fraction arithmetic (1/inf = 0)."""
+    if spec.family == "Holder":
+        return spec.s, Fraction(0), Fraction(0)
+    dim = divide(Fraction(spec.d) + spec.gamma, spec.p)
+    return spec.s - dim, divide(spec.gamma, spec.p), dim
+
+
+def _ap_reference(spec):
+    """A_p membership by ``in_ap_range``, gated at p = inf."""
+    if spec.family == "Holder" or is_inf(spec.p):
+        return False
+    return in_ap_range(spec.p, spec.gamma, spec.d)
+
+
+def _stored(spec):
+    ix = indices(spec)
+    return (ix.shifted_smoothness, ix.weight_index, ix.dim_index), spec._ap
+
+
+class TestStoredArithmetic:
+    """validate derives the indices and the A_p flag by integer
+    cross-multiplication; each must equal the Fraction route."""
+
+    @pytest.mark.parametrize("spec, ap", [
+        (sp("Holder", "3/2", d=2), False),
+        (sp("B", "1/3", "inf", 2, gamma="5/2"), False),  # B with p = inf
+        (sp("B", "-7/4", "inf", "inf", gamma="-1/2", d=3), False),
+        (sp("Lp", 0, "7/3", gamma="-1/2"), True),  # Lp -> H
+        (sp("W", "3/2", "5/2", gamma=1, d=2), True),  # fractional W -> B
+        (sp("W", 2, 3, gamma=-1 + Fraction(1, 1000)), True),
+        (sp("F", -1, "9/8", 3, gamma="3/8", d=3), False),  # d(p-1) = 3/8
+        (sp("F", -1, "9/8", 3, gamma="1/8", d=3), True),
+        (sp("H", 1, 3, gamma=2), False),  # gamma = d(p-1) exactly
+        (sp("H", 1, 3, gamma="1999/1000"), True),  # just below d(p-1)
+        (sp("H", 1, "5/2", gamma=3, d=2), False),  # gamma = d(p-1), d = 2
+        (sp("H", 1, "5/2", gamma="2999/1000", d=2), True),
+        (sp("H", 1, 2, gamma="-999/1000"), True),  # just above -d
+        (sp("H", 1, 2, gamma="-1999/1000", d=2), True),
+    ], ids=lambda v: str(v) if isinstance(v, SpaceSpec) else None)
+    def test_fixed_cases(self, spec, ap):
+        v = validate(spec)
+        assert _stored(v) == (_indices_reference(v), _ap_reference(v))
+        assert v._ap is ap
+
+    def test_random_specs_every_family(self):
+        from powemb.suite import random_spec
+
+        rng = random.Random(5)
+        for d in (1, 2, 3):
+            for fam in "BFHW":
+                for _ in range(300):
+                    v = random_spec(rng, fam, d)
+                    assert _stored(v) == (_indices_reference(v), _ap_reference(v)), v
+
+
+class TestRebrand:
+    @pytest.mark.parametrize("family, q", [
+        ("B", Fraction(2)), ("B", INF), ("F", Fraction(1)), ("H", None), ("W", None)])
+    def test_matches_fresh_validation(self, family, q):
+        from powemb.suite import random_spec
+
+        rng = random.Random(13)
+        moved = 0
+        for fam in "BFHW":
+            for _ in range(100):
+                spec = random_spec(rng, fam, 2)
+                if spec.s.denominator != 1 and family == "W":
+                    spec = validate(replace(spec, s=Fraction(spec.s.numerator)))
+                try:
+                    out = rebrand(spec, family, q)
+                except RangeError as exc:
+                    with pytest.raises(RangeError, match=str(exc)):
+                        validate(replace(spec, family=family, q=q))
+                    continue
+                moved += 1
+                fresh = validate(replace(out))
+                assert "_indices" not in vars(replace(out))
+                assert (out.family, out.q) == (fresh.family, fresh.q) == (family, q)
+                assert _stored(out) == _stored(fresh)
+        assert moved > 100
+
+    def test_range_checks_still_run(self):
+        b_inf = validate(sp("B", 1, "inf", 1, gamma=0))
+        with pytest.raises(RangeError, match="p < inf"):
+            rebrand(b_inf, "H")
+        with pytest.raises(RangeError, match="s >= 0"):
+            rebrand(validate(sp("H", -1, 2, gamma=0)), "W")
+        with pytest.raises(RangeError, match="needs the microscopic index"):
+            rebrand(validate(sp("H", 1, 2, gamma=0)), "F")
+        with pytest.raises(RangeError, match="keeps s"):
+            rebrand(validate(sp("H", 1, 2, gamma=0)), "Lp")
+
+
+def _parse_reference(text):
+    try:
+        return Fraction(text.strip())
+    except (ValueError, ZeroDivisionError):
+        return RangeError
+
+
+class TestParseParity:
+    """as_rational parses plain "n" and "n/m" strings without Fraction's
+    regex; the value, or the rejection, must be what Fraction(text) gives."""
+
+    @pytest.mark.parametrize("text", [
+        "3/4", "-3/4", "+3/4", " 3/4 ", "3 / 4", "3/-4", "3/+4", "3/0", "/4",
+        "3/", "/", "0.75", "1e-3", "3_0", "3_0/4_0", "-0", "+0", "--3", "+-3",
+        "-", "+", "", "   ", "12/8", "007/010", "0/5", "7", "-7",
+        "12345678901234567890/3", "3/4/5", "3.0/4", "0x10", "inf", "nan",
+        "٣/٤", "３", "²", "3 ", "\t-5/6\n",
+    ])
+    def test_matches_fraction(self, text):
+        expected = _parse_reference(text)
+        if expected is RangeError:
+            with pytest.raises(RangeError, match="cannot parse"):
+                as_rational(text)
+        else:
+            got = as_rational(text)
+            assert type(got) is Fraction and got == expected
+
+
+class TestBooleanDimension:
+    DESC = {"family": "B", "s": 1, "p": 2, "q": 1, "gamma": 0}
+
+    @pytest.mark.parametrize("key", ["dim", "d"])
+    def test_parse_spec_rejects_bool(self, key):
+        with pytest.raises(RangeError, match="dimension"):
+            parse_spec({**self.DESC, key: True})
+
+    def test_validate_rejects_bool(self):
+        with pytest.raises(RangeError, match="dimension"):
+            validate(sp("B", 1, 2, 1, gamma=0, d=True))
+        with pytest.raises(RangeError, match="dimension"):
+            validate(sp("Holder", 1, d=False))
