@@ -229,6 +229,8 @@ def _validate_impl(spec: SpaceSpec) -> SpaceSpec:
         raise RangeError(f"unknown family {fam!r}")
     if isinstance(spec.d, bool) or not isinstance(spec.d, int) or spec.d < 1:
         raise RangeError(f"dimension must be a positive integer, got {spec.d!r}")
+    if float in (type(spec.s), type(spec.p), type(spec.q), type(spec.gamma)):
+        raise RangeError(f"s, p, q and gamma must be exact (see as_rational), got {spec}")
 
     if fam == "Holder":
         if spec.s <= 0:

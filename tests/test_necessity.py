@@ -1,5 +1,6 @@
-"""The necessity rule NEC_STRICT_45 on each decision path, and a pinned
-digest over the verdict traces of a seeded sample of all family pairs.
+"""The necessity rule NEC_STRICT_45 on each decision path, and pinned
+digests over the verdict traces of seeded samples of all family pairs, of
+Lebesgue and Holder targets and of one embedding matrix.
 
 At p1 < p0 the dim index (d+gamma)/p must drop strictly.  Each pair below
 sits on that boundary (equal dim indices, p1 < p0, the other necessary

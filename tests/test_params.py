@@ -339,13 +339,19 @@ class TestParseParity:
             assert type(got) is Fraction and got == expected
 
 
-class TestBooleanDimension:
+class TestRejectedTypes:
     DESC = {"family": "B", "s": 1, "p": 2, "q": 1, "gamma": 0}
 
     @pytest.mark.parametrize("key", ["dim", "d"])
     def test_parse_spec_rejects_bool(self, key):
         with pytest.raises(RangeError, match="dimension"):
             parse_spec({**self.DESC, key: True})
+
+    def test_validate_rejects_float_parameters(self):
+        for field in ("s", "p", "q", "gamma"):
+            spec = replace(sp("B", 1, 2, 1, gamma=0), **{field: 0.5})
+            with pytest.raises(RangeError, match="must be exact"):
+                validate(spec)
 
     def test_validate_rejects_bool(self):
         with pytest.raises(RangeError, match="dimension"):
