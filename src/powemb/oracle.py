@@ -5,22 +5,26 @@ Embeds, DoesNotEmbed, or Unknown, together with an ordered trace of rule
 citations whose notes restate the instantiated inequalities with the actual
 numbers, so a verdict can be re-derived without reading the code.
 
-All comparisons run in exact rational arithmetic (fractions.Fraction with an
-explicit infinity), because several verdicts flip on exact equality of
-rational index combinations.  Unknown is a first-class outcome: the oracle
-never extrapolates past the characterized parameter regimes.
+All comparisons are exact, because several verdicts flip on exact equality
+of rational index combinations: a pair's indices and exponents are compared
+through integer keys (numerators over a common denominator, infinity above
+every finite p), everything else as Fractions.  Unknown is a first-class
+outcome: the oracle never extrapolates past the characterized parameter
+regimes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .params import (
     INF,
     RangeError,
     SpaceSpec,
+    as_extended,
+    as_rational,
     indices,
     is_inf,
     rebrand,
@@ -110,35 +114,54 @@ def _verdict(outcome, *citations) -> Verdict:
     return Verdict(outcome, tuple(citations))
 
 
-@dataclass(frozen=True)
-class _Pair:
-    """Both specs with their derived indices and stored A_p flags."""
+class _Pair(NamedTuple):
+    """Both specs, integer keys for their indices and exponents, and their
+    stored A_p flags.
+
+    Each key pair orders as the Fraction pair it stands for, so a rule reads
+    ``pr.sh0 > pr.sh1`` as it reads on the Fractions; notes print the stored
+    Fractions (``spec._indices``, ``spec.p``), never a key.
+    """
 
     src: SpaceSpec
     tgt: SpaceSpec
-    sh0: Fraction
-    sh1: Fraction
-    w0: Fraction
-    w1: Fraction
-    dim0: Fraction
-    dim1: Fraction
+    sh0: int
+    sh1: int
+    w0: int
+    w1: int
+    dim0: int
+    dim1: int
+    p0: int
+    p1: int
     ap0: bool
     ap1: bool
+
+
+def _keys(a, b):
+    """Integer keys of the rationals a and b: their numerators over one
+    common denominator."""
+    return a.numerator * b.denominator, b.numerator * a.denominator
+
+
+def _p_keys(p0, p1):
+    """As ``_keys`` for exponents in (1, inf], with inf above every finite p."""
+    if is_inf(p0) or is_inf(p1):
+        return int(is_inf(p0)), int(is_inf(p1))
+    return _keys(p0, p1)
 
 
 def _pair(src: SpaceSpec, tgt: SpaceSpec) -> _Pair:
     if src.d != tgt.d:
         raise FamilyError(f"dimension mismatch: {src.d} vs {tgt.d}")
-    i0, i1 = src._indices, tgt._indices  # callers pass validated specs
+    # Callers pass validated B/F/H/W specs (a Holder target has no p).
+    i0, i1 = src._indices, tgt._indices
     pr = _Pair(
         src,
         tgt,
-        i0.shifted_smoothness,
-        i1.shifted_smoothness,
-        i0.weight_index,
-        i1.weight_index,
-        i0.dim_index,
-        i1.dim_index,
+        *_keys(i0.shifted_smoothness, i1.shifted_smoothness),
+        *_keys(i0.weight_index, i1.weight_index),
+        *_keys(i0.dim_index, i1.dim_index),
+        *_p_keys(src.p, tgt.p),
         src._ap,
         tgt._ap,
     )
@@ -154,13 +177,12 @@ def _implication_audit(pr: _Pair):
     weight indices are ordered strictly.  Violations indicate arithmetic
     corruption, so they raise rather than producing a wrong verdict.
     """
-    p0, p1 = pr.src.p, pr.tgt.p
-    if p0 is None or p1 is None:
-        return
-    if p0 < p1 and pr.w1 <= pr.w0 and not pr.dim1 < pr.dim0:
-        raise AssertionError(f"implication audit failed (dim redundancy): {pr}")
-    if p1 < p0 and pr.dim1 < pr.dim0 and not pr.w1 < pr.w0:
-        raise AssertionError(f"implication audit failed (weight redundancy): {pr}")
+    if pr.p0 < pr.p1 and pr.w1 <= pr.w0 and not pr.dim1 < pr.dim0:
+        raise AssertionError(f"implication audit failed (dim redundancy): "
+                             f"{pr.src} -> {pr.tgt}")
+    if pr.p1 < pr.p0 and pr.dim1 < pr.dim0 and not pr.w1 < pr.w0:
+        raise AssertionError(f"implication audit failed (weight redundancy): "
+                             f"{pr.src} -> {pr.tgt}")
 
 
 # ---------------------------------------------------------------------------
@@ -170,16 +192,19 @@ def _implication_audit(pr: _Pair):
 
 def _note_shifted(pr, rel):
     return (
-        f"s0-(d+g0)/p0 = {pr.sh0} {rel} {pr.sh1} = s1-(d+g1)/p1"
+        f"s0-(d+g0)/p0 = {pr.src._indices.shifted_smoothness} {rel} "
+        f"{pr.tgt._indices.shifted_smoothness} = s1-(d+g1)/p1"
     )
 
 
 def _note_weight(pr, rel):
-    return f"g1/p1 = {pr.w1} {rel} {pr.w0} = g0/p0"
+    return (f"g1/p1 = {pr.tgt._indices.weight_index} {rel} "
+            f"{pr.src._indices.weight_index} = g0/p0")
 
 
 def _note_dim(pr, rel):
-    return f"(d+g1)/p1 = {pr.dim1} {rel} {pr.dim0} = (d+g0)/p0"
+    return (f"(d+g1)/p1 = {pr.tgt._indices.dim_index} {rel} "
+            f"{pr.src._indices.dim_index} = (d+g0)/p0")
 
 
 def _note_q(pr, rel):
@@ -192,7 +217,7 @@ def _cond_trivial(pr: _Pair) -> bool:
     At p0 = p1 = inf the weight is immaterial (the weighted sup-norm is the
     plain sup-norm), so differing gammas still count as the same scale.
     """
-    if pr.src.p != pr.tgt.p:
+    if pr.p0 != pr.p1:
         return False
     if pr.src.gamma != pr.tgt.gamma and not is_inf(pr.src.p):
         return False
@@ -222,7 +247,7 @@ def _necessity_fails(pr: _Pair) -> bool:
     weight index or the dim index rises, or the dim index does not drop
     strictly at p1 < p0.  ``_first_violated_necessity`` names which."""
     held = pr.sh0 >= pr.sh1 and pr.w1 <= pr.w0 and pr.dim1 <= pr.dim0
-    return not held or (pr.tgt.p < pr.src.p and pr.dim1 == pr.dim0)
+    return not held or (pr.p1 < pr.p0 and pr.dim1 == pr.dim0)
 
 
 def _first_violated_necessity(pr: _Pair) -> RuleCitation:
@@ -238,7 +263,7 @@ def _first_violated_necessity(pr: _Pair) -> RuleCitation:
         return RuleCitation(NEC_42, "violated: " + _note_weight(pr, ">"))
     if pr.dim1 > pr.dim0:
         return RuleCitation(NEC_42, "violated: " + _note_dim(pr, ">"))
-    if pr.dim1 == pr.dim0 and pr.tgt.p < pr.src.p:
+    if pr.dim1 == pr.dim0 and pr.p1 < pr.p0:
         return RuleCitation(NEC_STRICT_45, "violated strict necessity at "
                             "p1 < p0: " + _note_dim(pr, "="))
     return RuleCitation(
@@ -303,12 +328,11 @@ def decide_triebel(src: SpaceSpec, tgt: SpaceSpec) -> Verdict:
     if src.family != "F" or tgt.family != "F":
         raise FamilyError(f"decide_triebel needs two F-spaces, got {src.family}/{tgt.family}")
     pr = _pair(src, tgt)
-    p0, p1 = src.p, tgt.p
 
     if _cond_trivial(pr):
         return _verdict(EMBEDS, _trivial_citation(pr))
 
-    if p0 <= p1:
+    if pr.p0 <= pr.p1:
         if pr.w1 <= pr.w0 and pr.dim1 < pr.dim0 and pr.sh0 >= pr.sh1:
             return _verdict(
                 EMBEDS,
@@ -333,7 +357,7 @@ def decide_triebel(src: SpaceSpec, tgt: SpaceSpec) -> Verdict:
             ),
             RuleCitation(
                 SUBCRITICAL_14,
-                f"B^{src.s}_{{{p0},inf}} embeds into B^{tgt.s}_{{{p1},1}} "
+                f"B^{src.s}_{{{src.p},inf}} embeds into B^{tgt.s}_{{{tgt.p},1}} "
                 "after an epsilon gain in s",
             ),
         )
@@ -364,10 +388,9 @@ def decide_triebel(src: SpaceSpec, tgt: SpaceSpec) -> Verdict:
 
 def _decide_hw(src: SpaceSpec, tgt: SpaceSpec, fam: str) -> Verdict:
     pr = _pair(src, tgt)
-    p0, p1 = src.p, tgt.p
 
     if pr.ap0 and pr.ap1:
-        if p0 <= p1:
+        if pr.p0 <= pr.p1:
             if pr.w1 <= pr.w0 and pr.sh0 >= pr.sh1:
                 return _verdict(
                     EMBEDS,
@@ -402,12 +425,12 @@ def _decide_hw(src: SpaceSpec, tgt: SpaceSpec, fam: str) -> Verdict:
     # valid (negative-order lifting is weight-independent for power
     # weights); beyond those, only the necessary conditions (valid for
     # every gamma > -d) can decide, and the sufficiency question is open.
-    if src.gamma == tgt.gamma and p0 == p1 and src.s >= tgt.s:
+    if src.gamma == tgt.gamma and pr.p0 == pr.p1 and src.s >= tgt.s:
         return _verdict(
             EMBEDS,
             RuleCitation(
                 TRIVIAL_13,
-                f"g0 = g1 = {src.gamma}, p0 = p1 = {p0}, "
+                f"g0 = g1 = {src.gamma}, p0 = p1 = {src.p}, "
                 f"s0 = {src.s} >= {tgt.s} = s1 (same scale)",
             ),
         )
@@ -415,9 +438,9 @@ def _decide_hw(src: SpaceSpec, tgt: SpaceSpec, fam: str) -> Verdict:
         return _verdict(NO, _first_violated_necessity(pr))
     which = []
     if not pr.ap0:
-        which.append(f"g0={src.gamma} not in (-d, d(p0-1))=(-{src.d},{src.d*(p0-1)})")
+        which.append(f"g0={src.gamma} not in (-d, d(p0-1))=(-{src.d},{src.d*(src.p-1)})")
     if not pr.ap1:
-        which.append(f"g1={tgt.gamma} not in (-d, d(p1-1))=(-{tgt.d},{tgt.d*(p1-1)})")
+        which.append(f"g1={tgt.gamma} not in (-d, d(p1-1))=(-{tgt.d},{tgt.d*(tgt.p-1)})")
     return _verdict(
         UNKNOWN,
         RuleCitation(
@@ -517,7 +540,7 @@ def decide_cross(src: SpaceSpec, tgt: SpaceSpec) -> Verdict:
 
     # Stage (ii): Jawerth-Franke improvements (p0 < p1, A_p weights).
     if (
-        src.p < tgt.p
+        pr.p0 < pr.p1
         and pr.ap0
         and pr.ap1
         and pr.w1 <= pr.w0
@@ -655,13 +678,13 @@ def lp_target(src: SpaceSpec, p1, gamma1) -> Verdict:
     sufficiency rules apply, with the reverse-sandwich necessity.
     """
     src = validate(src)
-    tgt = validate(
-        SpaceSpec(family="Lp", d=src.d, p=p1, gamma=gamma1)
-    )  # canonicalizes to H^{0,p1}
+    tgt = validate(SpaceSpec(
+        family="Lp", d=src.d, p=as_extended(p1, what="p"),
+        gamma=as_rational(gamma1, what="gamma"),
+    ))  # canonicalizes to H^{0,p1}
     if src.family == "Holder":
         raise FamilyError("source cannot be a Holder space")
     pr = _pair(src, tgt)
-    p0 = src.p
 
     if src.family in ("H", "W") and pr.ap0 and pr.ap1:
         inner = _decide_hw(src, rebrand(tgt, src.family), src.family)
@@ -681,14 +704,14 @@ def lp_target(src: SpaceSpec, p1, gamma1) -> Verdict:
             nec
             and pr.dim1 < pr.dim0
             and src.q <= src.p
-            and (p0 <= tgt.p or src.q == 1)
+            and (pr.p0 <= pr.p1 or src.q == 1)
         )
         if strict_route or sharp_route:
             how = (
                 "strict shifted drop (epsilon gain to q0 = 1)"
                 if strict_route and not sharp_route
                 else f"q0 = {src.q} <= p0 and "
-                + ("p0 <= p1" if p0 <= tgt.p else "q0 = 1")
+                + ("p0 <= p1" if pr.p0 <= pr.p1 else "q0 = 1")
             )
             return _verdict(
                 EMBEDS,
@@ -704,11 +727,11 @@ def lp_target(src: SpaceSpec, p1, gamma1) -> Verdict:
         trivial_route = (
             src.family == "F"
             and src.gamma == tgt.gamma
-            and p0 == tgt.p
+            and pr.p0 == pr.p1
             and (src.s > 0 or (src.s == 0 and src.q <= 1))
         )
         general_route = (
-            wrapped_ok and p0 <= tgt.p and nec and pr.dim1 < pr.dim0
+            wrapped_ok and pr.p0 <= pr.p1 and nec and pr.dim1 < pr.dim0
         )
         if trivial_route or general_route:
             return _verdict(

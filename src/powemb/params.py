@@ -97,8 +97,8 @@ def as_rational(value, *, what="value") -> Fraction:
         raise RangeError(f"{what}: expected a number, got {value!r}")
     if isinstance(value, int):
         return Fraction(value)
-    if isinstance(value, Fraction):
-        return value
+    if isinstance(value, Fraction):  # a subclass becomes a Fraction, as validate asks
+        return value if type(value) is Fraction else Fraction(value)
     if isinstance(value, float):
         if value != value or value in (float("inf"), float("-inf")):
             raise RangeError(f"{what}: {value!r} is not a finite number")
@@ -108,33 +108,15 @@ def as_rational(value, *, what="value") -> Fraction:
 
 def as_extended(value, *, what="value") -> Extended:
     """Parse a number or the string/float infinity into an Extended value."""
-    if is_inf(value):
-        return INF
-    if isinstance(value, str) and value.strip().lower() in ("inf", "infinity", "oo"):
-        return INF
-    if isinstance(value, float) and value == float("inf"):
+    if isinstance(value, str):
+        if value.strip().lower() in ("inf", "infinity", "oo"):
+            return INF
+    elif is_inf(value) or (isinstance(value, float) and value == float("inf")):
         return INF
     return as_rational(value, what=what)
 
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
-
-
-def reciprocal(x: Extended) -> Fraction:
-    """1/x with the convention 1/inf = 0."""
-    if is_inf(x):
-        return _ZERO
-    if x == 0:
-        raise RangeError("reciprocal of zero")
-    return _ONE / x
-
-
-def divide(a: Fraction, p: Extended) -> Fraction:
-    """a/p with the convention a/inf = 0."""
-    if is_inf(p):
-        return _ZERO
-    return a / p
 
 
 @dataclass(frozen=True)
@@ -223,17 +205,28 @@ def rebrand(spec: SpaceSpec, family: str, q: Optional[Extended] = None) -> Space
     return out
 
 
+_RATIONAL = (int, Fraction)  # exact types, so bool, float and str fail
+_OPTIONAL = (int, Fraction, type(None))
+_EXTENDED = (int, Fraction, _Infinity, type(None))
+_KINDS = (("s", _RATIONAL), ("p", _EXTENDED), ("q", _EXTENDED), ("gamma", _OPTIONAL))
+
+
 def _validate_impl(spec: SpaceSpec) -> SpaceSpec:
     fam = spec.family
     if fam not in FAMILIES:
         raise RangeError(f"unknown family {fam!r}")
     if isinstance(spec.d, bool) or not isinstance(spec.d, int) or spec.d < 1:
         raise RangeError(f"dimension must be a positive integer, got {spec.d!r}")
-    if float in (type(spec.s), type(spec.p), type(spec.q), type(spec.gamma)):
-        raise RangeError(f"s, p, q and gamma must be exact (see as_rational), got {spec}")
+    if (type(spec.s) not in _RATIONAL or type(spec.gamma) not in _OPTIONAL
+            or type(spec.p) not in _EXTENDED or type(spec.q) not in _EXTENDED):
+        name, kinds = next((n, k) for n, k in _KINDS if type(getattr(spec, n)) not in k)
+        raise RangeError(f"{name} must be exact (an int, a Fraction"
+                         f"{' or inf' if _Infinity in kinds else ''}; see "
+                         f"as_rational), got {getattr(spec, name)!r}")
 
+    # Range checks on numerator and denominator (the denominator is > 0).
     if fam == "Holder":
-        if spec.s <= 0:
+        if spec.s.numerator <= 0:
             raise RangeError(f"Holder target needs s > 0, got s={spec.s}")
         if spec.p is not None or spec.q is not None or spec.gamma is not None:
             raise RangeError("Holder target carries no p, q or gamma")
@@ -243,9 +236,9 @@ def _validate_impl(spec: SpaceSpec) -> SpaceSpec:
         raise RangeError(f"{fam}-space needs p")
     if spec.gamma is None:
         raise RangeError(f"{fam}-space needs gamma")
-    if not is_inf(spec.p) and spec.p <= 1:
+    if not is_inf(spec.p) and spec.p.numerator <= spec.p.denominator:
         raise RangeError(f"p must lie in (1, inf], got p={spec.p}")
-    if spec.gamma <= -spec.d:
+    if spec.gamma.numerator <= -spec.d * spec.gamma.denominator:
         raise RangeError(
             f"gamma must exceed -d for a locally integrable weight; "
             f"gamma={spec.gamma}, d={spec.d}"
@@ -258,7 +251,7 @@ def _validate_impl(spec: SpaceSpec) -> SpaceSpec:
     if fam in ("B", "F"):
         if spec.q is None:
             raise RangeError(f"{fam}-space needs the microscopic index q")
-        if not is_inf(spec.q) and spec.q < 1:
+        if not is_inf(spec.q) and spec.q.numerator < spec.q.denominator:
             raise RangeError(f"q must lie in [1, inf], got q={spec.q}")
         return spec
 
@@ -272,7 +265,7 @@ def _validate_impl(spec: SpaceSpec) -> SpaceSpec:
         return spec
 
     # Sobolev: integer s >= 0 stays W, fractional positive s becomes B_{p,p}.
-    if spec.s < 0:
+    if spec.s.numerator < 0:
         raise RangeError(f"Sobolev space needs s >= 0, got s={spec.s}")
     if spec.s.denominator == 1:
         return spec

@@ -10,6 +10,7 @@ import inspect
 import math
 import random as _random
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -53,7 +54,6 @@ def S(family, s=0, p=None, q=None, gamma=None, d=1) -> SpaceSpec:
 # ---------------------------------------------------------------------------
 
 _DENS = (1, 2, 3, 4, 5, 6, 8, 12)
-_P_LO = Fraction(9, 8)
 
 
 def frac(rng, lo, hi, dens=_DENS) -> Fraction:
@@ -67,17 +67,38 @@ def frac(rng, lo, hi, dens=_DENS) -> Fraction:
     return Fraction(rng.randint(lo_n, hi_n), den)
 
 
+@lru_cache(maxsize=8)
+def _spec_rows(d: int):
+    """random_spec's ranges of p, q, s and gamma: for each of ``_DENS``, the
+    tuple of every Fraction ``frac`` can draw with that denominator."""
+    def rows(lo, hi):
+        return tuple(tuple(Fraction(n, den) for n in range(
+            -(-lo.numerator * den // lo.denominator),
+            hi.numerator * den // hi.denominator + 1)) for den in _DENS)
+
+    return (rows(Fraction(9, 8), 8), rows(1, 8), rows(-4, 4),
+            rows(Fraction(1 - 8 * d, 8), 4 * d))
+
+
+def _draw(rng, rows) -> Fraction:
+    # the draws of frac(rng, lo, hi): randrange(len(row)) and randint(lo_n,
+    # hi_n) both make one _randbelow(hi_n - lo_n + 1)
+    row = rows[rng.randrange(len(rows))]
+    return row[rng.randrange(len(row))]
+
+
 def random_spec(rng, family: str, d: int = 1) -> SpaceSpec:
+    p_rows, q_rows, s_rows, gamma_rows = _spec_rows(d)
     if family == "B" and rng.random() < 0.08:
         p = INF
     else:
-        p = frac(rng, _P_LO, 8)
-    q = INF if rng.random() < 0.12 else frac(rng, 1, 8)
-    gamma = frac(rng, Fraction(1 - 8 * d, 8), 4 * d)
+        p = _draw(rng, p_rows)
+    q = INF if rng.random() < 0.12 else _draw(rng, q_rows)
+    gamma = _draw(rng, gamma_rows)
     if family == "W":
         s = Fraction(rng.randrange(5))
     else:
-        s = frac(rng, -4, 4)
+        s = _draw(rng, s_rows)
     return validate(SpaceSpec(
         family=family, d=d, s=s, p=p,
         q=q if family in ("B", "F") else None,

@@ -27,7 +27,8 @@ from powemb.oracle import (
     holder_embedding,
     lp_target,
 )
-from powemb.params import INF, RangeError, indices, validate
+from powemb.params import (INF, RangeError, as_extended, as_rational, indices, is_inf,
+                           validate)
 from powemb.suite import S, frac, random_spec
 
 
@@ -122,7 +123,7 @@ class TestTriebel:
 
 
 def _in_ap(spec):
-    from powemb.params import in_ap_range, is_inf
+    from powemb.params import in_ap_range
 
     return not is_inf(spec.p) and in_ap_range(spec.p, spec.gamma, spec.d)
 
@@ -260,6 +261,25 @@ class TestLpTarget:
         unknown = lp_target(S("B", "1/4", 2, 4, 0), 4, 0)
         assert unknown.outcome == UNKNOWN
 
+    @pytest.mark.parametrize("src", [S("B", 1, 2, 1, 0), S("F", 1, 2, 2, "1/2"),
+                                     S("H", 1, 2, gamma=0), S("W", 2, 3, gamma=1)])
+    def test_parses_strings(self, src):
+        for p1, gamma1 in (("3/2", 0), (2, "1/2"), (" 7/3 ", "-1/4"), ("3", 1)):
+            expected = lp_target(src, as_extended(p1), as_rational(gamma1))
+            assert lp_target(src, p1, gamma1) == expected
+
+    def test_infinite_p_rejected(self):
+        with pytest.raises(RangeError, match="needs p < inf"):
+            lp_target(S("B", 1, 2, 1, 0), "inf", 0)
+        with pytest.raises(RangeError, match="needs p < inf"):
+            lp_target(S("B", 1, 2, 1, 0), INF, 0)
+
+    def test_unparseable_arguments_rejected(self):
+        with pytest.raises(RangeError, match="p: cannot parse"):
+            lp_target(S("B", 1, 2, 1, 0), "two", 0)
+        with pytest.raises(RangeError, match="gamma: cannot parse"):
+            lp_target(S("B", 1, 2, 1, 0), 2, "inf")
+
 
 class TestMatrix:
     def test_singleton(self):
@@ -376,6 +396,11 @@ class TestUnknownShapes:
         assert seen > 0
 
 
+def _over(a, p):
+    """a/p with the convention a/inf = 0."""
+    return Fraction(0) if is_inf(p) else a / p
+
+
 def _brute_besov(s0, p0, q0, g0, s1, p1, q1, g1, d=1):
     """Independent transliteration of the Besov characterization.
 
@@ -385,12 +410,8 @@ def _brute_besov(s0, p0, q0, g0, s1, p1, q1, g1, d=1):
       (b) g1/p1 <= g0/p0, (d+g1)/p1 < (d+g0)/p0, shifted0 > shifted1;
       (c) as (b) with shifted equality and q0 <= q1.
     """
-    from fractions import Fraction
-
-    from powemb.params import divide, is_inf
-
-    w0, w1 = divide(g0, p0), divide(g1, p1)
-    dim0, dim1 = divide(d + g0, p0), divide(d + g1, p1)
+    w0, w1 = _over(g0, p0), _over(g1, p1)
+    dim0, dim1 = _over(d + g0, p0), _over(d + g1, p1)
     sh0, sh1 = s0 - dim0, s1 - dim1
     same_scale = p0 == p1 and (g0 == g1 or is_inf(p0))
     if same_scale and (s0 > s1 or (s0 == s1 and q0 <= q1)):
@@ -413,8 +434,6 @@ class TestBruteForceAgreement:
             assert got == expected, (a, b)
 
     def test_triebel_matches_brute_force_p0_le_p1(self):
-        from powemb.params import divide
-
         rng = random.Random(103)
         checked = 0
         for _ in range(3000):
@@ -422,8 +441,8 @@ class TestBruteForceAgreement:
             if b.p < a.p:
                 continue
             checked += 1
-            w0, w1 = divide(a.gamma, a.p), divide(b.gamma, b.p)
-            dim0, dim1 = divide(1 + a.gamma, a.p), divide(1 + b.gamma, b.p)
+            w0, w1 = _over(a.gamma, a.p), _over(b.gamma, b.p)
+            dim0, dim1 = _over(1 + a.gamma, a.p), _over(1 + b.gamma, b.p)
             trivial = (a.gamma == b.gamma and a.p == b.p
                        and (a.s > b.s or (a.s == b.s and a.q <= b.q)))
             cond = (w1 <= w0 and dim1 < dim0
@@ -432,7 +451,7 @@ class TestBruteForceAgreement:
         assert checked > 500
 
     def test_bessel_matches_brute_force_inside_ap(self):
-        from powemb.params import divide, in_ap_range
+        from powemb.params import in_ap_range
 
         rng = random.Random(107)
         checked = 0
@@ -441,8 +460,8 @@ class TestBruteForceAgreement:
             if not (in_ap_range(a.p, a.gamma, 1) and in_ap_range(b.p, b.gamma, 1)):
                 continue
             checked += 1
-            w0, w1 = divide(a.gamma, a.p), divide(b.gamma, b.p)
-            dim0, dim1 = divide(1 + a.gamma, a.p), divide(1 + b.gamma, b.p)
+            w0, w1 = _over(a.gamma, a.p), _over(b.gamma, b.p)
+            dim0, dim1 = _over(1 + a.gamma, a.p), _over(1 + b.gamma, b.p)
             sh0, sh1 = a.s - dim0, b.s - dim1
             if a.p <= b.p:
                 expected = w1 <= w0 and sh0 >= sh1
@@ -526,3 +545,49 @@ class TestStoredApFlag:
         monkeypatch.setattr(params, "in_ap_range", refuse)
         assert [answer(a, b) for a, b in pairs] == expected
         assert {v["outcome"] for v in expected} == {EMBEDS, NO, UNKNOWN, "error"}
+
+
+class TestPairKeys:
+    """The oracle compares indices and exponents through integer keys on
+    ``_Pair``; each key comparison must equal the comparison of the Fractions
+    it stands for: the stored indices, and p with inf above every finite p."""
+
+    @staticmethod
+    def _specs(rng, d):
+        from powemb.params import SpaceSpec, rebrand
+
+        specs = [random_spec(rng, fam, d) for fam in "BFHW" for _ in range(10)]
+        for _ in range(5):
+            specs.append(validate(SpaceSpec("B", d, frac(rng, -4, 4), INF,
+                                            frac(rng, 1, 8), frac(rng, 1 - d, 4 * d))))
+            lp = validate(SpaceSpec(family="Lp", d=d, p=frac(rng, Fraction(9, 8), 8),
+                                    gamma=frac(rng, Fraction(1, 8) - d, 4 * d)))
+            specs += [lp, rebrand(lp, "W"), rebrand(lp, "B", INF)]
+            specs += [rebrand(random_spec(rng, "F", d), "B", frac(rng, 1, 8)),
+                      rebrand(random_spec(rng, "H", d), "F", Fraction(2))]
+        return specs
+
+    def test_keys_order_as_fractions(self):
+        import operator
+
+        from powemb.oracle import _pair
+
+        rng = random.Random(41)
+        compared = 0
+        for d in (1, 2, 3):
+            specs = self._specs(rng, d)
+            for a in specs:
+                for b in specs:
+                    pr = _pair(a, b)
+                    i0, i1 = a._indices, b._indices
+                    for k0, k1, f0, f1 in (
+                        (pr.sh0, pr.sh1, i0.shifted_smoothness, i1.shifted_smoothness),
+                        (pr.w0, pr.w1, i0.weight_index, i1.weight_index),
+                        (pr.dim0, pr.dim1, i0.dim_index, i1.dim_index),
+                        (pr.p0, pr.p1, a.p, b.p),
+                    ):
+                        for op in (operator.lt, operator.eq, operator.gt):
+                            assert op(k0, k1) == op(f0, f1), (a, b, op)
+                    compared += 1
+        assert compared == 3 * 70 ** 2
+        assert any(is_inf(s.p) for s in specs)

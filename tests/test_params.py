@@ -15,13 +15,11 @@ from powemb.params import (
     SpaceSpec,
     as_extended,
     as_rational,
-    divide,
     in_ap_range,
     indices,
     is_inf,
     parse_spec,
     rebrand,
-    reciprocal,
     spec_from_dict,
     spec_from_json,
     spec_to_dict,
@@ -39,17 +37,6 @@ def sp(family, s=0, p=None, q=None, gamma=None, d=1):
 
 
 class TestExtended:
-    def test_reciprocal_of_inf_is_zero(self):
-        assert reciprocal(INF) == 0
-
-    def test_reciprocal_strictly_decreasing(self):
-        values = [Fraction(1, 2), Fraction(1), Fraction(3), Fraction(100), INF]
-        recips = [reciprocal(v) for v in values]
-        assert all(a > b for a, b in zip(recips, recips[1:]))
-
-    def test_divide_by_inf(self):
-        assert divide(Fraction(7, 2), INF) == 0
-
     def test_ordering_against_fractions(self):
         assert Fraction(10 ** 9) < INF
         assert INF <= INF
@@ -102,6 +89,28 @@ class TestValidate:
             validate(sp("W", "-1/2", 2, gamma=0))
         with pytest.raises(RangeError):
             validate(sp("W", -1, 2, gamma=0))
+
+    @pytest.mark.parametrize("spec, ok", [
+        (SpaceSpec("B", 1, 1, 1, 1, 0), False),  # p = 1, as ints
+        (sp("B", 1, "1001/1000", 1, gamma=0), True),
+        (sp("B", 1, "999/1000", 1, gamma=0), False),
+        (SpaceSpec("H", 2, 1, 2, None, -2), False),  # gamma = -d, as ints
+        (sp("H", 1, 2, gamma="-1999/1000", d=2), True),
+        (sp("H", 1, 2, gamma="-3/2"), False),
+        (SpaceSpec("F", 1, 1, 2, 1, 0), True),  # q = 1, as ints
+        (sp("F", 1, 2, "999/1000", gamma=0), False),
+        (sp("Holder", "1/1000"), True),
+        (SpaceSpec("Holder", 1, 0), False),
+        (sp("Holder", "-1/2"), False),
+        (SpaceSpec("W", 1, 0, 2, None, 0), True),  # s = 0, as ints
+        (sp("W", -1, 2, gamma=0), False),
+    ], ids=str)
+    def test_range_boundaries(self, spec, ok):
+        if ok:
+            validate(spec)
+        else:
+            with pytest.raises(RangeError, match="must (lie in|exceed)|needs s"):
+                validate(spec)
 
     def test_holder_needs_positive_s(self):
         with pytest.raises(RangeError):
@@ -217,12 +226,17 @@ class TestJson:
             spec_from_json(json.dumps({"s": 1, "dim": 1}))
 
 
+def _over(a, p):
+    """a/p with the convention a/inf = 0."""
+    return Fraction(0) if is_inf(p) else a / p
+
+
 def _indices_reference(spec):
     """The three indices in chained Fraction arithmetic (1/inf = 0)."""
     if spec.family == "Holder":
         return spec.s, Fraction(0), Fraction(0)
-    dim = divide(Fraction(spec.d) + spec.gamma, spec.p)
-    return spec.s - dim, divide(spec.gamma, spec.p), dim
+    dim = _over(Fraction(spec.d) + spec.gamma, spec.p)
+    return spec.s - dim, _over(spec.gamma, spec.p), dim
 
 
 def _ap_reference(spec):
@@ -352,6 +366,30 @@ class TestRejectedTypes:
             spec = replace(sp("B", 1, 2, 1, gamma=0), **{field: 0.5})
             with pytest.raises(RangeError, match="must be exact"):
                 validate(spec)
+
+    @pytest.mark.parametrize("field", ["s", "p", "q", "gamma"])
+    @pytest.mark.parametrize("value", ["2", True, 2.0, [2]], ids=repr)
+    def test_validate_names_an_inexact_field(self, field, value):
+        spec = replace(sp("B", 1, 2, 1, gamma=0), **{field: value})
+        with pytest.raises(RangeError, match=f"^{field} must be exact"):
+            validate(spec)
+
+    def test_parsed_fraction_subclass_validates(self):
+        class Half(Fraction):
+            pass
+
+        assert type(as_rational(Half(1, 2))) is Fraction
+        spec = spec_from_dict({"family": "H", "dim": 1, "s": Half(1, 2),
+                               "p": Half(3, 2), "gamma": Half(-1, 2)})
+        assert (spec.s, spec.p, spec.gamma) == (Fraction(1, 2), Fraction(3, 2), Fraction(-1, 2))
+        with pytest.raises(RangeError, match="^s must be exact"):
+            validate(replace(spec, s=Half(1, 2)))
+
+    def test_validate_rejects_infinite_s_and_gamma(self):
+        with pytest.raises(RangeError, match="^s must be exact"):
+            validate(replace(sp("B", 1, 2, 1, gamma=0), s=INF))
+        with pytest.raises(RangeError, match="^gamma must be exact"):
+            validate(replace(sp("H", 1, 2, gamma=0), gamma=INF))
 
     def test_validate_rejects_bool(self):
         with pytest.raises(RangeError, match="dimension"):
