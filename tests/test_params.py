@@ -375,15 +375,15 @@ class TestRejectedTypes:
             validate(spec)
 
     def test_parsed_fraction_subclass_validates(self):
-        class Half(Fraction):
+        class Ratio(Fraction):
             pass
 
-        assert type(as_rational(Half(1, 2))) is Fraction
-        spec = spec_from_dict({"family": "H", "dim": 1, "s": Half(1, 2),
-                               "p": Half(3, 2), "gamma": Half(-1, 2)})
+        assert type(as_rational(Ratio(1, 2))) is Fraction
+        spec = spec_from_dict({"family": "H", "dim": 1, "s": Ratio(1, 2),
+                               "p": Ratio(3, 2), "gamma": Ratio(-1, 2)})
         assert (spec.s, spec.p, spec.gamma) == (Fraction(1, 2), Fraction(3, 2), Fraction(-1, 2))
         with pytest.raises(RangeError, match="^s must be exact"):
-            validate(replace(spec, s=Half(1, 2)))
+            validate(replace(spec, s=Ratio(1, 2)))
 
     def test_validate_rejects_infinite_s_and_gamma(self):
         with pytest.raises(RangeError, match="^s must be exact"):
