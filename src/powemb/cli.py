@@ -343,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--out", help="output directory (env POWEMB_OUT overrides)")
     ap.add_argument("--jobs", type=int, default=None,
-                    help="parallel experiments (verify, default 1)")
+                    help="worker processes for verify (default 1)")
     ap.add_argument("--seed", type=int, default=None,
                     help="run seed (witness, verify)")
     ap.add_argument("--grid", default=None, help="grid as d,L,N (witness)")

@@ -22,7 +22,6 @@ import functools
 import itertools
 import json
 import math
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Callable, List, NamedTuple, Optional, Sequence
@@ -117,8 +116,7 @@ class Field:
     A field keeps the representation it was built in, lattice samples
     (``values``) or raw FFT coefficients (``spectrum``); the other one is
     computed on first read and cached, as is ``rim``, the field's
-    ``boundary_decay``.  Both arrays are read-only, so threads racing on a
-    first read at worst compute equal values twice.
+    ``boundary_decay``.  Both arrays are read-only.
 
     ``band_limit`` records a radius R with the discrete spectrum supported in
     |xi| <= R; it is enforced (coefficients beyond R zeroed) for fields built
@@ -360,8 +358,7 @@ class LRUCache(OrderedDict):
 
     ``size(value)`` is an entry's cost (1 by default, so ``capacity`` counts
     entries); a store past ``capacity`` evicts the least recently used
-    entries, never the one just stored.  Not locked: each cache's owner
-    holds its own lock around every call.
+    entries, never the one just stored.
     """
 
     def __init__(self, capacity, size=lambda value: 1):
@@ -389,7 +386,6 @@ class LRUCache(OrderedDict):
 # default ``powemb verify`` run stores 39 entries, 3.3 MB, building each once.
 WEIGHT_CACHE_BYTES = 64 * 2 ** 20
 _weight_cache = LRUCache(WEIGHT_CACHE_BYTES, size=lambda w: w.nbytes)
-_weight_lock = threading.Lock()
 
 _GL_NODES_2D = 8
 _THETA_NODES = 64
@@ -463,14 +459,12 @@ def _cell_weights_2d(L: float, n: int, gamma: float) -> np.ndarray:
 
 def _get_weights(d: int, L: float, n: int, gamma: float) -> np.ndarray:
     key = (d, float(L), int(n), float(gamma))
-    with _weight_lock:
-        w = _weight_cache.lookup(key)
+    w = _weight_cache.lookup(key)
     if w is not None:
         return w
     w = _cell_weights_1d(L, n, gamma) if d == 1 else _cell_weights_2d(L, n, gamma)
     w.setflags(write=False)
-    with _weight_lock:
-        _weight_cache.store(key, w)
+    _weight_cache.store(key, w)
     return w
 
 

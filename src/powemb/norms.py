@@ -10,7 +10,6 @@ floats; q = inf aggregations use the exact max.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Dict, List, Optional, Tuple
@@ -87,7 +86,6 @@ def _system_for(f: Field, sys: Optional[DyadicSystem]) -> DyadicSystem:
 # norm of one field shares one inverse FFT per block and factor, a Besov
 # norm at another (s, q) is a ladder over stored block norms, and nothing
 # outlives the next field.
-_memo_lock = threading.Lock()
 _memo = (None, None, {})
 _MISSING = object()
 
@@ -96,18 +94,16 @@ def _field_memo(f: Field, sys: DyadicSystem) -> dict:
     """The memo of (f, sys); the memo of any other pair is dropped first,
     so its magnitudes are freed before this field's are computed."""
     global _memo
-    with _memo_lock:
-        if _memo[0] is not f or _memo[1] is not sys:
-            _memo = (f, sys, {})
-        return _memo[2]
+    if _memo[0] is not f or _memo[1] is not sys:
+        _memo = (f, sys, {})
+    return _memo[2]
 
 
 def _block_abs(f: Field, sys: DyadicSystem, memo: dict,
                factors: Dict[int, int]) -> Dict[int, Optional[np.ndarray]]:
     """Read-only |S_k f| upsampled by factors[k] for each k, in the order
     given; None where S_k f is identically zero."""
-    with _memo_lock:
-        out = {k: memo.get((k, factor), _MISSING) for k, factor in factors.items()}
+    out = {k: memo.get((k, factor), _MISSING) for k, factor in factors.items()}
     missing = [k for k, mag in out.items() if mag is _MISSING]
     if missing:
         for k, block in zip(missing, lp_blocks(f, sys, missing)):
@@ -118,10 +114,7 @@ def _block_abs(f: Field, sys: DyadicSystem, memo: dict,
                 # A block whose annulus misses the spectrum (most blocks of
                 # a spectral peak) is zero on every lattice: no transform.
                 out[k] = None
-        # If another field replaced the memo meanwhile, this dict is no
-        # longer held and the store is dropped with it.
-        with _memo_lock:
-            memo.update(((k, factors[k]), out[k]) for k in missing)
+        memo.update(((k, factors[k]), out[k]) for k in missing)
     return out
 
 
@@ -130,8 +123,7 @@ def _block_norms(f: Field, sys: DyadicSystem, memo: dict, factors: List[int],
     """||S_k f||_{L^p(|x|^gamma)} on lattices refined by factors[k], for
     k = 0 .. len(factors)-1; the weighted sup norm is the weight-free max."""
     keys = [(k, factor, p, gamma) for k, factor in enumerate(factors)]
-    with _memo_lock:
-        out = [memo.get(key) for key in keys]
+    out = [memo.get(key) for key in keys]
     missing = {k: factors[k] for k, nk in enumerate(out) if nk is None}
     if missing:
         for k, mag in _block_abs(f, sys, memo, missing).items():
@@ -141,8 +133,7 @@ def _block_norms(f: Field, sys: DyadicSystem, memo: dict, factors: List[int],
                 out[k] = float(np.max(mag))
             else:
                 out[k] = weighted_cell_sum(f.grid, mag, p, gamma, factors[k])
-        with _memo_lock:
-            memo.update((keys[k], out[k]) for k in missing)
+        memo.update((keys[k], out[k]) for k in missing)
     return out
 
 

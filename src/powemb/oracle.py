@@ -684,6 +684,11 @@ def lp_target(src: SpaceSpec, p1, gamma1) -> Verdict:
     ))  # canonicalizes to H^{0,p1}
     if src.family == "Holder":
         raise FamilyError("source cannot be a Holder space")
+    return _lp_target(src, tgt)
+
+
+def _lp_target(src: SpaceSpec, tgt: SpaceSpec) -> Verdict:
+    """``lp_target`` on validated specs: a non-Holder src, tgt H^{0,p1} or W^{0,p1}."""
     pr = _pair(src, tgt)
 
     if src.family in ("H", "W") and pr.ap0 and pr.ap1:
@@ -789,7 +794,7 @@ def decide(src: SpaceSpec, tgt: SpaceSpec) -> Verdict:
             if src.family in ("H", "W"):
                 tgt = rebrand(tgt, src.family)
             else:
-                return lp_target(src, tgt.p, tgt.gamma)
+                return _lp_target(src, tgt)
         elif src.family in ("H", "W") and src.s == 0 and tgt.family in ("H", "W"):
             src = rebrand(src, tgt.family)
     if src.family == tgt.family:

@@ -569,40 +569,52 @@ def config_problems(names, overrides) -> List[str]:
     return problems
 
 
+def _run_one(name, kw, seed) -> List[ExperimentReport]:
+    """Experiment ``name``'s reports; an exception, a bad grid included,
+    becomes its one ``{name}[error]`` report."""
+    kw = dict(kw)
+    try:
+        g = kw.get("grid")
+        if g:
+            if not isinstance(g, dict):
+                raise RangeError(f"grid wants a {{d, L, N}} object, got {g!r}")
+            unknown = sorted(set(g) - {"d", "L", "N"})
+            if unknown:
+                raise RangeError(f"grid has no key {', '.join(unknown)}; "
+                                 f"it takes d, L, N")
+            for key in ("d", "N"):
+                if type(g[key]) is not int:
+                    raise RangeError(f"grid {key} must be an integer, got {g[key]!r}")
+        if "grid" in kw:
+            kw["grid"] = Grid(g["d"], float(g["L"]), g["N"]) if g else None
+        return CATALOG[name][1](seed, **kw)
+    except Exception as exc:
+        return [ExperimentReport(
+            experiment_id=f"{name}[error]",
+            kind="error",
+            passed=False,
+            details={"error": f"{type(exc).__name__}: {exc}"},
+        )]
+
+
 def run_experiments(names=None, overrides=None, seed: int = 0,
                     jobs: int = 1) -> Dict[str, List[ExperimentReport]]:
     """Run catalog experiments; returns {name: [reports]}.  A ``grid``
-    override is a {"d", "L", "N"} dict; unknown keys raise RangeError."""
+    override is a {"d", "L", "N"} dict.  With ``jobs`` > 1 each experiment
+    runs in a worker process, at most ``jobs`` at a time."""
     names = list(names) if names else list(CATALOG.keys())
     overrides = overrides or {}
     problems = config_problems(names, overrides)
     if problems:
         raise RangeError("; ".join(problems))
 
-    def run_one(name):
-        kw = dict(overrides.get(name, {}))
-        try:
-            if "grid" in kw:
-                g = kw["grid"]
-                kw["grid"] = (Grid(int(g["d"]), float(g["L"]), int(g["N"]))
-                              if g else None)
-            return name, CATALOG[name][1](seed, **kw)
-        except Exception as exc:
-            return name, [ExperimentReport(
-                experiment_id=f"{name}[error]",
-                kind="error",
-                passed=False,
-                details={"error": f"{type(exc).__name__}: {exc}"},
-            )]
+    args = (names, [overrides.get(n, {}) for n in names], [seed] * len(names))
+    workers = min(jobs, len(names))
+    if workers > 1:
+        # Imported on use: multiprocessing adds about 1 MB to every process
+        # that imports suite.
+        from concurrent.futures import ProcessPoolExecutor
 
-    results: Dict[str, List[ExperimentReport]] = {}
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for name, reps in pool.map(run_one, names):
-                results[name] = reps
-    else:
-        for name in names:
-            results[name] = run_one(name)[1]
-    return results
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            return dict(zip(names, pool.map(_run_one, *args)))
+    return dict(zip(names, map(_run_one, *args)))

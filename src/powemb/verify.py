@@ -11,7 +11,6 @@ exponents and boundedness are asserted, never sharp constants.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
@@ -204,18 +203,15 @@ DIM_GRID_2D = (2, 256.0, 2 ** 9)
 # grids; a 2-D system on the default grid holds 20 MB.
 DYADIC_CACHE_ENTRIES = 8
 _sys_cache = LRUCache(DYADIC_CACHE_ENTRIES)
-_sys_lock = threading.Lock()  # ``--jobs`` threads share the cache
 
 
 def _dyadic_for(grid: Grid):
     key = (grid.d, grid.L, grid.N)
-    with _sys_lock:
-        sys = _sys_cache.lookup(key)
+    sys = _sys_cache.lookup(key)
     if sys is not None:
         return sys
     sys = make_dyadic(grid)
-    with _sys_lock:
-        _sys_cache.store(key, sys)
+    _sys_cache.store(key, sys)
     return sys
 
 

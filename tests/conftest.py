@@ -9,8 +9,7 @@ from powemb.lpengine import Grid, make_dyadic
 def empty_norm_memo():
     """Start every test with the norms' one-field memo empty, so no test
     depends on which field an earlier test normed last."""
-    with norms._memo_lock:
-        norms._memo = (None, None, {})
+    norms._memo = (None, None, {})
 
 
 @pytest.fixture(scope="session")

@@ -253,8 +253,8 @@ class TestVerify:
 
 class TestJobs:
     def test_jobs_2_matches_jobs_1(self, tmp_path, monkeypatch, capsys):
-        # Both experiments share one grid, so their threads race for the
-        # same cached dyadic system.
+        # --jobs 2 runs each experiment in a worker process of its own,
+        # --jobs 1 runs both in this one; the files must not differ.
         grid = {"d": 1, "L": 16.0, "N": 1024}
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({
@@ -277,6 +277,38 @@ class TestJobs:
             outs.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert len(outs[0]) > 2
         assert outs[0] == outs[1]
+
+    def test_workers_are_capped_by_the_experiment_count(
+            self, tmp_path, monkeypatch, capsys):
+        # The executor is replaced by one that records its size and runs
+        # every call in this process, so no worker is started.
+        sizes = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", Recorder)
+        monkeypatch.setenv("POWEMB_OUT", str(tmp_path / "v"))
+        cfg = tmp_path / "cfg.json"
+        sharp = {"id": "sharp", "overrides": {"count": 2}}
+        cfg.write_text(json.dumps({"experiments": ["dichotomy", sharp]}))
+        assert main(["--jobs", "8", "verify", str(cfg)]) == 0
+        assert sizes == [2]
+        # One experiment runs in this process with no pool at all.
+        cfg.write_text(json.dumps({"experiments": [sharp]}))
+        assert main(["--jobs", "8", "verify", str(cfg)]) == 0
+        assert sizes == [2]
+        assert "[PASS] oracle_suite: sharp_case_fidelity" in capsys.readouterr().out
 
     def test_jobs_below_one_exit_64(self, tmp_path, monkeypatch, capsys):
         out = tmp_path / "v"
@@ -365,6 +397,19 @@ class TestGlobalFlags:
 
 class TestConfigGrid:
     BAD = {"d": 1, "L": 16.0, "N": 1000}  # not a power of two
+    # Each grid with the words that must name its fault: an unknown key, a
+    # d or N that is not an int (a float, even an integral one, or a bool),
+    # a missing key, a list.
+    REJECTED = [
+        (BAD, "power of two"),
+        ({"d": 1, "L": 16.0, "N": 4096, "bogus": 7}, "no key bogus"),
+        ({"d": 1.9, "L": 16.0, "N": 4096}, "grid d must be an integer"),
+        ({"d": 1, "L": 16.0, "N": 4096.5}, "grid N must be an integer"),
+        ({"d": 1, "L": 16.0, "N": 4096.0}, "grid N must be an integer"),
+        ({"d": True, "L": 16.0, "N": 4096}, "grid d must be an integer"),
+        ({"d": 1, "L": 16.0}, "'N'"),
+        ([1, 16.0, 4096], "grid wants a {d, L, N} object"),
+    ]
 
     def _cfg(self, tmp_path, payload):
         cfg = tmp_path / "cfg.json"
@@ -377,11 +422,12 @@ class TestConfigGrid:
         lattice = [n for n in suite.CATALOG if "grid" in suite.parameters(n)]
         assert lattice == ["peaks", "translation", "nikolskij", "lacunary",
                            "equivalences", "gagliardo", "coherence"]
-        for name in lattice:
-            [report] = suite.run_experiments(
-                [name], {name: {"grid": self.BAD}})[name]
-            assert report.kind == "error"
-            assert "power of two" in report.details["error"]
+        for grid, named in self.REJECTED:
+            for name in lattice:
+                [report] = suite.run_experiments(
+                    [name], {name: {"grid": grid}})[name]
+                assert report.experiment_id == f"{name}[error]"
+                assert named in report.details["error"], (grid, name)
 
         # The conversion above fails before the runner is called; a grid
         # that raises when read shows that each runner reads the one given.
@@ -396,14 +442,17 @@ class TestConfigGrid:
             with pytest.raises(Read):
                 suite.CATALOG[name][1](0, grid=Probe())
 
+    @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_top_level_grid_reaches_lattice_runners_only(
-            self, tmp_path, monkeypatch, capsys):
+            self, tmp_path, monkeypatch, capsys, jobs):
+        # With --jobs 2 the bad grid raises in a worker process, and its
+        # error report still comes back next to the other's pass.
         out = tmp_path / "v"
         monkeypatch.setenv("POWEMB_OUT", str(out))
         cfg = self._cfg(tmp_path, {"grid": self.BAD, "experiments": [
             {"id": "dichotomy"}, {"id": "gagliardo", "overrides": {"count": 1}},
         ]})
-        assert main(["verify", cfg]) == 3
+        assert main(["--jobs", jobs, "verify", cfg]) == 3
         text = capsys.readouterr().out
         assert "[PASS] dichotomy" in text
         report = json.loads((out / "gagliardo_000.json").read_text())

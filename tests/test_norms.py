@@ -458,46 +458,6 @@ class TestSharedBlocks:
             with pytest.raises(ValueError):
                 mag[0] = 0.0
 
-    def test_threads_alternating_fields_get_sequential_values(self):
-        import sys as _sys
-        import threading
-
-        fields = [fresh_band96(7), fresh_band96(8)]
-        dyadic = make_dyadic(fields[0].grid)
-        norms_ = [
-            lambda f: besov_norm(f, 0.5, 2, 2, 0.5, sys=dyadic).value,
-            lambda f: triebel_norm(f, 0.5, 3, 1, 0.0, sys=dyadic).value,
-            lambda f: besov_norm(f, -0.5, math.inf, 4, 0.0, sys=dyadic).value,
-        ]
-        expected = [[norm(f) for norm in norms_] for f in fields]
-        got, errors = [], []
-
-        def worker(i):
-            # More threads than cores, each switching field on every round,
-            # so the one-field memo is replaced under the others' feet.
-            try:
-                for rep in range(6):
-                    j = (i + rep) % 2
-                    for n, norm in enumerate(norms_):
-                        got.append((j, n, norm(fields[j])))
-            except Exception as exc:  # reported by the assertion below
-                errors.append(exc)
-
-        old = _sys.getswitchinterval()
-        _sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=120)
-        finally:
-            _sys.setswitchinterval(old)
-        assert not any(t.is_alive() for t in threads)
-        assert errors == []
-        assert len(got) == 4 * 6 * len(norms_)
-        assert all(v == expected[j][n] for j, n, v in got)
-
 
 def _per_call_besov(f, s, p, q, gamma, sys):
     """The per-call Besov path: every block transformed and normed afresh."""

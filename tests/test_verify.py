@@ -4,7 +4,6 @@ import math
 
 import pytest
 
-from powemb.lpengine import Grid
 from powemb.suite import S
 from powemb.verify import (
     ConditionError,
@@ -160,42 +159,3 @@ class TestBoundedChecks:
         reps = check_embedding_bounded(S("B", 1, 2, 1, 0), S("B", 0, 4, 1, 0))
         assert len(reps) == 3
         assert all(r.passed for r in reps)
-
-
-class TestDyadicCache:
-    def test_threads_share_cache(self):
-        # More threads than cores, with frequent switches, all asking for
-        # the same few grids: every caller gets the system of its own grid,
-        # and the cache holds one entry per grid.
-        import sys
-        import threading
-
-        from powemb import verify
-
-        grids = [Grid(1, 16.0, 2 ** k) for k in (6, 7, 8)]
-        got, errors = [], []
-
-        def worker(i):
-            try:
-                grid = grids[i % len(grids)]
-                got.append((grid, verify._dyadic_for(grid)))
-            except Exception as exc:  # reported by the assertion below
-                errors.append(exc)
-
-        verify._sys_cache.clear()
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            threads = [threading.Thread(target=worker, args=(i,))
-                       for i in range(12)]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join(timeout=60)
-        finally:
-            sys.setswitchinterval(old)
-        assert not any(t.is_alive() for t in threads)
-        assert errors == []
-        assert len(got) == 12
-        assert all(s.grid == g for g, s in got)
-        assert set(verify._sys_cache) == {(g.d, g.L, g.N) for g in grids}
