@@ -272,11 +272,11 @@ def cmd_verify(args) -> int:
     names, overrides = [], {}
     for entry in experiments:
         entry = {"id": entry} if isinstance(entry, str) else entry
-        if (not isinstance(entry, dict) or "id" not in entry
+        if (not isinstance(entry, dict) or not isinstance(entry.get("id"), str)
                 or set(entry) - {"id", "overrides"}
                 or not isinstance(entry.get("overrides", {}), dict)):
-            raise RangeError(f"experiment entry {json.dumps(entry)} wants an "
-                             f"'id' and optionally an 'overrides' object")
+            raise RangeError(f"experiment entry {json.dumps(entry)} wants a "
+                             f"string 'id' and optionally an 'overrides' object")
         names.append(entry["id"])
         overrides[entry["id"]] = dict(entry.get("overrides", {}))
     problems = suite.config_problems(names, overrides)

@@ -164,18 +164,6 @@ class Field:
             self._rim = boundary_decay(self)
         return self._rim
 
-    def spectrum_consistent(self, tol=1e-9) -> bool:
-        back = np.fft.ifftn(self.spectrum)
-        scale = max(1.0, float(np.max(np.abs(self.values))))
-        return bool(np.max(np.abs(back - self.values)) <= tol * scale)
-
-    def max_coeff_outside(self, radius) -> float:
-        """Largest |coefficient| at lattice frequencies with |xi| > radius."""
-        mask = self.grid.freq_magnitude() > radius
-        if not mask.any():
-            return 0.0
-        return float(np.max(np.abs(self.spectrum[mask])))
-
 
 def field_from_samples(grid: Grid, fn: Callable, band_limit=None) -> Field:
     """Sample an analytic function ``fn(*axes)`` on the lattice."""
@@ -770,6 +758,8 @@ def save_profile_csv(prof: RadialProfile, path, n_points: int = 512):
 
 
 def load_profile_csv(path, d: int = 1) -> RadialProfile:
+    """Read back the r,value table that ``save_profile_csv`` writes (the
+    CLI's ``witness logsing``/``rieszlog`` profiles) as a tabulated profile."""
     rs, vs = [], []
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline()

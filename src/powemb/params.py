@@ -18,6 +18,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, replace
 from fractions import Fraction
@@ -82,21 +83,13 @@ def as_rational(value, *, what="value") -> Fraction:
     decimal repr is exact (floats go through their shortest decimal form, so
     0.1 means 1/10, not the binary expansion).
     """
-    if isinstance(value, str):
-        text = value.strip()
-        # Plain ASCII "n" and "n/m" skip Fraction's regex parse; every other
-        # spelling goes through it, so both accept and reject the same text.
-        num, slash, den = text.partition("/")
-        digits = num[1:] if num[:1] in ("+", "-") else num
-        plain = text.isascii() and digits.isdecimal() and (den.isdecimal() or not slash)
-        try:
-            return Fraction(int(num), int(den or 1)) if plain else Fraction(text)
-        except (ValueError, ZeroDivisionError) as exc:
-            raise RangeError(f"{what}: cannot parse {value!r} as a rational") from exc
     if isinstance(value, bool):
         raise RangeError(f"{what}: expected a number, got {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
+    if isinstance(value, (str, int)):
+        out = as_extended(value, what=what)
+        if out is not INF:
+            return out
+        raise RangeError(f"{what}: cannot parse {value!r} as a rational")
     if isinstance(value, Fraction):  # a subclass becomes a Fraction, as validate asks
         return value if type(value) is Fraction else Fraction(value)
     if isinstance(value, float):
@@ -108,12 +101,23 @@ def as_rational(value, *, what="value") -> Fraction:
 
 def as_extended(value, *, what="value") -> Extended:
     """Parse a number or the string/float infinity into an Extended value."""
-    if isinstance(value, str):
-        if value.strip().lower() in ("inf", "infinity", "oo"):
-            return INF
-    elif is_inf(value) or (isinstance(value, float) and value == float("inf")):
+    if isinstance(value, (str, int)) and not isinstance(value, bool):
+        try:
+            return _parse_token(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise RangeError(f"{what}: cannot parse {value!r} as a rational") from exc
+    if is_inf(value) or (isinstance(value, float) and value == float("inf")):
         return INF
     return as_rational(value, what=what)
+
+
+@functools.lru_cache(maxsize=4096)
+def _parse_token(token) -> Extended:
+    """A str or int token's value, parsed once per process (successes only,
+    keyed by the token alone, so each rejection keeps its caller's message)."""
+    if isinstance(token, str) and token.strip().lower() in ("inf", "infinity", "oo"):
+        return INF
+    return Fraction(token)
 
 
 _ZERO = Fraction(0)

@@ -9,6 +9,7 @@ from __future__ import annotations
 import inspect
 import math
 import random as _random
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
@@ -557,9 +558,13 @@ def parameters(name: str) -> Dict[str, object]:
 
 
 def config_problems(names, overrides) -> List[str]:
-    """One message per unknown experiment and per override no runner reads."""
-    problems = [f"unknown experiment {n!r}" for n in names if n not in CATALOG]
-    for name in (n for n in names if n in CATALOG):
+    """One message per unknown experiment, per experiment listed more than
+    once and per override no runner reads."""
+    counts = Counter(names)
+    problems = [f"unknown experiment {n!r}" for n in counts if n not in CATALOG]
+    problems += [f"experiment {n!r} is listed more than once"
+                 for n, k in counts.items() if k > 1]
+    for name in (n for n in counts if n in CATALOG):
         accepted = parameters(name)
         unknown = sorted(set(overrides.get(name, {})) - set(accepted))
         if unknown:
@@ -582,9 +587,14 @@ def _run_one(name, kw, seed) -> List[ExperimentReport]:
             if unknown:
                 raise RangeError(f"grid has no key {', '.join(unknown)}; "
                                  f"it takes d, L, N")
-            for key in ("d", "N"):
-                if type(g[key]) is not int:
-                    raise RangeError(f"grid {key} must be an integer, got {g[key]!r}")
+            for key, kinds, want in (("d", (int,), "an integer"),
+                                     ("L", (int, float), "a finite number"),
+                                     ("N", (int,), "an integer")):
+                if key not in g:
+                    raise RangeError(f"grid is missing {key!r}; it takes d, L, N")
+                v = g[key]
+                if type(v) not in kinds or (type(v) is float and not math.isfinite(v)):
+                    raise RangeError(f"grid {key} must be {want}, got {v!r}")
         if "grid" in kw:
             kw["grid"] = Grid(g["d"], float(g["L"]), g["N"]) if g else None
         return CATALOG[name][1](seed, **kw)

@@ -86,11 +86,6 @@ def _radial(fn: Callable) -> Callable:
     return lambda *k: fn(magnitude(*k))
 
 
-def bump_base(grid: Grid) -> Field:
-    """The dyadic generator itself: spectrum = bump_hat, band 3/2."""
-    return field_from_spectral(grid, _radial(bump_hat), band_limit=1.5)
-
-
 def gaussian_base(grid: Grid, sigma: float = 1.0, center: float = 0.0) -> Field:
     """A Gaussian sampled in physical space.
 

@@ -69,3 +69,16 @@ def cell_sums(monkeypatch):
 
     monkeypatch.setattr(norms, "weighted_cell_sum", counted)
     return calls
+
+
+@pytest.fixture(scope="session")
+def max_coeff_outside():
+    """``(field, radius) ->`` the largest |coefficient| of the field's
+    spectrum at lattice frequencies with |xi| > radius."""
+    def largest(field, radius):
+        mask = field.grid.freq_magnitude() > radius
+        if not mask.any():
+            return 0.0
+        return float(np.max(np.abs(field.spectrum[mask])))
+
+    return largest

@@ -1,11 +1,13 @@
 """CLI contract: subcommands, exit codes, output files, determinism."""
 
 import json
+import math
 
 import pytest
 
 from powemb.cli import main
 from powemb.lpengine import load_field
+from powemb.params import RangeError
 
 
 SRC = '{"family":"B","s":1,"p":2,"q":1,"gamma":0,"dim":1}'
@@ -229,8 +231,13 @@ class TestVerify:
         ({"seed": "1", "experiments": ["dichotomy"]}, ("seed",)),
         ({"seed": 1.5, "experiments": ["dichotomy"]}, ("seed",)),
         ({"seed": True, "experiments": ["dichotomy"]}, ("seed",)),
+        ({"experiments": [{"id": "sharp", "overrides": {"count": 3}},
+                          {"id": "sharp", "overrides": {"count": 5}}]},
+         ("'sharp' is listed more than once",)),
+        ({"experiments": [{"id": ["sharp"]}]}, ("string 'id'",)),
     ], ids=["misspelled_override", "top_level_key", "entry_key", "no_id",
-            "not_object", "experiments_not_array", "seed_str", "seed_float", "seed_bool"])
+            "not_object", "experiments_not_array", "seed_str", "seed_float", "seed_bool",
+            "duplicate_id", "id_not_string"])
     def test_bad_config_exit_64(self, tmp_path, monkeypatch, capsys,
                                 payload, named):
         out = tmp_path / "v"
@@ -243,6 +250,12 @@ class TestVerify:
         for word in named:
             assert word in err, (word, err)
         assert not out.exists()
+
+    def test_run_experiments_rejects_duplicate_id(self):
+        from powemb import suite
+
+        with pytest.raises(RangeError, match="'sharp' is listed more than once"):
+            suite.run_experiments(["sharp", "dichotomy", "sharp"])
 
     def test_help_exit_zero(self, capsys):
         assert main(["--help"]) == 0
@@ -399,7 +412,7 @@ class TestConfigGrid:
     BAD = {"d": 1, "L": 16.0, "N": 1000}  # not a power of two
     # Each grid with the words that must name its fault: an unknown key, a
     # d or N that is not an int (a float, even an integral one, or a bool),
-    # a missing key, a list.
+    # an L that is not a finite int or float, a missing key, a list.
     REJECTED = [
         (BAD, "power of two"),
         ({"d": 1, "L": 16.0, "N": 4096, "bogus": 7}, "no key bogus"),
@@ -407,7 +420,11 @@ class TestConfigGrid:
         ({"d": 1, "L": 16.0, "N": 4096.5}, "grid N must be an integer"),
         ({"d": 1, "L": 16.0, "N": 4096.0}, "grid N must be an integer"),
         ({"d": True, "L": 16.0, "N": 4096}, "grid d must be an integer"),
-        ({"d": 1, "L": 16.0}, "'N'"),
+        ({"d": 1, "L": 16.0}, "grid is missing 'N'"),
+        ({"d": 1, "L": True, "N": 4096}, "grid L must be a finite number"),
+        ({"d": 1, "L": "16", "N": 4096}, "grid L must be a finite number"),
+        ({"d": 1, "L": math.inf, "N": 4096}, "grid L must be a finite number"),
+        ({"d": 1, "N": 4096}, "grid is missing 'L'"),
         ([1, 16.0, 4096], "grid wants a {d, L, N} object"),
     ]
 

@@ -333,8 +333,9 @@ def _parse_reference(text):
 
 
 class TestParseParity:
-    """as_rational parses plain "n" and "n/m" strings without Fraction's
-    regex; the value, or the rejection, must be what Fraction(text) gives."""
+    """as_rational parses every string with Fraction(text) and memoizes the
+    result per token; the value, or the rejection, must be what
+    Fraction(text) gives, on the first call and on the memoized second."""
 
     @pytest.mark.parametrize("text", [
         "3/4", "-3/4", "+3/4", " 3/4 ", "3 / 4", "3/-4", "3/+4", "3/0", "/4",
@@ -345,12 +346,46 @@ class TestParseParity:
     ])
     def test_matches_fraction(self, text):
         expected = _parse_reference(text)
-        if expected is RangeError:
-            with pytest.raises(RangeError, match="cannot parse"):
-                as_rational(text)
-        else:
-            got = as_rational(text)
-            assert type(got) is Fraction and got == expected
+        for _ in range(2):
+            if expected is RangeError:
+                with pytest.raises(RangeError, match="cannot parse"):
+                    as_rational(text)
+            else:
+                got = as_rational(text)
+                assert type(got) is Fraction and got == expected
+
+
+class TestParseMemo:
+    """Each str or int token is parsed once per process; the memo must not
+    change what is accepted, what is rejected, or any message."""
+
+    def test_bool_rejected_after_equal_int(self):
+        assert as_rational(1) == 1 and as_rational(0) == 0
+        assert as_extended(1) == 1 and as_extended(0) == 0
+        for value in (True, False):
+            with pytest.raises(RangeError, match="expected a number"):
+                as_rational(value)
+            with pytest.raises(RangeError, match="expected a number"):
+                as_extended(value)
+            with pytest.raises(RangeError, match="expected a number"):
+                parse_spec({"family": "H", "dim": 1, "p": 2, "gamma": value})
+
+    def test_equal_tokens_of_each_type(self):
+        values = [as_rational(v) for v in (1, "1", 1.0, 1, "1", 1.0)]
+        assert all(type(v) is Fraction and v == Fraction(1) for v in values)
+        assert as_extended("inf") is INF and as_extended(" Infinity ") is INF
+        with pytest.raises(RangeError, match="cannot parse 'inf'"):
+            as_rational("inf")
+
+    @pytest.mark.parametrize("token", ["pi", "3/0", "inf", "", "1/2/3"])
+    def test_rejection_repeats_its_message(self, token):
+        messages = set()
+        for what in ("s", "gamma", "s"):
+            with pytest.raises(RangeError) as exc:
+                as_rational(token, what=what)
+            messages.add(str(exc.value))
+        assert messages == {f"s: cannot parse {token!r} as a rational",
+                            f"gamma: cannot parse {token!r} as a rational"}
 
 
 class TestRejectedTypes:

@@ -13,7 +13,6 @@ from powemb.verify import fit_exponent
 from powemb.witnesses import (
     BoundaryError,
     NyquistError,
-    bump_base,
     dilation_family,
     gaussian_base,
     gaussian_spectral_base,
@@ -42,12 +41,12 @@ class TestDilation:
                 assert weighted_lp(member, p, gamma) == pytest.approx(
                     expected, rel=1e-3)
 
-    def test_spectrum_support_scales(self, grid1d):
+    def test_spectrum_support_scales(self, grid1d, max_coeff_outside):
         base = gaussian_spectral_base(grid1d, sigma_xi=2.0)
         fam = dilation_family(base, [2.0])
         member = fam.member(0)
         assert member.band_limit == pytest.approx(2.0 * base.band_limit)
-        assert member.max_coeff_outside(member.band_limit) == 0.0
+        assert max_coeff_outside(member, member.band_limit) == 0.0
 
     def test_nyquist_guard(self, grid1d):
         base = gaussian_spectral_base(grid1d, sigma_xi=2.0)
@@ -110,12 +109,12 @@ class TestTranslation:
 
 
 class TestSpectralPeaks:
-    def test_overlap_member_nonzero(self, grid1d_fine):
+    def test_overlap_member_nonzero(self, grid1d_fine, max_coeff_outside):
         fam = spectral_peaks(grid1d_fine, [4], 1)
         member = fam.member(0)
         assert weighted_lp(member, 2, 0.0) > 0
         # spectrum confined to the annulus intersection [2^n, 1.5*2^n]
-        assert member.max_coeff_outside(1.5 * 2.0 ** 5) == 0.0
+        assert max_coeff_outside(member, 1.5 * 2.0 ** 5) == 0.0
 
     def test_consecutive_ratio_quarter(self, grid1d_fine):
         # d=1, p=2, gamma=1/2: log2 ratio of consecutive norms is
@@ -241,10 +240,13 @@ class TestReproducibility:
         assert man["parameters"]["j"] == 1
         assert [m["parameter"] for m in man["members"]] == [3, 4]
 
-    def test_bump_base_partition_generator(self, grid1d):
-        base = bump_base(grid1d)
+    def test_bump_base_partition_generator(self, grid1d, max_coeff_outside):
+        # The dyadic generator itself: spectrum = bump_hat, band 3/2.
+        base = lpengine.field_from_spectral(
+            grid1d, lambda *k: lpengine.bump_hat(lpengine.magnitude(*k)),
+            band_limit=1.5)
         assert base.band_limit == 1.5
-        assert base.max_coeff_outside(1.5) == 0.0
+        assert max_coeff_outside(base, 1.5) == 0.0
 
 
 class TestTwoDimensional:
