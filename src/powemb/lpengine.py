@@ -13,7 +13,10 @@ Quadrature conventions:
     the origin; the weight is radial, so only the half-line (1-D) or the
     quadrant (2-D) of cells is integrated and stored;
   * band-limited integrands are upsampled by zero-padding before summation
-    so that cell sums resolve the carrier oscillation.
+    so that cell sums resolve the carrier oscillation; a ``real_valued``
+    field, whose spectrum is exactly Hermitian, is padded on the
+    non-negative half of its last frequency axis only and ends in one real
+    (c2r) inverse transform.
 """
 
 from __future__ import annotations
@@ -91,9 +94,14 @@ def magnitude(*axes) -> np.ndarray:
 
 class _Fresh(NamedTuple):
     """A lattice array made for the one Field it is handed to and held
-    nowhere else: the Field freezes it in place instead of copying it."""
+    nowhere else: the Field freezes it in place instead of copying it.
+
+    ``real`` marks a spectrum known to be exactly Hermitian with zero
+    Nyquist lanes, the spectrum of a real function (``Field.real_valued``).
+    """
 
     array: np.ndarray
+    real: bool = False
 
 
 def _frozen(grid: Grid, array, name: str) -> np.ndarray:
@@ -124,6 +132,13 @@ class Field:
     generators keep witness families reproducible and translatable exactly:
     ``spectral_gen`` evaluates the continuum Fourier transform, and
     ``physical_gen`` evaluates the function itself.
+
+    ``real_valued`` is derived, never passed: it is True only for a field
+    whose spectrum is exactly Hermitian with zero Nyquist lanes, as
+    ``field_from_spectral`` finds for a real, even generator in a band
+    below the Nyquist frequency, and for the ``lp_blocks`` of such a field.
+    ``upsample_values`` then transforms only half of the spectrum.  Every
+    other field is False, and ``values`` stays complex either way.
     """
 
     def __init__(self, grid: Grid, values=None, band_limit=None,
@@ -131,6 +146,7 @@ class Field:
         if (values is None) == (spectrum is None):
             raise ValueError("a Field needs exactly one of values or spectrum")
         self.grid = grid
+        self._real = isinstance(spectrum, _Fresh) and spectrum.real
         self._values = None if values is None else _frozen(grid, values, "values")
         self._spectrum = (None if spectrum is None
                           else _frozen(grid, spectrum, "spectrum"))
@@ -138,6 +154,11 @@ class Field:
         self.band_limit = band_limit
         self.spectral_gen = spectral_gen
         self.physical_gen = physical_gen
+
+    @property
+    def real_valued(self) -> bool:
+        """The derived realness flag (see the class docstring)."""
+        return self._real
 
     @property
     def values(self) -> np.ndarray:
@@ -184,6 +205,11 @@ def field_from_spectral(grid: Grid, spectral_fn: Callable, band_limit=None) -> F
     whole lattice without a band), and the coefficients outside the ball
     |xi| <= band_limit are zero.  Every bin of the ball lies in the box,
     since sqrt(fl(x^2)) = |x| and fl(x^2 + y^2) >= fl(x^2).
+
+    The field is ``real_valued`` when the box holds no Nyquist bin and its
+    masked coefficients are real and equal to their reflection xi -> -xi,
+    bit for bit: the origin phase exp(-i pi k) is exactly conjugate under
+    k -> -k, so the spectrum is then exactly Hermitian.
     """
     d, n = grid.d, grid.N
     axis = grid.axis_freqs()
@@ -197,6 +223,7 @@ def field_from_spectral(grid: Grid, spectral_fn: Callable, band_limit=None) -> F
     coeff = np.asarray(spectral_fn(*box), dtype=np.complex128)
     if band_limit is not None:
         coeff = np.where(magnitude(*box) <= band_limit, coeff, 0.0)
+    real = spectrum is not None and _even_real(coeff)
     weight = (math.pi / grid.L) ** d / (2.0 * math.pi) ** (d / 2.0)
     # Trig-interpolant coefficients carry the (-1)^k phase of the -L origin.
     phase = functools.reduce(np.multiply.outer, (_origin_phase_axis(n)[idx],) * d)
@@ -205,8 +232,17 @@ def field_from_spectral(grid: Grid, spectral_fn: Callable, band_limit=None) -> F
         spectrum = inner
     else:
         spectrum[np.ix_(*(idx,) * d)] = inner
-    return Field(grid, spectrum=_Fresh(spectrum), band_limit=band_limit,
+    return Field(grid, spectrum=_Fresh(spectrum, real), band_limit=band_limit,
                  spectral_gen=spectral_fn)
+
+
+def _even_real(box: np.ndarray) -> bool:
+    """Whether a box of coefficients in FFT order on each axis (bins 0..a,
+    then -a..-1) is real and equal to its reflection k -> -k exactly."""
+    if box.imag.any():
+        return False
+    axes = tuple(range(box.ndim))
+    return np.array_equal(box, np.roll(np.flip(box, axes), 1, axes))
 
 
 @functools.lru_cache(maxsize=8)
@@ -280,12 +316,13 @@ def lp_blocks(f: Field, sys: DyadicSystem,
     order, by spectral multiplication.
 
     Only the blocks asked for are built, and they hold coefficients only,
-    so a block never read costs no transform.
+    so a block never read costs no transform.  The hats are real and
+    radial, so the blocks of a ``real_valued`` field are real-valued too.
     """
     if f.grid != sys.grid:
         raise GridMismatch("field and dyadic system live on different grids")
     spec = f.spectrum
-    return [Field(f.grid, spectrum=_Fresh(spec * sys.hat_phi[k]),
+    return [Field(f.grid, spectrum=_Fresh(spec * sys.hat_phi[k], f.real_valued),
                   band_limit=_block_band(f, sys, k))
             for k in (range(sys.K + 1) if ks is None else ks)]
 
@@ -478,11 +515,16 @@ def upsample_values(f: Field, factor: int) -> np.ndarray:
     axis first as ``ifftn`` does, so the samples are ``ifftn``'s bit for
     bit; but each axis is padded only just before its own transform, so no
     lane that is still all padding is transformed.
+
+    A ``real_valued`` field returns real samples, ``irfftn``'s of its
+    padded half-spectrum bit for bit (``_upsample_real``).
     """
     if factor == 1:
         return f.values
     d, n = f.grid.d, f.grid.N
     m, half = n * factor, n // 2
+    if f.real_valued:
+        return _upsample_real(f.spectrum, m, factor ** d)
     pad = np.zeros((m,) * d, dtype=np.complex128)
     # Scaled before padding, n^d values instead of m^d: a power of two
     # scales every step of the transform exactly.
@@ -499,6 +541,26 @@ def upsample_values(f: Field, factor: int) -> np.ndarray:
         line[half:n] = 0.0
         np.fft.ifft(lanes, axis=axis, out=lanes)
     return pad
+
+
+def _upsample_real(spectrum: np.ndarray, m: int, scale: int) -> np.ndarray:
+    """Real samples on an m-point lattice per axis from an exactly Hermitian
+    spectrum with zero Nyquist lanes, scaled by ``scale``: the non-negative
+    half of the last axis is padded, the first axis (2-D) is transformed
+    on the lanes holding coefficients only, and one ``irfft`` ends it."""
+    d, half = spectrum.ndim, spectrum.shape[0] // 2
+    pad = np.zeros((m,) * (d - 1) + (m // 2 + 1,), dtype=np.complex128)
+    # The Nyquist bins are zero, so the last axis keeps bins 0..half-1 and
+    # the first axis (2-D) its non-negative and negative halves.
+    spec = spectrum[..., :half]
+    if d == 1:
+        np.multiply(spec, scale, out=pad[:half])
+    else:
+        np.multiply(spec[:half], scale, out=pad[:half, :half])
+        np.multiply(spec[half:], scale, out=pad[m - half:, :half])
+        lanes = pad[:, :half]
+        np.fft.ifft(lanes, axis=0, out=lanes)
+    return np.fft.irfft(pad, n=m, axis=-1)
 
 
 def weighted_cell_sum(grid: Grid, abs_values: np.ndarray, p: float, gamma: float,

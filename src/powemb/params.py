@@ -104,6 +104,8 @@ def as_extended(value, *, what="value") -> Extended:
     if isinstance(value, (str, int)) and not isinstance(value, bool):
         try:
             return _parse_token(value)
+        except RangeError as exc:  # a token past the size limits
+            raise RangeError(f"{what}: {exc}") from None
         except (ValueError, ZeroDivisionError) as exc:
             raise RangeError(f"{what}: cannot parse {value!r} as a rational") from exc
     if is_inf(value) or (isinstance(value, float) and value == float("inf")):
@@ -111,13 +113,40 @@ def as_extended(value, *, what="value") -> Extended:
     return as_rational(value, what=what)
 
 
+# Size limits of a string number token.  Fraction('1e999999') builds a
+# 3.3-million-bit integer in 0.25 s, and the memo below would keep it; every
+# float written out in decimal stays within the exponent limit.
+TOKEN_MAX_DIGITS = 100
+TOKEN_MAX_EXPONENT = 400
+
+
 @functools.lru_cache(maxsize=4096)
 def _parse_token(token) -> Extended:
     """A str or int token's value, parsed once per process (successes only,
-    keyed by the token alone, so each rejection keeps its caller's message)."""
-    if isinstance(token, str) and token.strip().lower() in ("inf", "infinity", "oo"):
-        return INF
+    keyed by the token alone, so each rejection keeps its caller's message).
+
+    A string past the size limits raises RangeError before it is parsed.
+    """
+    if isinstance(token, str):
+        if token.strip().lower() in ("inf", "infinity", "oo"):
+            return INF
+        _check_token_size(token)
     return Fraction(token)
+
+
+def _check_token_size(token: str) -> None:
+    digits = sum(map(str.isdigit, token))
+    if digits > TOKEN_MAX_DIGITS:
+        raise RangeError(f"a number of {digits} digits is past the limit of "
+                         f"{TOKEN_MAX_DIGITS} digits")
+    _, mark, exponent = token.lower().partition("e")
+    try:
+        exponent = int(exponent) if mark else 0
+    except ValueError:
+        return  # not a number; Fraction rejects it
+    if abs(exponent) > TOKEN_MAX_EXPONENT:
+        raise RangeError(f"exponent {exponent} of {token.strip()!r} is past the "
+                         f"limit of {TOKEN_MAX_EXPONENT} in magnitude")
 
 
 _ZERO = Fraction(0)

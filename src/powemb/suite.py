@@ -258,18 +258,25 @@ def random_field_batch(grid: Grid, count: int, seed: int, band: float = 96.0):
 
 
 def _window_report(experiment_id, ratios, lo=0.1, hi=10.0, extra=None):
-    worst_lo, worst_hi = min(ratios), max(ratios)
+    # The extremes of the measured ratios wherever a NaN sits; any
+    # non-finite ratio fails the window and is named.
+    measured = [r for r in ratios if not math.isnan(r)]
+    worst_lo = min(measured, default=math.nan)
+    worst_hi = max(measured, default=math.nan)
+    bad = verify.nonfinite_rows(ratios)
     rows = [
         {"parameter": i, "src_norm": "", "tgt_norm": "", "ratio": r}
         for i, r in enumerate(ratios)
     ]
     det = {"min_ratio": worst_lo, "max_ratio": worst_hi, "window": [lo, hi]}
+    if bad:
+        det["nonfinite_ratios"] = bad
     if extra:
         det.update(extra)
     return ExperimentReport(
         experiment_id=experiment_id,
         kind="norm_equivalence",
-        passed=(worst_lo >= lo and worst_hi <= hi),
+        passed=not bad and worst_lo >= lo and worst_hi <= hi,
         predicted_formula=f"batch ratios within [{lo}, {hi}]",
         rows=rows,
         details=det,

@@ -76,6 +76,15 @@ class ExponentFit:
         }
 
 
+def nonfinite_rows(values: Sequence[float]) -> List[int]:
+    """Indices of the NaN or infinite values among a report's measurements.
+
+    A pass rule fails on any of them: ``max`` and ``min`` skip a NaN that
+    is not the first item, so a window or cap alone would let it pass.
+    """
+    return [i for i, v in enumerate(values) if not math.isfinite(v)]
+
+
 def fit_exponent(xs: Sequence[float], ys: Sequence[float]) -> ExponentFit:
     """Least squares of ys against log(xs).
 
@@ -394,12 +403,16 @@ def check_gagliardo(fields: Sequence[Field], s0, s1, theta, p, q, gamma,
         rows.append(
             {"parameter": i, "src_norm": den, "tgt_norm": num, "ratio": ratio}
         )
+    details = {"batch_max_ratio": worst, "cap": cap, "s": s}
+    bad = nonfinite_rows([row["ratio"] for row in rows])
+    if bad:
+        details["nonfinite_ratios"] = bad
     return ExperimentReport(
         experiment_id=f"gagliardo[s0={s0},s1={s1},theta={theta},p={p},q={q},gamma={gamma}]",
         kind="gagliardo",
-        passed=worst <= cap,
+        passed=not bad and worst <= cap,
         predicted_formula="batch max of interpolation ratio <= cap",
-        details={"batch_max_ratio": worst, "cap": cap, "s": s},
+        details=details,
         rows=rows,
     )
 

@@ -46,7 +46,7 @@ def sys2d(grid2d):
 def fft_calls(monkeypatch):
     """Count every numpy.fft transform made while the test runs."""
     calls = []
-    for name in ("fft", "ifft", "fftn", "ifftn"):
+    for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
         orig = getattr(np.fft, name)
 
         def counted(*args, _orig=orig, _name=name, **kwargs):

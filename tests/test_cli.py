@@ -50,6 +50,11 @@ class TestDecide:
         assert captured.out == ""
         assert "dimension must be an integer, got True" in captured.err
 
+    def test_oversized_number_exit_64(self, capsys):
+        bad = '{"family":"B","s":1,"p":2,"q":1,"gamma":"1e999999","dim":1}'
+        assert main(["decide", bad, TGT]) == 64
+        assert "gamma: exponent 999999" in capsys.readouterr().err
+
     def test_rational_strings_accepted(self, capsys):
         a = '{"family":"B","s":"3/4","p":"3/2","q":"7/3","gamma":"-1/2","dim":1}'
         assert main(["decide", a, a]) == 0

@@ -434,15 +434,21 @@ def _run_child(code, env_extra=()):
                           capture_output=True, text=True, check=True).stdout.strip()
 
 
-def _full_upsample(f, factor):
+def _full_upsample(f, factor, real=None):
     """One inverse FFT of the whole zero-padded spectrum, kept as the
-    reference for the axis-by-axis transform."""
+    reference for the axis-by-axis transform: ``irfftn`` of the padded
+    half-spectrum for a real-valued field (``real``, by default the
+    field's flag), ``ifftn`` of the padded spectrum for any other."""
     if factor == 1:
         return f.values
     d, n = f.grid.d, f.grid.N
     m, half = n * factor, n // 2
-    pad = np.zeros((m,) * d, dtype=np.complex128)
     idx = np.r_[0:half, m - half:m]
+    if f.real_valued if real is None else real:
+        pad = np.zeros((m,) * (d - 1) + (m // 2 + 1,), dtype=np.complex128)
+        pad[np.ix_(*(idx,) * (d - 1), np.arange(half))] = f.spectrum[..., :half]
+        return np.fft.irfftn(pad, s=(m,) * d, axes=tuple(range(d))) * factor ** d
+    pad = np.zeros((m,) * d, dtype=np.complex128)
     pad[np.ix_(*(idx,) * d)] = f.spectrum
     return np.fft.ifftn(pad) * factor ** d
 
@@ -459,7 +465,7 @@ def _full_weighted_lp(f, p, gamma):
 
 def _full_block_abs(f, sys, k, factor):
     block = Field(f.grid, spectrum=f.spectrum * sys.hat_phi[k])
-    return np.abs(_full_upsample(block, factor))
+    return np.abs(_full_upsample(block, factor, real=f.real_valued))
 
 
 def _full_besov(f, s, p, q, gamma, sys):
@@ -731,16 +737,25 @@ class TestFieldRepresentation:
         assert up_ab.shape == (16 * factor,) * 2
         assert np.allclose(up_ab, np.outer(up_a, up_b), rtol=0, atol=1e-12)
 
-    @pytest.mark.parametrize("d,factor", [(1, 2), (1, 32), (2, 2), (2, 4)])
-    def test_upsampling_is_one_inverse_fft(self, d, factor, fft_calls):
+    @pytest.mark.parametrize("d,factor,real", [
+        pytest.param(d, factor, real, id=("real-" if real else "") + f"{d}-{factor}")
+        for real in (False, True) for d, factor in [(1, 2), (1, 32), (2, 2), (2, 4)]])
+    def test_upsampling_is_one_inverse_fft(self, d, factor, real, fft_calls):
         # One in-place transform per axis, of the lanes holding coefficients
         # only; the samples are those of one inverse FFT of the whole padded
-        # spectrum and a scaling, bit for bit.
+        # spectrum and a scaling, bit for bit.  A real-valued field ends in
+        # one irfft along the last axis and its samples are real.
         grid = Grid(d, 8.0, 16)
-        f = Field(grid, spectrum=_random_coefficients(grid, 3))
+        if real:
+            f = field_from_spectral(
+                grid, lambda *k: np.exp(-sum(x * x for x in k)), band_limit=2.5)
+            assert f.real_valued
+        else:
+            f = Field(grid, spectrum=_random_coefficients(grid, 3))
         fft_calls.clear()
         up = upsample_values(f, factor)
-        assert fft_calls == ["ifft"] * d
+        assert fft_calls == (["ifft"] * (d - 1) + ["irfft"] if real else ["ifft"] * d)
+        assert up.dtype == (np.float64 if real else np.complex128)
         assert np.array_equal(up, _full_upsample(f, factor))
 
 
@@ -790,6 +805,7 @@ def _witness_members(grid):
         "gaussian_spectral": gauss,
         "random": rand,
         "dilation": witnesses.dilation_family(rand, [4.0]).member(0),
+        "gaussian_dilation": witnesses.dilation_family(gauss, [0.5]).member(0),
         "translation": witnesses.translation_family(gauss, [1.5]).member(0),
         "lacunary": witnesses.lacunary_sum(
             grid, [1.0, -0.5] if grid.d == 1 else [1.0], 1.0, 2.0, 0.5),
@@ -852,6 +868,73 @@ class TestSpectralBox:
         K = math.floor(band * grid.L / math.pi)
         assert seen and max(seen) <= (2 * K + 1) ** d < grid.N ** d
         self.assert_matches_full_lattice(f, lambda *k: np.cos(k[0]), band)
+
+
+# The members of _witness_members whose generator is real and even.
+_REAL_MEMBERS = {"bump", "gaussian_spectral", "gaussian_dilation", "lacunary",
+                 "peak_j-1", "peak_j0", "peak_j1"}
+
+
+def _assert_real_spectrum(spec):
+    """Exactly Hermitian, S(-k) = conj S(k), with every Nyquist lane zero."""
+    axes = tuple(range(spec.ndim))
+    assert np.array_equal(spec, np.conj(np.roll(np.flip(spec, axes), 1, axes)))
+    for axis in axes:
+        assert not np.take(spec, spec.shape[axis] // 2, axis=axis).any()
+
+
+class TestRealValued:
+    """The realness flag is derived from the spectrum field_from_spectral
+    builds, and it sends upsampling through the half-spectrum."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_flag_marks_exactly_the_real_members(self, grid1d, grid2d, d):
+        grid = grid1d if d == 1 else grid2d
+        sys_ = make_dyadic(grid)
+        for name, f in _witness_members(grid).items():
+            assert f.real_valued == (name in _REAL_MEMBERS), name
+            if f.real_valued:
+                _assert_real_spectrum(f.spectrum)
+            for block in lp_blocks(f, sys_):
+                assert block.real_valued == f.real_valued, name
+                if block.real_valued:
+                    _assert_real_spectrum(block.spectrum)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_other_fields_are_not_flagged(self, grid1d, grid2d, d):
+        grid = grid1d if d == 1 else grid2d
+        even = lambda *k: np.exp(-sum(x * x for x in k))
+        fields = {
+            "not_even": field_from_spectral(
+                grid, lambda *k: np.exp(-sum((x - 1.0) ** 2 for x in k)),
+                band_limit=6.0),
+            "no_band": field_from_spectral(grid, even),
+            "band_past_nyquist": field_from_spectral(grid, even,
+                                                     band_limit=grid.xi_max),
+            "sampled": field_from_samples(
+                grid, lambda *x: np.exp(-sum(y * y for y in x)), band_limit=8.0),
+            "multiplier": bessel_apply(field_from_spectral(grid, even,
+                                                           band_limit=6.0), 1.0),
+            "constructor": Field(grid, spectrum=field_from_spectral(
+                grid, even, band_limit=6.0).spectrum),
+        }
+        for name, f in fields.items():
+            assert not f.real_valued, name
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_real_path_matches_complex_path(self, grid1d, grid2d, d):
+        grid = grid1d if d == 1 else grid2d
+        factors = [2, 4, 8, 16, 32] if d == 1 else [2, 4]
+        members = _witness_members(grid)
+        for name in sorted(_REAL_MEMBERS):
+            f = members[name]
+            as_complex = Field(grid, spectrum=f.spectrum)
+            for factor in factors:
+                got = upsample_values(f, factor)
+                ref = upsample_values(as_complex, factor)
+                assert got.dtype == np.float64
+                assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), (
+                    name, factor)
 
 
 class TestFreshArrays:

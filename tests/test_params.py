@@ -388,6 +388,38 @@ class TestParseMemo:
                             f"gamma: cannot parse {token!r} as a rational"}
 
 
+class TestTokenLimits:
+    """A string token past the digit or exponent limit is rejected before
+    Fraction builds its integer, with a message naming the field."""
+
+    @pytest.mark.parametrize("token, cause", [
+        ("1e999999", "exponent 999999"),
+        (" 1E-401 ", "exponent -401"),
+        ("1e1_000", "exponent 1000"),
+        ("9" * 101, "101 digits"),
+        ("1/" + "3" * 100, "101 digits"),
+    ])
+    def test_rejected_with_its_field(self, token, cause):
+        for what in ("s", "gamma"):
+            with pytest.raises(RangeError, match=f"^{what}: .*{cause}.*limit"):
+                as_rational(token, what=what)
+        with pytest.raises(RangeError, match="^p: "):
+            as_extended(token, what="p")
+
+    @pytest.mark.parametrize("token, value", [
+        ("1e400", Fraction(10) ** 400),
+        ("-2.5e-400", Fraction(-25, 10 ** 401)),
+        ("9" * 100, Fraction(10 ** 100 - 1)),
+        ("1e308", Fraction(10) ** 308),
+    ])
+    def test_limits_are_inclusive(self, token, value):
+        assert as_rational(token) == value
+
+    def test_spec_names_the_field(self):
+        with pytest.raises(RangeError, match="^gamma: exponent"):
+            spec_from_dict({"family": "H", "dim": 1, "p": 2, "gamma": "1e999999"})
+
+
 class TestRejectedTypes:
     DESC = {"family": "B", "s": 1, "p": 2, "q": 1, "gamma": 0}
 

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from powemb.suite import S
@@ -98,6 +99,53 @@ class TestGagliardo:
         f = gaussian_spectral_base(grid1d, sigma_xi=0.1)
         rep = check_gagliardo([f], 0.0, 2.0, 0.5, 2, 2, 0.0)
         assert rep.details["batch_max_ratio"] == pytest.approx(1.0, rel=1e-6)
+
+
+class TestNonFiniteRatios:
+    """A NaN or infinite ratio fails its report wherever it sits in the
+    batch, and the report names it."""
+
+    @pytest.mark.parametrize("pos", [0, 1, 2])
+    def test_gagliardo_nan_fails(self, monkeypatch, pos):
+        from powemb import norms
+        from powemb.lpengine import Grid
+        from powemb.norms import NormResult
+
+        fields = [random_band_limited(Grid(1, 8.0, 64), i, band=2.0)
+                  for i in range(3)]
+        # Every norm is 1 except the interpolated one (s = 1) of one field.
+        monkeypatch.setattr(norms, "triebel_norm", lambda f, s, *args, **kw: (
+            NormResult(math.nan if f is fields[pos] and s == 1.0 else 1.0)))
+        rep = check_gagliardo(fields, 0.0, 2.0, 0.5, 2, 2, 0.0)
+        assert not rep.passed
+        assert rep.details["nonfinite_ratios"] == [pos]
+        assert rep.details["batch_max_ratio"] == 1.0
+
+    def test_gagliardo_on_an_overflowing_grid_fails(self):
+        from powemb.lpengine import Grid
+        from powemb.suite import _exp_gagliardo
+
+        with np.errstate(all="ignore"):
+            reps = _exp_gagliardo(0, grid=Grid(1, 1e-300, 4096), count=1)
+        assert [r.passed for r in reps] == [False, False]
+        assert all(r.details["nonfinite_ratios"] == [0] for r in reps)
+
+    @pytest.mark.parametrize("pos", [0, 1, 2])
+    def test_window_nan_fails(self, pos):
+        from powemb.suite import _window_report
+
+        ratios = [1.0, 2.0]
+        ratios.insert(pos, math.nan)
+        rep = _window_report("w", ratios)
+        assert not rep.passed
+        assert rep.details["nonfinite_ratios"] == [pos]
+        assert (rep.details["min_ratio"], rep.details["max_ratio"]) == (1.0, 2.0)
+
+    def test_finite_window_names_nothing(self):
+        from powemb.suite import _window_report
+
+        rep = _window_report("w", [1.0, 2.0])
+        assert rep.passed and "nonfinite_ratios" not in rep.details
 
 
 class TestLacunaryLadder:
