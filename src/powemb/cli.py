@@ -279,6 +279,10 @@ def cmd_verify(args) -> int:
                              f"string 'id' and optionally an 'overrides' object")
         names.append(entry["id"])
         overrides[entry["id"]] = dict(entry.get("overrides", {}))
+    if config.get("grid"):
+        for name in names:
+            if name in suite.CATALOG and "grid" in suite.parameters(name):
+                overrides[name].setdefault("grid", config["grid"])
     problems = suite.config_problems(names, overrides)
     unknown = sorted(set(config) - {"experiments", "seed", "grid", "out"})
     if unknown:
@@ -286,10 +290,6 @@ def cmd_verify(args) -> int:
                            f"; a config takes experiments, grid, out, seed")
     if problems:
         raise RangeError("; ".join(problems))
-    if config.get("grid"):
-        for name in names:
-            if "grid" in suite.parameters(name):
-                overrides.setdefault(name, {}).setdefault("grid", config["grid"])
 
     cfg_hash = _config_hash(config)
     out = _out_dir(args, config_out=config.get("out"))

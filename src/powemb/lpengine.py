@@ -13,8 +13,10 @@ Quadrature conventions:
     the origin; the weight is radial, so only the half-line (1-D) or the
     quadrant (2-D) of cells is integrated and stored;
   * band-limited integrands are upsampled by zero-padding before summation
-    so that cell sums resolve the carrier oscillation; a ``real_valued``
-    field, whose spectrum is exactly Hermitian, is padded on the
+    so that cell sums resolve the carrier oscillation; same-grid spectra
+    are padded into one stack and transformed by one call per axis
+    (``upsample_stack``, at most STACK_BYTES per call), and a stack of
+    ``real_valued`` spectra, which are exactly Hermitian, is padded on the
     non-negative half of its last frequency axis only and ends in one real
     (c2r) inverse transform.
 """
@@ -137,8 +139,9 @@ class Field:
     whose spectrum is exactly Hermitian with zero Nyquist lanes, as
     ``field_from_spectral`` finds for a real, even generator in a band
     below the Nyquist frequency, and for the ``lp_blocks`` of such a field.
-    ``upsample_values`` then transforms only half of the spectrum.  Every
-    other field is False, and ``values`` stays complex either way.
+    ``upsample_values`` past factor 1, and the norms' block stacks at every
+    factor, then transform only half of the spectrum.  Every other field is
+    False, and ``values`` stays complex either way.
     """
 
     def __init__(self, grid: Grid, values=None, band_limit=None,
@@ -412,6 +415,11 @@ class LRUCache(OrderedDict):
 WEIGHT_CACHE_BYTES = 64 * 2 ** 20
 _weight_cache = LRUCache(WEIGHT_CACHE_BYTES, size=lambda w: w.nbytes)
 
+# Bytes of the padded buffer of one ``upsample_stack`` call (``stack_slots``).
+# A 1-D block set fits whole (8 blocks at m = 16384 take 2 MiB); a 2-D block
+# at m >= 512 takes 2 MiB (real) to 4 MiB or more and is transformed alone.
+STACK_BYTES = 4 * 2 ** 20
+
 _GL_NODES_2D = 8
 _THETA_NODES = 64
 
@@ -509,58 +517,67 @@ def auto_oversample(grid: Grid, band_limit) -> int:
 
 
 def upsample_values(f: Field, factor: int) -> np.ndarray:
-    """Exact samples of the trig interpolant on a factor-times finer lattice.
-
-    The zero-padded spectrum is inverse-transformed one axis at a time, last
-    axis first as ``ifftn`` does, so the samples are ``ifftn``'s bit for
-    bit; but each axis is padded only just before its own transform, so no
-    lane that is still all padding is transformed.
-
-    A ``real_valued`` field returns real samples, ``irfftn``'s of its
-    padded half-spectrum bit for bit (``_upsample_real``).
-    """
+    """Exact samples of the trig interpolant on a factor-times finer lattice:
+    ``values`` at factor 1, else the one-field ``upsample_stack``, real for
+    a ``real_valued`` field."""
     if factor == 1:
         return f.values
-    d, n = f.grid.d, f.grid.N
+    return upsample_stack([f.spectrum], factor, f.real_valued)[0]
+
+
+def upsample_stack(spectra: Sequence[np.ndarray], factor: int,
+                   real: bool = False) -> np.ndarray:
+    """Samples of the trig interpolants of same-grid spectra on a
+    factor-times finer lattice (factor 1 included), stacked on a new axis 0.
+
+    The spectra are zero-padded into one buffer, and each axis is
+    inverse-transformed by one call for the whole stack, last axis first as
+    ``ifftn`` does; pocketfft transforms the lanes of one call as it does
+    one, so each sample array is ``ifftn``'s of its padded spectrum bit for
+    bit.  Each axis is padded only just before its own transform, so no lane
+    that is still all padding is transformed.
+
+    ``real`` spectra must be exactly Hermitian with zero Nyquist lanes
+    (``Field.real_valued``).  Only the non-negative half of their last axis
+    is padded, the first axis (2-D) is transformed on the lanes holding
+    coefficients only, and one ``irfft`` ends it: the samples are real,
+    ``irfftn``'s of the padded half-spectrum bit for bit.
+    """
+    d, n = spectra[0].ndim, spectra[0].shape[0]
     m, half = n * factor, n // 2
-    if f.real_valued:
-        return _upsample_real(f.spectrum, m, factor ** d)
-    pad = np.zeros((m,) * d, dtype=np.complex128)
-    # Scaled before padding, n^d values instead of m^d: a power of two
-    # scales every step of the transform exactly.
-    np.multiply(f.spectrum, factor ** d, out=pad[(slice(None, n),) * d])
-    for axis in reversed(range(d)):
-        # Axes before this one are untransformed, their coefficients still
-        # in the first n indices; only those lanes are transformed.
-        lanes = pad[(slice(None, n),) * axis]
-        line = np.moveaxis(lanes, axis, 0)
-        # The non-negative frequencies stay in front, the negative ones
-        # (Nyquist bin included) move to the back; indices n.. are still
-        # the zeros the buffer was made with.
-        line[m - half:] = line[half:n]
-        line[half:n] = 0.0
-        np.fft.ifft(lanes, axis=axis, out=lanes)
-    return pad
+    last = m // 2 + 1 if real else m
+    pad = np.zeros((len(spectra),) + (m,) * (d - 1) + (last,), dtype=np.complex128)
+    # A real spectrum keeps bins 0..half-1 of its last axis: the others are
+    # the conjugates of those and the zero Nyquist bin.
+    box = (slice(None, n),) * (d - 1) + (slice(None, half if real else n),)
+    for slot, spec in zip(pad, spectra):
+        # Scaled before padding, n^d values instead of m^d: a power of two
+        # scales every step of the transform exactly.
+        np.multiply(spec[box], factor ** d, out=slot[box])
+    # The real path transforms only the first axis of a 2-D stack by ifft.
+    for axis in range(d - 1) if real else reversed(range(d)):
+        # Axes before this one, and on the real path the last axis, are
+        # untransformed, their coefficients still in the first n (half)
+        # indices; only those lanes are transformed.
+        lanes = (pad[:, :, :half] if real
+                 else pad[(slice(None),) + (slice(None, n),) * axis])
+        if factor > 1:
+            # The non-negative frequencies stay in front, the negative ones
+            # (Nyquist bin included) move to the back; indices n.. are still
+            # the zeros the buffer was made with.
+            line = np.moveaxis(lanes, axis + 1, 0)
+            line[m - half:] = line[half:n]
+            line[half:n] = 0.0
+        np.fft.ifft(lanes, axis=axis + 1, out=lanes)
+    return np.fft.irfft(pad, n=m, axis=-1) if real else pad
 
 
-def _upsample_real(spectrum: np.ndarray, m: int, scale: int) -> np.ndarray:
-    """Real samples on an m-point lattice per axis from an exactly Hermitian
-    spectrum with zero Nyquist lanes, scaled by ``scale``: the non-negative
-    half of the last axis is padded, the first axis (2-D) is transformed
-    on the lanes holding coefficients only, and one ``irfft`` ends it."""
-    d, half = spectrum.ndim, spectrum.shape[0] // 2
-    pad = np.zeros((m,) * (d - 1) + (m // 2 + 1,), dtype=np.complex128)
-    # The Nyquist bins are zero, so the last axis keeps bins 0..half-1 and
-    # the first axis (2-D) its non-negative and negative halves.
-    spec = spectrum[..., :half]
-    if d == 1:
-        np.multiply(spec, scale, out=pad[:half])
-    else:
-        np.multiply(spec[:half], scale, out=pad[:half, :half])
-        np.multiply(spec[half:], scale, out=pad[m - half:, :half])
-        lanes = pad[:, :half]
-        np.fft.ifft(lanes, axis=0, out=lanes)
-    return np.fft.irfft(pad, n=m, axis=-1)
+def stack_slots(grid: Grid, factor: int, real: bool) -> int:
+    """How many of the grid's spectra one ``upsample_stack`` call at this
+    factor takes within STACK_BYTES: at least one."""
+    m = grid.N * factor
+    nbytes = 16 * m ** (grid.d - 1) * (m // 2 + 1 if real else m)
+    return max(1, STACK_BYTES // nbytes)
 
 
 def weighted_cell_sum(grid: Grid, abs_values: np.ndarray, p: float, gamma: float,

@@ -27,7 +27,8 @@ from .lpengine import (
     derivative,
     lp_blocks,
     make_dyadic,
-    upsample_values,
+    stack_slots,
+    upsample_stack,
     weighted_cell_sum,
     weighted_lp,
 )
@@ -80,12 +81,13 @@ def _system_for(f: Field, sys: Optional[DyadicSystem]) -> DyadicSystem:
 
 
 # For the one (field, system) pair normed last: |S_k f| on factor-refined
-# lattices keyed by (k, factor), None for a block that is identically zero,
-# and the Besov block norms ||S_k f||_{L^p(|x|^gamma)} keyed by
+# lattices keyed by (k, factor), each a view of the magnitude stack its
+# block was transformed in, None for a block that is identically zero, and
+# the Besov block norms ||S_k f||_{L^p(|x|^gamma)} keyed by
 # (k, factor, p, gamma).  Norming any other pair replaces it, so every B/F
-# norm of one field shares one inverse FFT per block and factor, a Besov
-# norm at another (s, q) is a ladder over stored block norms, and nothing
-# outlives the next field.
+# norm of one field transforms each block once per factor, a Besov norm at
+# another (s, q) is a ladder over stored block norms, and nothing outlives
+# the next field.
 _memo = (None, None, {})
 _MISSING = object()
 
@@ -105,16 +107,23 @@ def _block_abs(f: Field, sys: DyadicSystem, memo: dict,
     given; None where S_k f is identically zero."""
     out = {k: memo.get((k, factor), _MISSING) for k, factor in factors.items()}
     missing = [k for k, mag in out.items() if mag is _MISSING]
-    if missing:
-        for k, block in zip(missing, lp_blocks(f, sys, missing)):
-            if block.spectrum.any():
-                out[k] = np.abs(upsample_values(block, factors[k]))
-                out[k].setflags(write=False)
-            else:
-                # A block whose annulus misses the spectrum (most blocks of
-                # a spectral peak) is zero on every lattice: no transform.
-                out[k] = None
-        memo.update(((k, factors[k]), out[k]) for k in missing)
+    groups: Dict[int, list] = {}
+    for k, block in zip(missing, lp_blocks(f, sys, missing) if missing else ()):
+        # A block whose annulus misses the spectrum (most blocks of a
+        # spectral peak) is zero on every lattice: no transform.
+        out[k] = None
+        if block.spectrum.any():
+            groups.setdefault(factors[k], []).append((k, block.spectrum))
+    # The blocks of one factor are transformed together, as many per call
+    # as the stack bound allows; a real field's at factor 1 too.
+    for factor, group in groups.items():
+        slots = stack_slots(f.grid, factor, f.real_valued)
+        for i in range(0, len(group), slots):
+            ks, spectra = zip(*group[i:i + slots])
+            mags = np.abs(upsample_stack(spectra, factor, f.real_valued))
+            mags.setflags(write=False)
+            out.update(zip(ks, mags))
+    memo.update(((k, factors[k]), out[k]) for k in missing)
     return out
 
 

@@ -492,11 +492,14 @@ def _exp_dichotomy(seed, p0=2, gamma0=0, p1=1.5, gamma1=-0.25,
     # eps-refinements of the cumulative quadrature
     norms_tail = [x ** (1.0 / float(p0)) for x in src.history[-3:]]
     rel = [abs(b - a) / b for a, b in zip(norms_tail, norms_tail[1:])]
-    src_ok = (not src.diverged) and max(rel) < 0.01
+    bad = verify.nonfinite_rows(rel)
+    src_ok = not src.diverged and not bad and max(rel) < 0.01
+    details = {"src_tail_rel_changes": rel, "src_converged": src_ok}
+    if bad:
+        details["nonfinite_rel_changes"] = bad
     rep = verify._profile_report(
         f"log_singularity_dichotomy[p0={p0},g0={gamma0},p1={p1},g1={gamma1}]",
-        "dichotomy", None, None, src, tgt,
-        details={"src_tail_rel_changes": rel, "src_converged": src_ok},
+        "dichotomy", None, None, src, tgt, details=details,
     )
     rep.passed = rep.passed and src_ok
     return [rep]
@@ -566,44 +569,55 @@ def parameters(name: str) -> Dict[str, object]:
 
 def config_problems(names, overrides) -> List[str]:
     """One message per unknown experiment, per experiment listed more than
-    once and per override no runner reads."""
+    once, per override no runner reads and per bad grid override."""
     counts = Counter(names)
     problems = [f"unknown experiment {n!r}" for n in counts if n not in CATALOG]
     problems += [f"experiment {n!r} is listed more than once"
                  for n, k in counts.items() if k > 1]
     for name in (n for n in counts if n in CATALOG):
         accepted = parameters(name)
-        unknown = sorted(set(overrides.get(name, {})) - set(accepted))
+        given = overrides.get(name, {})
+        unknown = sorted(set(given) - set(accepted))
         if unknown:
             problems.append(f"experiment {name!r} has no parameter "
                             f"{', '.join(unknown)}; it accepts "
                             f"{', '.join(accepted)}")
+        elif "grid" in given:
+            try:
+                _grid(given["grid"])
+            except RangeError as exc:
+                problems.append(f"experiment {name!r}: {exc}")
     return problems
 
 
+def _grid(g) -> Optional[Grid]:
+    """The Grid a ``grid`` override names, None for an empty one; a
+    RangeError names the key at fault."""
+    if not g:
+        return None
+    if not isinstance(g, dict):
+        raise RangeError(f"grid wants a {{d, L, N}} object, got {g!r}")
+    unknown = sorted(set(g) - {"d", "L", "N"})
+    if unknown:
+        raise RangeError(f"grid has no key {', '.join(unknown)}; it takes d, L, N")
+    for key, kinds, want in (("d", (int,), "an integer"),
+                             ("L", (int, float), "a finite number"),
+                             ("N", (int,), "an integer")):
+        if key not in g:
+            raise RangeError(f"grid is missing {key!r}; it takes d, L, N")
+        v = g[key]
+        if type(v) not in kinds or (type(v) is float and not math.isfinite(v)):
+            raise RangeError(f"grid {key} must be {want}, got {v!r}")
+    return Grid(g["d"], float(g["L"]), g["N"])
+
+
 def _run_one(name, kw, seed) -> List[ExperimentReport]:
-    """Experiment ``name``'s reports; an exception, a bad grid included,
-    becomes its one ``{name}[error]`` report."""
+    """Experiment ``name``'s reports; an exception becomes its one
+    ``{name}[error]`` report.  Its grid was checked by ``config_problems``."""
     kw = dict(kw)
     try:
-        g = kw.get("grid")
-        if g:
-            if not isinstance(g, dict):
-                raise RangeError(f"grid wants a {{d, L, N}} object, got {g!r}")
-            unknown = sorted(set(g) - {"d", "L", "N"})
-            if unknown:
-                raise RangeError(f"grid has no key {', '.join(unknown)}; "
-                                 f"it takes d, L, N")
-            for key, kinds, want in (("d", (int,), "an integer"),
-                                     ("L", (int, float), "a finite number"),
-                                     ("N", (int,), "an integer")):
-                if key not in g:
-                    raise RangeError(f"grid is missing {key!r}; it takes d, L, N")
-                v = g[key]
-                if type(v) not in kinds or (type(v) is float and not math.isfinite(v)):
-                    raise RangeError(f"grid {key} must be {want}, got {v!r}")
         if "grid" in kw:
-            kw["grid"] = Grid(g["d"], float(g["L"]), g["N"]) if g else None
+            kw["grid"] = _grid(kw["grid"])
         return CATALOG[name][1](seed, **kw)
     except Exception as exc:
         return [ExperimentReport(

@@ -440,6 +440,12 @@ def peak_constants(p, gamma, grid: Optional[Grid] = None, n_check=(5, 6),
             fam = spectral_peaks(grid, [n], l)
             val = weighted_lp(fam.member(0), p, float(gamma))
             consts.append(val / 2.0 ** (n * (d - dim)))
+        bad = nonfinite_rows(consts)
+        if bad:
+            raise ConditionError(
+                f"peak constant for l={l} is not finite at "
+                f"n={', '.join(str(n_check[i]) for i in bad)}: {consts}"
+            )
         lo, hi = min(consts), max(consts)
         if hi - lo > rel_tol * hi:
             raise ConditionError(

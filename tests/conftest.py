@@ -1,7 +1,9 @@
+from typing import NamedTuple
+
 import numpy as np
 import pytest
 
-from powemb import norms
+from powemb import lpengine, norms
 from powemb.lpengine import Grid, make_dyadic
 
 
@@ -42,18 +44,48 @@ def sys2d(grid2d):
     return make_dyadic(grid2d)
 
 
+class FFTCall(NamedTuple):
+    name: str
+    blocks: int
+
+
+class FFTCalls(list):
+    """The recorded calls; ``blocks`` is the number of single-field
+    transforms they stand for."""
+
+    @property
+    def blocks(self) -> int:
+        return sum(call.blocks for call in self)
+
+
 @pytest.fixture
 def fft_calls(monkeypatch):
-    """Count every numpy.fft transform made while the test runs."""
-    calls = []
+    """Record every numpy.fft transform made while the test runs, with the
+    number of fields (blocks) it transforms: a call made inside
+    ``upsample_stack`` carries every spectrum of that stack, any other call
+    one field."""
+    calls, stack = FFTCalls(), [1]
     for name in ("fft", "ifft", "fftn", "ifftn", "rfft", "irfft", "rfftn", "irfftn"):
         orig = getattr(np.fft, name)
 
         def counted(*args, _orig=orig, _name=name, **kwargs):
-            calls.append(_name)
+            calls.append(FFTCall(_name, stack[-1]))
             return _orig(*args, **kwargs)
 
         monkeypatch.setattr(np.fft, name, counted)
+
+    orig_stack = lpengine.upsample_stack
+
+    def stacked(spectra, *args, **kwargs):
+        stack.append(len(spectra))
+        try:
+            return orig_stack(spectra, *args, **kwargs)
+        finally:
+            stack.pop()
+
+    # norms binds the routine by name; upsample_values reads the module's.
+    monkeypatch.setattr(lpengine, "upsample_stack", stacked)
+    monkeypatch.setattr(norms, "upsample_stack", stacked)
     return calls
 
 

@@ -240,9 +240,14 @@ class TestVerify:
                           {"id": "sharp", "overrides": {"count": 5}}]},
          ("'sharp' is listed more than once",)),
         ({"experiments": [{"id": ["sharp"]}]}, ("string 'id'",)),
+        ({"experiments": ["dichotomy", {"id": "peaks", "overrides": {
+            "grid": {"d": 1, "L": 16.0, "N": 1000}}}]},
+         ("experiment 'peaks': N must be a power of two",)),
+        ({"grid": {"d": 3, "L": 16.0, "N": 64}, "experiments": ["peaks", "nikolskij"]},
+         ("experiment 'peaks': grid dimension", "experiment 'nikolskij': grid dimension")),
     ], ids=["misspelled_override", "top_level_key", "entry_key", "no_id",
             "not_object", "experiments_not_array", "seed_str", "seed_float", "seed_bool",
-            "duplicate_id", "id_not_string"])
+            "duplicate_id", "id_not_string", "grid_not_power_of_two", "top_level_grid_d"])
     def test_bad_config_exit_64(self, tmp_path, monkeypatch, capsys,
                                 payload, named):
         out = tmp_path / "v"
@@ -444,15 +449,20 @@ class TestConfigGrid:
         lattice = [n for n in suite.CATALOG if "grid" in suite.parameters(n)]
         assert lattice == ["peaks", "translation", "nikolskij", "lacunary",
                            "equivalences", "gagliardo", "coherence"]
+        # A bad grid is rejected before any experiment runs, and the one
+        # message names the experiment and what is wrong with the grid.
         for grid, named in self.REJECTED:
             for name in lattice:
-                [report] = suite.run_experiments(
-                    [name], {name: {"grid": grid}})[name]
-                assert report.experiment_id == f"{name}[error]"
-                assert named in report.details["error"], (grid, name)
+                with pytest.raises(RangeError) as exc:
+                    suite.run_experiments([name, "dichotomy"],
+                                          {name: {"grid": grid}})
+                msg = str(exc.value)
+                assert msg.startswith(f"experiment {name!r}: ")
+                assert msg.count("experiment") == 1
+                assert named in msg, (grid, name)
 
-        # The conversion above fails before the runner is called; a grid
-        # that raises when read shows that each runner reads the one given.
+        # A good grid is built for the runner; a grid that raises when read
+        # shows that each runner reads the one given.
         class Read(Exception):
             pass
 
@@ -467,18 +477,19 @@ class TestConfigGrid:
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_top_level_grid_reaches_lattice_runners_only(
             self, tmp_path, monkeypatch, capsys, jobs):
-        # With --jobs 2 the bad grid raises in a worker process, and its
-        # error report still comes back next to the other's pass.
+        # A bad top-level grid exits 64 before any worker starts, naming
+        # each lattice experiment it reaches and no other.
         out = tmp_path / "v"
         monkeypatch.setenv("POWEMB_OUT", str(out))
         cfg = self._cfg(tmp_path, {"grid": self.BAD, "experiments": [
             {"id": "dichotomy"}, {"id": "gagliardo", "overrides": {"count": 1}},
         ]})
-        assert main(["--jobs", jobs, "verify", cfg]) == 3
-        text = capsys.readouterr().out
-        assert "[PASS] dichotomy" in text
-        report = json.loads((out / "gagliardo_000.json").read_text())
-        assert "power of two" in report["details"]["error"]
+        assert main(["--jobs", jobs, "verify", cfg]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "experiment 'gagliardo': N must be a power of two" in captured.err
+        assert "dichotomy" not in captured.err
+        assert not out.exists()
 
     def test_config_hash_is_of_the_config_as_read(
             self, tmp_path, monkeypatch, capsys):
@@ -489,14 +500,15 @@ class TestConfigGrid:
 
         out = tmp_path / "v"
         monkeypatch.setenv("POWEMB_OUT", str(out))
-        payload = {"seed": 0, "grid": self.BAD, "experiments": [
-            {"id": "gagliardo", "overrides": {"count": 1}}]}
-        assert main(["verify", self._cfg(tmp_path, payload)]) == 3
+        payload = {"seed": 0, "grid": {"d": 1, "L": 16.0, "N": 1024},
+                   "experiments": [{"id": "gagliardo",
+                                    "overrides": {"count": 1, "gammas": [0]}}]}
+        assert main(["verify", self._cfg(tmp_path, payload)]) == 0
         expected = _config_hash(payload)
         assert f"config_hash: {expected}" in capsys.readouterr().out
         report = json.loads((out / "gagliardo_000.json").read_text())
         assert report["config_hash"] == expected
-        assert "power of two" in report["details"]["error"]
+        assert report["experiment_id"].startswith("gagliardo[")
 
     def test_grid_override_on_gridless_experiment_exit_64(
             self, tmp_path, monkeypatch, capsys):

@@ -438,13 +438,16 @@ def _full_upsample(f, factor, real=None):
     """One inverse FFT of the whole zero-padded spectrum, kept as the
     reference for the axis-by-axis transform: ``irfftn`` of the padded
     half-spectrum for a real-valued field (``real``, by default the
-    field's flag), ``ifftn`` of the padded spectrum for any other."""
-    if factor == 1:
+    field's flag past factor 1, as in ``upsample_values``), ``ifftn`` of
+    the padded spectrum, at factor 1 ``values``, for any other."""
+    if real is None:
+        real = f.real_valued and factor > 1
+    if factor == 1 and not real:
         return f.values
     d, n = f.grid.d, f.grid.N
     m, half = n * factor, n // 2
     idx = np.r_[0:half, m - half:m]
-    if f.real_valued if real is None else real:
+    if real:
         pad = np.zeros((m,) * (d - 1) + (m // 2 + 1,), dtype=np.complex128)
         pad[np.ix_(*(idx,) * (d - 1), np.arange(half))] = f.spectrum[..., :half]
         return np.fft.irfftn(pad, s=(m,) * d, axes=tuple(range(d))) * factor ** d
@@ -754,7 +757,8 @@ class TestFieldRepresentation:
             f = Field(grid, spectrum=_random_coefficients(grid, 3))
         fft_calls.clear()
         up = upsample_values(f, factor)
-        assert fft_calls == (["ifft"] * (d - 1) + ["irfft"] if real else ["ifft"] * d)
+        names = ["ifft"] * (d - 1) + ["irfft"] if real else ["ifft"] * d
+        assert fft_calls == [(name, 1) for name in names]
         assert up.dtype == (np.float64 if real else np.complex128)
         assert np.array_equal(up, _full_upsample(f, factor))
 
@@ -935,6 +939,52 @@ class TestRealValued:
                 assert got.dtype == np.float64
                 assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), (
                     name, factor)
+
+
+class TestUpsampleStack:
+    """One call per axis transforms a stack of same-grid spectra, and each
+    of its sample arrays is the one-field path's bit for bit."""
+
+    @pytest.mark.parametrize("d,factor", [(d, factor) for d in (1, 2)
+                                          for factor in (1, 2, 4)])
+    def test_complex_stack_matches_single_fields(self, d, factor, fft_calls):
+        grid = Grid(d, 8.0, 16)
+        fields = [Field(grid, spectrum=_random_coefficients(grid, seed))
+                  for seed in range(3)]
+        fft_calls.clear()
+        up = lpengine.upsample_stack([f.spectrum for f in fields], factor)
+        assert fft_calls == [("ifft", 3)] * d
+        assert up.shape == (3,) + (16 * factor,) * d
+        for f, got in zip(fields, up):
+            assert np.array_equal(got, upsample_values(f, factor))
+
+    @pytest.mark.parametrize("d,factor", [(d, factor) for d in (1, 2)
+                                          for factor in (1, 2, 4)])
+    def test_real_stack_matches_half_spectrum_reference(self, d, factor, fft_calls):
+        grid = Grid(d, 8.0, 16)
+        fields = [field_from_spectral(
+            grid, lambda *k, a=a: np.exp(-a * sum(x * x for x in k)), band_limit=2.5)
+            for a in (0.5, 1.0, 2.0)]
+        assert all(f.real_valued for f in fields)
+        fft_calls.clear()
+        up = lpengine.upsample_stack([f.spectrum for f in fields], factor, real=True)
+        assert fft_calls == [("ifft", 3)] * (d - 1) + [("irfft", 3)]
+        assert up.dtype == np.float64
+        for f, got in zip(fields, up):
+            assert np.array_equal(got, _full_upsample(f, factor, real=True))
+            if factor > 1:
+                assert np.array_equal(got, upsample_values(f, factor))
+
+    @pytest.mark.parametrize("d,factor,real,slots", [
+        (1, 4, False, 16), (1, 32, False, 2), (1, 1, True, 127),
+        (2, 1, False, 4), (2, 1, True, 7), (2, 2, False, 1), (2, 2, True, 1),
+        (2, 4, False, 1)])
+    def test_stack_slots_bound_the_buffer(self, d, factor, real, slots):
+        # 1-D at N = 4096 and 2-D at N = 256: a padded 2-D block at factor 2
+        # is 4 MiB (2 MiB and a column real), and one at factor 4, 16 MiB,
+        # still gets its call.
+        grid = Grid(d, 8.0, 4096 if d == 1 else 256)
+        assert lpengine.stack_slots(grid, factor, real) == slots
 
 
 class TestFreshArrays:

@@ -14,6 +14,7 @@ from powemb.lpengine import (
     Grid,
     GridMismatch,
     _active_blocks,
+    _block_band,
     auto_oversample,
     bessel_apply,
     derivative,
@@ -289,13 +290,14 @@ def fresh_band96(seed=7):
     return random_band_limited(Grid(1, 16.0, 2 ** 12), seed, band=96.0)
 
 
-@pytest.mark.parametrize("norm", [
-    lambda f, sys: besov_norm(f, 0.5, 2, 2, 0.5, sys=sys),
-    lambda f, sys: triebel_norm(f, 0.5, 2, 1, 0.5, sys=sys),
+@pytest.mark.parametrize("norm,own_factor", [
+    (lambda f, sys: besov_norm(f, 0.5, 2, 2, 0.5, sys=sys), True),
+    (lambda f, sys: triebel_norm(f, 0.5, 2, 1, 0.5, sys=sys), False),
 ], ids=["besov", "triebel"])
-def test_one_fft_per_active_block(norm, band96, fft_calls):
+def test_one_fft_per_active_block(norm, own_factor, band96, fft_calls):
     # The field's own samples (read by the boundary check) are cached first;
-    # after that each active block costs exactly one (padded) inverse FFT.
+    # after that each active block costs exactly one (padded) inverse FFT,
+    # and the blocks of one upsampling factor share one call.
     f = band96
     sys = make_dyadic(f.grid)
     f.values
@@ -303,7 +305,10 @@ def test_one_fft_per_active_block(norm, band96, fft_calls):
     kmax = _active_blocks(f, sys)
     assert kmax + 1 == 8
     norm(f, sys)
-    assert len(fft_calls) == kmax + 1
+    assert fft_calls.blocks == kmax + 1
+    factors = {auto_oversample(f.grid, _block_band(f, sys, k if own_factor else kmax))
+               for k in range(kmax + 1)}
+    assert len(fft_calls) == len(factors) < kmax + 1
 
 
 @pytest.mark.parametrize("d", [1, 2])
@@ -319,12 +324,14 @@ def test_zero_blocks_need_no_fft(d, fft_calls, cell_sums):
     nonzero = [k for k, block in enumerate(lp_blocks(f, sys)[:kmax + 1])
                if block.spectrum.any()]
     assert len(nonzero) == 3 and kmax + 1 > 3
-    factors = [auto_oversample(grid, min(sys.block_band(k), f.band_limit))
-               for k in range(kmax + 1)]
     fft_calls.clear()
     res = besov_norm(f, 0.5, 2, 2, 0.5, sys=sys)
-    # An upsampled block is one transform per axis, a plain one one ifftn.
-    assert len(fft_calls) == sum(1 if factors[k] == 1 else d for k in nonzero)
+    # The peak is real: each block of it, at every factor, is d - 1 ifft
+    # and one irfft of the half-spectrum.
+    assert f.real_valued
+    assert fft_calls.blocks == d * len(nonzero)
+    assert {call.name for call in fft_calls} == ({"irfft"} if d == 1
+                                                 else {"ifft", "irfft"})
     assert len(cell_sums) == len(nonzero)
     assert [k for k, _ in res.per_block] == list(range(kmax + 1))
     assert all((v > 0.0) == (k in nonzero) for k, v in res.per_block)
@@ -372,7 +379,7 @@ class TestSharedBlocks:
         for norm, ffts in steps:
             fft_calls.clear()
             norm()
-            assert len(fft_calls) == ffts
+            assert fft_calls.blocks == ffts
 
     def test_only_the_last_field_is_held(self, fft_calls):
         f, g = fresh_band96(7), fresh_band96(8)
@@ -382,11 +389,11 @@ class TestSharedBlocks:
         for field_, ffts in ((f, kmax + 1), (f, 0), (g, kmax + 1), (f, kmax + 1)):
             fft_calls.clear()
             besov_norm(field_, 0.5, 2, 2, 0.5, sys=sys)
-            assert len(fft_calls) == ffts
+            assert fft_calls.blocks == ffts
         # Another system object for the same grid is another pair, too.
         fft_calls.clear()
         besov_norm(f, 0.5, 2, 2, 0.5, sys=make_dyadic(f.grid))
-        assert len(fft_calls) == kmax + 1
+        assert fft_calls.blocks == kmax + 1
 
     def test_besov_at_another_s_q_reads_stored_block_norms(self, band96,
                                                             fft_calls, cell_sums):
@@ -457,6 +464,59 @@ class TestSharedBlocks:
         for mag in _block_abs(f, sys, _field_memo(f, sys), {0: 1, 1: 2}).values():
             with pytest.raises(ValueError):
                 mag[0] = 0.0
+
+
+class TestBlockStacks:
+    """The blocks of one factor share each transform call, as many per call
+    as ``lpengine.STACK_BYTES`` allows."""
+
+    def test_bound_splits_a_group(self, monkeypatch, fft_calls):
+        f = fresh_band96()
+        sys = make_dyadic(f.grid)
+        kmax = _active_blocks(f, sys)
+        factor = auto_oversample(f.grid, _block_band(f, sys, kmax))
+        # Room for the padded buffers of three blocks per call.
+        monkeypatch.setattr(lpengine, "STACK_BYTES", 3 * 16 * f.grid.N * factor)
+        fft_calls.clear()
+        mags = norms_mod._block_abs(f, sys, norms_mod._field_memo(f, sys),
+                                    dict.fromkeys(range(kmax + 1), factor))
+        assert kmax + 1 == 8
+        assert fft_calls == [("ifft", 3), ("ifft", 3), ("ifft", 2)]
+        for block, (k, mag) in zip(lp_blocks(f, sys), mags.items()):
+            assert np.array_equal(mag, np.abs(upsample_values(block, factor))), k
+
+    def test_2d_block_over_the_bound_is_transformed_alone(self, fft_calls):
+        grid = Grid(2, 8.0, 256)
+        f = random_band_limited(grid, 3, band=6.0)
+        sys = make_dyadic(grid)
+        kmax = _active_blocks(f, sys)
+        factor = auto_oversample(grid, _block_band(f, sys, kmax))
+        assert factor == 2 and 16 * (grid.N * factor) ** 2 >= lpengine.STACK_BYTES
+        f.values
+        fft_calls.clear()
+        triebel_norm(f, 0.5, 2, 2, 0.5, sys=sys)
+        assert fft_calls == [("ifft", 1)] * (2 * (kmax + 1))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_real_blocks_at_factor_1_match_complex_path(self, d, fft_calls):
+        # A real field's blocks take the half-spectrum path at factor 1 too;
+        # their magnitudes are those of the complex samples to rounding.
+        grid = Grid(1, 16.0, 2 ** 12) if d == 1 else Grid(2, 8.0, 2 ** 7)
+        sys = make_dyadic(grid)
+        f = spectral_peaks(grid, [5 if d == 1 else 4], 0).member(0)
+        assert f.real_valued
+        kmax = _active_blocks(f, sys)
+        fft_calls.clear()
+        mags = norms_mod._block_abs(f, sys, norms_mod._field_memo(f, sys),
+                                    dict.fromkeys(range(kmax + 1), 1))
+        assert fft_calls[-1] == ("irfft", 3)
+        for block, (k, mag) in zip(lp_blocks(f, sys), mags.items()):
+            ref = np.abs(block.values)
+            if mag is None:
+                assert not block.spectrum.any(), k
+                continue
+            assert mag.dtype == np.float64
+            assert np.max(np.abs(mag - ref)) <= 1e-14 * np.max(ref), k
 
 
 def _per_call_besov(f, s, p, q, gamma, sys):

@@ -141,6 +141,52 @@ class TestNonFiniteRatios:
         assert rep.details["nonfinite_ratios"] == [pos]
         assert (rep.details["min_ratio"], rep.details["max_ratio"]) == (1.0, 2.0)
 
+    @pytest.mark.parametrize("pos", [0, 1, 2])
+    def test_dichotomy_nan_fails(self, monkeypatch, pos):
+        # A NaN among the last three cumulative source integrals makes one
+        # or both tail changes NaN; max() alone let all but a first one pass.
+        from powemb import suite
+        from powemb.lpengine import RadialNorm
+
+        real = suite.radial_weighted_lp
+
+        def source_nan(prof, p, gamma):
+            res = real(prof, p, gamma)
+            if p == 2.0:  # the source, p0 = 2
+                res.history[len(res.history) - 3 + pos] = math.nan
+            return res
+
+        monkeypatch.setattr(suite, "radial_weighted_lp", source_nan)
+        [rep] = suite._exp_dichotomy(0)
+        assert not rep.passed and rep.details["src_converged"] is False
+        assert rep.details["nonfinite_rel_changes"] == {0: [0], 1: [0, 1],
+                                                        2: [1]}[pos]
+
+    def test_converged_dichotomy_names_nothing(self):
+        from powemb.suite import _exp_dichotomy
+
+        [rep] = _exp_dichotomy(0)
+        assert rep.passed and "nonfinite_rel_changes" not in rep.details
+
+    @pytest.mark.parametrize("pos", [0, 1, 2])
+    def test_peak_constants_nan_raises(self, monkeypatch, pos):
+        from types import SimpleNamespace
+
+        from powemb import verify
+        from powemb.lpengine import Grid
+
+        n_check = (4, 5, 6)
+        scale = 1 - verify._dim_index(2.0, 0.5, 1)
+        # The member of peak n is n itself, normed to exactly C_l = 1 ...
+        monkeypatch.setattr(verify, "spectral_peaks", lambda grid, ns, l: (
+            SimpleNamespace(member=lambda i: ns[0])))
+        # ... except at one block, which reads NaN.
+        monkeypatch.setattr(verify, "weighted_lp", lambda n, p, gamma: (
+            math.nan if n == n_check[pos] else 2.0 ** (n * scale)))
+        with pytest.raises(ConditionError,
+                           match=f"l=-1 is not finite at n={n_check[pos]}:"):
+            peak_constants(2.0, 0.5, grid=Grid(1, 16.0, 64), n_check=n_check)
+
     def test_finite_window_names_nothing(self):
         from powemb.suite import _window_report
 
