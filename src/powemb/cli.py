@@ -168,11 +168,11 @@ def _render_matrix(report) -> str:
 
 def cmd_witness(args) -> int:
     kind = args.kind
-    out = _out_dir(args)
     grid = _parse_grid(args.grid) if args.grid else None
     params = {k: v for k, v in vars(args).items()
               if k not in ("cmd", "func", "out", "jobs")}
     cfg_hash = _config_hash(params)
+    fam = None
     try:
         if kind == "peaks":
             grid = grid or Grid(1, 16.0, 2 ** 14)
@@ -193,51 +193,50 @@ def cmd_witness(args) -> int:
                       if args.coeffs else [1.0] * int(args.n_terms))
             f = lacunary_sum(grid, coeffs, float(args.s0), float(args.p0),
                              float(args.gamma0))
-            save_field(f, out / "lacunary.field",
-                       extra_header={"config_hash": cfg_hash})
-            _write_json(out / "manifest.json", {
+            manifest = {
                 "kind": "LacunarySum",
                 "parameters": {"coeffs": coeffs, "s0": args.s0, "p0": args.p0,
                                "gamma0": args.gamma0},
                 "members": [{"index": 0, "file": "lacunary.field"}],
-            }, cfg_hash)
-            print(str(out / "manifest.json"))
-            return EX_OK
+            }
+            save = lambda out: save_field(f, out / "lacunary.field",
+                                          extra_header={"config_hash": cfg_hash})
         elif kind == "logsing":
             prof = log_singularity(float(args.p0), float(args.gamma0),
                                    float(args.p1), int(args.dim),
                                    eps=float(args.eps))
-            save_profile_csv(prof, out / "logsing.csv")
-            _write_json(out / "manifest.json", {
+            manifest = {
                 "kind": "LogSingularity",
                 "parameters": {"p0": args.p0, "gamma0": args.gamma0,
                                "p1": args.p1, "dim": args.dim, "eps": args.eps},
                 "members": [{"index": 0, "file": "logsing.csv"}],
-            }, cfg_hash)
-            print(str(out / "manifest.json"))
-            return EX_OK
+            }
+            save = lambda out: save_profile_csv(prof, out / "logsing.csv")
         elif kind == "rieszlog":
             prof = riesz_log(float(args.a), float(args.b), int(args.dim),
                              eps=float(args.eps))
-            save_profile_csv(prof, out / "rieszlog.csv")
-            _write_json(out / "manifest.json", {
+            manifest = {
                 "kind": "RieszLog",
                 "parameters": {"a": args.a, "b": args.b, "dim": args.dim,
                                "eps": args.eps},
                 "members": [{"index": 0, "file": "rieszlog.csv"}],
-            }, cfg_hash)
-            print(str(out / "manifest.json"))
-            return EX_OK
+            }
+            save = lambda out: save_profile_csv(prof, out / "rieszlog.csv")
         else:
             print(f"error: unknown witness kind {kind!r}", file=sys.stderr)
             return EX_USAGE
 
-        manifest = fam.manifest()
-        for i in range(len(fam)):
-            name = f"member_{i:04d}.field"
-            save_field(fam.member(i), out / name,
-                       extra_header={"config_hash": cfg_hash})
-            manifest["members"][i]["file"] = name
+        # The output directory is made once there is something to write.
+        out = _out_dir(args)
+        if fam is None:
+            save(out)
+        else:
+            manifest = fam.manifest()
+            for i in range(len(fam)):
+                name = f"member_{i:04d}.field"
+                save_field(fam.member(i), out / name,
+                           extra_header={"config_hash": cfg_hash})
+                manifest["members"][i]["file"] = name
         _write_json(out / "manifest.json", manifest, cfg_hash)
         print(str(out / "manifest.json"))
         return EX_OK
@@ -335,6 +334,17 @@ _WITNESS_FLAGS_READ = {
 }
 
 
+# Every witness flag and its default.  The parser gives none of them a
+# default, so a flag on the command line is one that is not None, whatever
+# its value; ``main`` fills in these defaults once it has checked which
+# flags the kind reads.
+_WITNESS_DEFAULTS = {
+    "j": 0, "n": "3..7", "t": "0.125,0.25,0.5,1", "lam": "4,8,16,32,64",
+    "sigma": 1.0, "coeffs": None, "n_terms": 3, "s0": 1, "p0": 2,
+    "gamma0": 0, "p1": 1.5, "a": 0.5, "b": 0.5, "dim": 1, "eps": 0.0,
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="powemb",
@@ -360,21 +370,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("witness", help="generate a witness family", allow_abbrev=False)
     p.add_argument("kind", help="peaks|dilation|translation|lacunary|logsing|rieszlog")
-    p.add_argument("--j", default=0)
-    p.add_argument("--n", default="3..7")
-    p.add_argument("--t", default="0.125,0.25,0.5,1")
-    p.add_argument("--lam", "--lambda", dest="lam", default="4,8,16,32,64")
-    p.add_argument("--sigma", default=1.0)
-    p.add_argument("--coeffs", default=None)
-    p.add_argument("--n-terms", dest="n_terms", default=3)
-    p.add_argument("--s0", default=1)
-    p.add_argument("--p0", default=2)
-    p.add_argument("--gamma0", default=0)
-    p.add_argument("--p1", default=1.5)
-    p.add_argument("--a", default=0.5)
-    p.add_argument("--b", default=0.5)
-    p.add_argument("--dim", default=1)
-    p.add_argument("--eps", default=0.0)
+    for flag in _WITNESS_DEFAULTS:
+        p.add_argument(*(["--lam", "--lambda"] if flag == "lam"
+                         else [f"--{flag.replace('_', '-')}"]), dest=flag)
     p.set_defaults(func=cmd_witness)
 
     p = sub.add_parser("verify", help="run verification experiment suites")
@@ -396,18 +394,22 @@ def main(argv=None) -> int:
         parser.print_help()
         return EX_USAGE
     what, read = args.cmd, _GLOBAL_FLAGS_READ[args.cmd]
-    defaults = dict.fromkeys(("grid", "jobs", "seed"))
+    flags = ["grid", "jobs", "seed"]
     if args.cmd == "witness" and args.kind in _WITNESS_FLAGS_READ:
         what, read = f"witness {args.kind}", _WITNESS_FLAGS_READ[args.kind]
-        defaults.update(vars(parser.parse_args(["witness", args.kind])))
-    # A flag counts as given when it differs from its default; --out is
-    # not checked.
-    unread = [f"--{flag.replace('_', '-')}" for flag, default in defaults.items()
-              if flag not in read + ("out",) and getattr(args, flag) != default]
+        flags += list(_WITNESS_DEFAULTS)
+    # A flag counts as given when it is on the command line, at any value;
+    # --out is not checked.
+    unread = [f"--{flag.replace('_', '-')}" for flag in flags
+              if flag not in read and getattr(args, flag) is not None]
     if unread:
         print(f"error: {what} does not use {', '.join(unread)}",
               file=sys.stderr)
         return EX_USAGE
+    if args.cmd == "witness":
+        for flag, default in _WITNESS_DEFAULTS.items():
+            if getattr(args, flag) is None:
+                setattr(args, flag, default)
     try:
         return args.func(args)
     except (RangeError, FamilyError) as exc:

@@ -257,29 +257,19 @@ def random_field_batch(grid: Grid, count: int, seed: int, band: float = 96.0):
             for i in range(count)]
 
 
-def _window_report(experiment_id, ratios, lo=0.1, hi=10.0, extra=None):
-    # The extremes of the measured ratios wherever a NaN sits; any
-    # non-finite ratio fails the window and is named.
+def _window_report(experiment_id, ratios, lo=0.1, hi=10.0):
+    # The extremes of the measured ratios wherever a NaN sits.
     measured = [r for r in ratios if not math.isnan(r)]
     worst_lo = min(measured, default=math.nan)
     worst_hi = max(measured, default=math.nan)
-    bad = verify.nonfinite_rows(ratios)
-    rows = [
-        {"parameter": i, "src_norm": "", "tgt_norm": "", "ratio": r}
-        for i, r in enumerate(ratios)
-    ]
-    det = {"min_ratio": worst_lo, "max_ratio": worst_hi, "window": [lo, hi]}
-    if bad:
-        det["nonfinite_ratios"] = bad
-    if extra:
-        det.update(extra)
-    return ExperimentReport(
-        experiment_id=experiment_id,
-        kind="norm_equivalence",
-        passed=not bad and worst_lo >= lo and worst_hi <= hi,
+    return verify.measured_report(
+        experiment_id,
+        "norm_equivalence",
+        verify.measured_rows(range(len(ratios)), ratios=ratios),
+        lambda fit: worst_lo >= lo and worst_hi <= hi,
         predicted_formula=f"batch ratios within [{lo}, {hi}]",
-        rows=rows,
-        details=det,
+        details={"min_ratio": worst_lo, "max_ratio": worst_hi,
+                 "window": [lo, hi]},
     )
 
 
@@ -492,17 +482,13 @@ def _exp_dichotomy(seed, p0=2, gamma0=0, p1=1.5, gamma1=-0.25,
     # eps-refinements of the cumulative quadrature
     norms_tail = [x ** (1.0 / float(p0)) for x in src.history[-3:]]
     rel = [abs(b - a) / b for a, b in zip(norms_tail, norms_tail[1:])]
-    bad = verify.nonfinite_rows(rel)
-    src_ok = not src.diverged and not bad and max(rel) < 0.01
-    details = {"src_tail_rel_changes": rel, "src_converged": src_ok}
-    if bad:
-        details["nonfinite_rel_changes"] = bad
-    rep = verify._profile_report(
+    src_ok = not src.diverged and all(r < 0.01 for r in rel)
+    return [verify.profile_report(
         f"log_singularity_dichotomy[p0={p0},g0={gamma0},p1={p1},g1={gamma1}]",
-        "dichotomy", None, None, src, tgt, details=details,
-    )
-    rep.passed = rep.passed and src_ok
-    return [rep]
+        "dichotomy", None, None, src, tgt,
+        details={"src_tail_rel_changes": rel, "src_converged": src_ok},
+        converged=src_ok, more_values={"rel_changes": rel},
+    )]
 
 
 def _exp_lacunary(seed, grid=None, p0=2, gamma0=0, q0=math.inf, p1=4,

@@ -148,10 +148,14 @@ class TestWitness:
     def test_unknown_kind_exit_64(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("POWEMB_OUT", str(tmp_path / "w"))
         assert main(["witness", "whatever"]) == 64
+        assert not (tmp_path / "w").exists()
 
     def test_nyquist_error_exit_64(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("POWEMB_OUT", str(tmp_path / "w"))
         assert main(["witness", "peaks", "--n", "3..20"]) == 64
+        assert main(["witness", "peaks", "--n", "3..40"]) == 64
+        assert main(["witness", "peaks", "--j", "5"]) == 64
+        assert not (tmp_path / "w").exists()
 
     def test_unread_witness_flags_exit_64(self, tmp_path, monkeypatch, capsys):
         # No kind reads --p or --gamma; neither may pass as a prefix of
@@ -404,6 +408,13 @@ class TestGlobalFlags:
              "witness lacunary", "--dim"),
             (["--seed", "3", "witness", "rieszlog", "--coeffs", "1,2",
               "--p1", "3"], "witness rieszlog", "--seed, --coeffs, --p1"),
+            # a flag is given at any value, its default included
+            (["witness", "dilation", "--n", "3..7"], "witness dilation",
+             "--n"),
+            (["witness", "peaks", "--t", "0.125,0.25,0.5,1"], "witness peaks",
+             "--t"),
+            (["witness", "logsing", "--lam", "4,8,16,32,64"],
+             "witness logsing", "--lam"),
         ]
         for argv, what, named in cases:
             assert main(argv) == 64, argv

@@ -194,6 +194,147 @@ class TestNonFiniteRatios:
         assert rep.passed and "nonfinite_ratios" not in rep.details
 
 
+def _bad_at(real, calls, value=math.nan):
+    """``real`` with its return value replaced by ``value`` on the given
+    (0-based) calls."""
+    count = iter(range(10 ** 6))
+
+    def wrapped(*args, **kw):
+        out = real(*args, **kw)
+        return value if next(count) in calls else out
+
+    return wrapped
+
+
+def _named_and_failed(rep, rows):
+    assert not rep.passed
+    assert rep.details["nonfinite_ratios"] == rows
+    return rep
+
+
+class TestNonFiniteMeasurements:
+    """Every measured pass rule fails on a NaN wherever it sits, and names
+    the row; a fitted report then carries no fit."""
+
+    @pytest.mark.parametrize("pos", [0, 2, 4])
+    def test_peak_scaling(self, monkeypatch, pos):
+        from powemb import verify
+        from powemb.lpengine import Grid
+
+        monkeypatch.setattr(verify, "weighted_lp",
+                            _bad_at(verify.weighted_lp, {pos}))
+        rep = check_peak_scaling(2, 0, 0, n_range=range(2, 7),
+                                 grid=Grid(1, 16.0, 2 ** 10))
+        assert _named_and_failed(rep, [pos]).fit is None
+
+    @pytest.mark.parametrize("pos", [0, 2, 4])
+    def test_translation_scaling(self, monkeypatch, pos):
+        from powemb import verify
+        from powemb.lpengine import Grid
+
+        monkeypatch.setattr(verify, "weighted_lp",
+                            _bad_at(verify.weighted_lp, {pos}))
+        rep = check_translation_scaling(2, 1, grid=Grid(1, 128.0, 2 ** 11))
+        assert _named_and_failed(rep, [pos]).fit is None
+
+    @pytest.mark.parametrize("pos", [0, 2, 4])
+    def test_nikolskij(self, monkeypatch, pos):
+        from powemb import verify
+        from powemb.lpengine import Grid
+
+        base = random_band_limited(Grid(1, 16.0, 2 ** 10), 3, band=1.0)
+        # Each member takes the target norm, then the source norm.
+        monkeypatch.setattr(verify, "weighted_lp",
+                            _bad_at(verify.weighted_lp, {2 * pos}))
+        rep = check_nikolskij(base, 2, 0.5, 4, 1, alpha=(1,))
+        assert _named_and_failed(rep, [pos]).fit is None
+
+    @pytest.mark.parametrize("pos", [0, 3, 6])
+    def test_lacunary(self, monkeypatch, pos):
+        from powemb import verify
+        from powemb.lpengine import Grid
+
+        # The seven source norms come before the seven target norms.
+        monkeypatch.setattr(verify, "lacunary_norm_from_constants",
+                            _bad_at(verify.lacunary_norm_from_constants, {pos}))
+        rep = check_lacunary_qnecessity(2, 0, math.inf, 4, 0, 1, 1, 0.75,
+                                        grid=Grid(1, 16.0, 2 ** 11))
+        assert _named_and_failed(rep, [pos]).fit is None
+
+    FAILURES = {
+        "failure_peaks": (S("B", 0, 2, 2, 0), S("B", 1, 2, 2, 0)),
+        "failure_translation": (S("B", 1, 2, 2, "-1/2"),
+                                S("B", 0, 4, 2, "-1/2")),
+        "failure_dilation": (S("B", 0, 4, 2, 0), S("B", 0, 2, 2, 0)),
+    }
+
+    @pytest.mark.parametrize("kind", list(FAILURES))
+    @pytest.mark.parametrize("member", [0, 2, 4])
+    def test_failure_families(self, monkeypatch, kind, member):
+        from powemb import verify
+
+        # Each member takes the source norm, then the target norm.
+        monkeypatch.setattr(verify, "_member_norm",
+                            _bad_at(verify._member_norm, {2 * member + 1}))
+        rep = demonstrate_failure(*self.FAILURES[kind])
+        assert rep.kind == kind
+        assert _named_and_failed(rep, [member]).fit is None
+
+    @pytest.mark.parametrize("member", [0, 2, 4])
+    def test_bounded_families(self, monkeypatch, member):
+        from powemb import verify
+
+        # Three families of five members, two norms per member.
+        monkeypatch.setattr(verify, "_member_norm", _bad_at(
+            verify._member_norm, {f * 10 + 2 * member + 1 for f in range(3)}))
+        reps = check_embedding_bounded(S("B", 1, 2, 1, 0), S("B", 0, 4, 1, 0))
+        assert [r.details["nonfinite_ratios"] for r in reps] == [[member]] * 3
+        assert not any(r.passed for r in reps)
+
+    @pytest.mark.parametrize("pos", [0, 9, -1])
+    @pytest.mark.parametrize("pair", [
+        (S("B", 1, 2, 1, 0), S("B", 1, "3/2", 1, "-1/4")),
+        (S("H", "3/4", 4, gamma=2), S("H", "3/5", 2, gamma="1/5")),
+    ])
+    def test_profiles(self, monkeypatch, pos, pair):
+        from powemb import verify
+
+        real = verify.radial_weighted_lp
+        calls = []
+
+        def target_nan(prof, p, gamma):
+            res = real(prof, p, gamma)
+            calls.append(res)
+            if len(calls) == 2:  # the target
+                res.history[pos] = math.nan
+            return res
+
+        monkeypatch.setattr(verify, "radial_weighted_lp", target_nan)
+        rep = demonstrate_failure(*pair)
+        _named_and_failed(rep, [pos % len(rep.rows)])
+
+    @pytest.mark.parametrize("pos", [0, 2, 4])
+    def test_zero_norm_in_a_slope_report_is_named(self, monkeypatch, pos):
+        from powemb import verify
+        from powemb.lpengine import Grid
+
+        monkeypatch.setattr(verify, "weighted_lp",
+                            _bad_at(verify.weighted_lp, {pos}, 0.0))
+        rep = check_peak_scaling(2, 0, 0, n_range=range(2, 7),
+                                 grid=Grid(1, 16.0, 2 ** 10))
+        _named_and_failed(rep, [pos])
+
+    @pytest.mark.parametrize("call", [0, 1])  # source, target
+    def test_zero_member_norm_is_named(self, monkeypatch, call):
+        from powemb import verify
+
+        monkeypatch.setattr(verify, "_member_norm",
+                            _bad_at(verify._member_norm, {4 + call}, 0.0))
+        rep = demonstrate_failure(S("B", 0, 2, 2, 0), S("B", 1, 2, 2, 0))
+        _named_and_failed(rep, [2])
+        assert rep.rows[2]["ratio"] == (math.inf if call == 0 else 0.0)
+
+
 class TestLacunaryLadder:
     def test_constants_are_block_free(self, grid1d_fine):
         consts = peak_constants(2.0, 0.5, grid=grid1d_fine, n_check=(4, 6))
