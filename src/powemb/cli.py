@@ -59,7 +59,15 @@ def _parse_grid(text) -> Grid:
     parts = text.split(",")
     if len(parts) != 3:
         raise RangeError(f"--grid wants d,L,N, got {text!r}")
-    return Grid(int(parts[0]), float(parts[1]), int(parts[2]))
+    values = []
+    for name, kind, part in zip("dLN", (int, float, int), parts):
+        try:
+            values.append(kind(part))
+        except ValueError:
+            want = "an integer" if kind is int else "a number"
+            raise RangeError(f"--grid {name} must be {want}, got {part!r} "
+                             f"in {text!r}") from None
+    return Grid(*values)
 
 
 def _parse_range(text):

@@ -125,8 +125,9 @@ class Field:
 
     A field keeps the representation it was built in, lattice samples
     (``values``) or raw FFT coefficients (``spectrum``); the other one is
-    computed on first read and cached, as is ``rim``, the field's
-    ``boundary_decay``.  Both arrays are read-only.
+    computed on first read and cached.  Both arrays are read-only.  ``rim``,
+    the field's ``boundary_decay``, is scanned once and cached; it keeps no
+    samples, so a field built from its spectrum still holds only that.
 
     ``band_limit`` records a radius R with the discrete spectrum supported in
     |xi| <= R; it is enforced (coefficients beyond R zeroed) for fields built
@@ -638,10 +639,15 @@ def weighted_lp(f: Field, p, gamma: float, oversample: Optional[int] = None) -> 
 
 
 def boundary_decay(f: Field, fraction: float = 0.02) -> float:
-    """max |f| on the outer fraction of the torus, relative to max |f|."""
+    """max |f| on the outer fraction of the torus, relative to max |f|.
+
+    The field's samples are scanned when it holds them; otherwise its
+    spectrum is transformed for the scan and the samples are not kept.
+    """
     n = f.grid.N
     edge = max(1, int(n * fraction))
-    mag = np.abs(f.values)
+    samples = f._values if f._values is not None else np.fft.ifftn(f._spectrum)
+    mag = np.abs(samples)
     peak = float(np.max(mag))
     if peak == 0.0:
         return 0.0

@@ -224,11 +224,13 @@ def sobolev_norm(f: Field, m, p, gamma) -> NormResult:
         raise RangeError(f"Sobolev order must be a nonnegative integer, got {m}")
     if p == math.inf:
         raise RangeError("the W-scale needs p < inf")
-    warnings: List[str] = []
-    _check_boundary(f, warnings)
     total = 0.0
     for alpha in _multiindices(f.grid.d, m):
         total += weighted_lp(derivative(f, alpha), p, gamma)
+    # Scanned after the D^0 term, which may have read f's samples: the rim
+    # scan then reuses them instead of transforming the spectrum again.
+    warnings: List[str] = []
+    _check_boundary(f, warnings)
     return NormResult(total, warnings=warnings)
 
 

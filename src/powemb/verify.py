@@ -18,6 +18,7 @@ import numpy as np
 
 from . import norms
 from .lpengine import (
+    DyadicSystem,
     Field,
     Grid,
     LRUCache,
@@ -206,20 +207,33 @@ WIDE_GRID_2D = (2, 64.0, 2 ** 9)
 DIM_GRID_1D = (1, 1024.0, 2 ** 13)
 DIM_GRID_2D = (2, 256.0, 2 ** 9)
 
-# Dyadic systems by grid, at most this many.  The default catalog uses four
-# grids; a 2-D system on the default grid holds 20 MB.
+# Per grid, at most this many: its dyadic system and the witness windows
+# built on it (``_witness_family``).  The default catalog uses four grids; a
+# 2-D system on the default grid holds 20 MB, and the three 1-D windows of
+# the bounded and failure checks together 4.4 MB.
 DYADIC_CACHE_ENTRIES = 8
 _sys_cache = LRUCache(DYADIC_CACHE_ENTRIES)
 
 
-def _dyadic_for(grid: Grid):
+@dataclass
+class _GridEntry:
+    """What is kept for one grid: its dyadic system, and its witness windows
+    by (kind, d)."""
+    sys: DyadicSystem
+    windows: Dict[tuple, WitnessFamily] = field(default_factory=dict)
+
+
+def _grid_entry(grid: Grid) -> _GridEntry:
     key = (grid.d, grid.L, grid.N)
-    sys = _sys_cache.lookup(key)
-    if sys is not None:
-        return sys
-    sys = make_dyadic(grid)
-    _sys_cache.store(key, sys)
-    return sys
+    entry = _sys_cache.lookup(key)
+    if entry is None:
+        entry = _GridEntry(make_dyadic(grid))
+        _sys_cache.store(key, entry)
+    return entry
+
+
+def _dyadic_for(grid: Grid) -> DyadicSystem:
+    return _grid_entry(grid).sys
 
 
 def default_grid(d: int, wide: bool = False) -> Grid:
@@ -230,6 +244,15 @@ def default_grid(d: int, wide: bool = False) -> Grid:
     raise NotApplicable(f"sampled grids support d in {{1, 2}}, got d={d}")
 
 
+def dilation_grid(d: int) -> Grid:
+    """The very wide, coarse grid of the t -> 0 dilation regime."""
+    if d == 1:
+        return Grid(*DIM_GRID_1D)
+    if d == 2:
+        return Grid(*DIM_GRID_2D)
+    raise NotApplicable(f"sampled grids support d in {{1, 2}}, got d={d}")
+
+
 def dilation_setup(d: int):
     """Wide-grid base and t-window for the t -> 0 dilation regime.
 
@@ -237,14 +260,9 @@ def dilation_setup(d: int):
     member of the window sits inside the plateau of the zeroth dyadic block
     and the measured ratio carries the pure dimension-index exponent.
     """
-    if d == 1:
-        grid = Grid(*DIM_GRID_1D)
-        ts = [2.0 ** -k for k in range(4, -1, -1)]
-    elif d == 2:
-        grid = Grid(*DIM_GRID_2D)
-        ts = [0.25, 0.4, 0.63, 1.0]
-    else:
-        raise NotApplicable(f"sampled grids support d in {{1, 2}}, got d={d}")
+    grid = dilation_grid(d)
+    ts = ([2.0 ** -k for k in range(4, -1, -1)] if d == 1
+          else [0.25, 0.4, 0.63, 1.0])
     return gaussian_spectral_base(grid, sigma_xi=0.15), ts
 
 
@@ -499,19 +517,31 @@ def check_lacunary_qnecessity(p0, gamma0, q0, p1, gamma1, q1, s0, s1,
 def _witness_family(kind, d, grid: Optional[Grid] = None) -> WitnessFamily:
     """The window a failure demonstration or a bounded check measures along.
 
-    ``peaks``: blocks n = 3..7 (d = 1) or 2..5 (d = 2) on ``grid``;
-    ``translation``: lambda = 4..64 (d = 1) or 4..32 (d = 2) of a unit
-    Gaussian on ``grid``, by default the wide one; ``dilation``: the t -> 0
-    window of ``dilation_setup``, on its own grid.
+    ``peaks``: blocks n = 3..7 (d = 1) or 2..5 (d = 2) on ``grid``, by
+    default the default grid; ``translation``: lambda = 4..64 (d = 1) or
+    4..32 (d = 2) of a unit Gaussian on the wide default grid, whatever
+    ``grid`` is; ``dilation``: the t -> 0 window of ``dilation_setup``, on
+    its own grid.
+
+    A window is built once and kept, with the members it has built, in the
+    ``_sys_cache`` entry of its grid: it is dropped with that entry, by the
+    LRU or by ``_sys_cache.clear()``.
     """
     if kind == "peaks":
+        grid = grid or default_grid(d)
         n_lo, n_hi = (3, 8) if d == 1 else (2, 6)
-        return spectral_peaks(grid or default_grid(d), list(range(n_lo, n_hi)), 0)
-    if kind == "translation":
+        build = lambda: spectral_peaks(grid, list(range(n_lo, n_hi)), 0)
+    elif kind == "translation":
+        grid = default_grid(d, wide=True)
         lams = [4, 8, 16, 32, 64] if d == 1 else [4, 8, 16, 32]
-        base = gaussian_base(grid or default_grid(d, wide=True), sigma=1.0)
-        return translation_family(base, lams)
-    return dilation_family(*dilation_setup(d))
+        build = lambda: translation_family(gaussian_base(grid, sigma=1.0), lams)
+    else:
+        grid = dilation_grid(d)
+        build = lambda: dilation_family(*dilation_setup(d))
+    windows = _grid_entry(grid).windows
+    if (kind, d) not in windows:
+        windows[(kind, d)] = build()
+    return windows[(kind, d)]
 
 
 def _ratio_family_report(experiment_id, kind, fam: WitnessFamily, src, tgt,
@@ -576,6 +606,9 @@ def demonstrate_failure(src: SpaceSpec, tgt: SpaceSpec,
     two p1 < p0 sharp cases use the singular radial profiles.  Passing
     means the target/source norm ratio grows at the predicted exponent, or
     the profile dichotomy (source finite, target Diverged) is observed.
+    ``grid`` moves the peaks and the lacunary ladder; translations stay on
+    the wide default grid and dilations on their own, as in
+    ``check_embedding_bounded``.
     """
     src, tgt = validate(src), validate(tgt)
     if verdict is None:
@@ -610,7 +643,7 @@ def demonstrate_failure(src: SpaceSpec, tgt: SpaceSpec,
 
     if i1.weight_index > i0.weight_index:
         return growth("failure_translation",
-                      _witness_family("translation", d, grid),
+                      _witness_family("translation", d),
                       float(i1.weight_index) - float(i0.weight_index),
                       "g1/p1 - g0/p0", 0.05)
 
@@ -673,8 +706,9 @@ def check_embedding_bounded(src: SpaceSpec, tgt: SpaceSpec,
 
     The target/source norm ratio must not grow: fitted slope <= margin along
     peaks and translations, and >= -margin in t along dilations toward 0
-    (growth as t -> 0 would contradict the embedding).  Translations stay
-    on the wide default grid whatever ``grid`` is.
+    (growth as t -> 0 would contradict the embedding).  ``grid`` moves the
+    peaks only: translations stay on the wide default grid and dilations on
+    their own.
     """
     src, tgt = validate(src), validate(tgt)
     if verdict is None:
@@ -684,22 +718,22 @@ def check_embedding_bounded(src: SpaceSpec, tgt: SpaceSpec,
             f"verdict is {verdict.outcome}; bounded-ratio checks need Embeds"
         )
     rules = [
-        ("peaks", grid, "no growth along spectral peaks",
+        ("peaks", "no growth along spectral peaks",
          lambda fit: fit.slope <= margin),
-        ("dilation", None, "no growth along dilations toward 0",
+        ("dilation", "no growth along dilations toward 0",
          lambda fit: fit.slope >= -max(margin, 0.08)),
-        ("translation", None, "no growth along translations",
+        ("translation", "no growth along translations",
          lambda fit: fit.slope <= margin),
     ]
     return [
         _ratio_family_report(
             f"bounded[{src} -> {tgt}]", f"bounded_{kind}",
-            _witness_family(kind, src.d, on), src, tgt, passes,
+            _witness_family(kind, src.d, grid), src, tgt, passes,
             predicted_exponent=0.0,
             predicted_formula=formula,
             tolerance=math.inf,
             residual_cap=math.inf,
             details={"pass_rule": f"ratio slope within margin {margin}"},
         )
-        for kind, on, formula, passes in rules
+        for kind, formula, passes in rules
     ]

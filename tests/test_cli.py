@@ -359,6 +359,31 @@ class TestGridFlag:
         member = load_field(out / manifest["members"][0]["file"])
         assert member.values.shape == (4096,)
 
+    @pytest.mark.parametrize("grid,message", [
+        ("1,a,64", "--grid L must be a number, got 'a' in '1,a,64'"),
+        ("1,16,x", "--grid N must be an integer, got 'x' in '1,16,x'"),
+    ])
+    def test_malformed_grid_is_a_usage_error(self, grid, message, tmp_path,
+                                             monkeypatch, capsys):
+        out = tmp_path / "w"
+        monkeypatch.setenv("POWEMB_OUT", str(out))
+        assert main(["--grid", grid, "witness", "peaks"]) == 64
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not out.exists()
+
+    def test_coherence_under_the_default_grid_written_out(
+            self, tmp_path, monkeypatch, capsys):
+        # The grid moves the peaks only; the failure translations stay on
+        # the wide grid, as the bounded ones do.
+        monkeypatch.setenv("POWEMB_OUT", str(tmp_path / "v"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "grid": {"d": 1, "L": 16.0, "N": 16384},
+            "experiments": ["coherence"],
+        }))
+        assert main(["verify", str(cfg)]) == 0
+        assert "ALL PASS" in capsys.readouterr().out
+
     def test_verify_config_grid_override(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("POWEMB_OUT", str(tmp_path / "v"))
         cfg = tmp_path / "cfg.json"

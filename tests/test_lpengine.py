@@ -762,6 +762,26 @@ class TestFieldRepresentation:
         assert up.dtype == (np.float64 if real else np.complex128)
         assert np.array_equal(up, _full_upsample(f, factor))
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_rim_of_a_spectrum_keeps_no_samples(self, grid1d, grid2d, d,
+                                                fft_calls):
+        # One transform for the scan, its samples dropped after it; the
+        # value is the scan of the field's own samples, bit for bit.
+        grid = grid1d if d == 1 else grid2d
+        f = Field(grid, spectrum=_random_coefficients(grid, 5))
+        fft_calls.clear()
+        rim = f.rim
+        assert fft_calls == [("ifftn", 1)]
+        assert f._values is None
+        assert rim == lpengine.boundary_decay(Field(grid, f.values))
+
+    def test_rim_of_samples_scans_them(self, grid1d, fft_calls):
+        f = gaussian(grid1d)
+        fft_calls.clear()
+        assert f.rim == lpengine.boundary_decay(f)
+        assert fft_calls == []
+        assert f._spectrum is None
+
 
 class TestOriginPhase:
     @pytest.mark.parametrize("n", [16, 4096])

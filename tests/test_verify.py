@@ -394,3 +394,64 @@ class TestBoundedChecks:
         reps = check_embedding_bounded(S("B", 1, 2, 1, 0), S("B", 0, 4, 1, 0))
         assert len(reps) == 3
         assert all(r.passed for r in reps)
+
+
+class TestWitnessWindows:
+    """Each window is built once per grid and kept in that grid's
+    ``_sys_cache`` entry, so it goes with the entry."""
+
+    @pytest.fixture(autouse=True)
+    def cold_cache(self):
+        from powemb import verify
+
+        verify._sys_cache.clear()
+        yield
+        verify._sys_cache.clear()
+
+    def test_one_window_per_grid(self):
+        from powemb import verify
+        from powemb.lpengine import Grid
+
+        grid = Grid(1, 16.0, 2 ** 12)
+        fam = verify._witness_family("peaks", 1, grid)
+        assert verify._witness_family("peaks", 1, grid) is fam
+        assert verify._sys_cache[(1, 16.0, 2 ** 12)].windows == {("peaks", 1): fam}
+        # A window on another grid is another window.
+        assert verify._witness_family("peaks", 1) is not fam
+        verify._sys_cache.clear()
+        assert verify._witness_family("peaks", 1, grid) is not fam
+
+    def test_evicted_with_its_grid(self):
+        from powemb import verify
+        from powemb.lpengine import Grid
+
+        grid = Grid(1, 16.0, 2 ** 12)
+        fam = verify._witness_family("peaks", 1, grid)
+        for i in range(verify.DYADIC_CACHE_ENTRIES):
+            verify._dyadic_for(Grid(1, 20.0 + i, 64))
+        assert (1, 16.0, 2 ** 12) not in verify._sys_cache
+        assert verify._witness_family("peaks", 1, grid) is not fam
+
+    def test_translations_stay_on_the_wide_grid(self):
+        from powemb import verify
+        from powemb.lpengine import Grid
+
+        fam = verify._witness_family("translation", 1)
+        assert fam.member(0).grid == verify.default_grid(1, wide=True)
+        assert verify._witness_family("translation", 1,
+                                      Grid(1, 16.0, 2 ** 14)) is fam
+
+    @pytest.mark.parametrize("check,pair", [
+        (check_embedding_bounded, (S("B", 1, 2, 1, 0), S("B", 0, 4, 1, 0))),
+        (demonstrate_failure, (S("B", 1, 2, 2, "-1/2"), S("B", 0, 4, 2, "-1/2"))),
+    ])
+    def test_cold_and_warm_reports_agree(self, check, pair):
+        from powemb import verify
+
+        def reports():
+            out = check(*pair)
+            return [r.to_dict() for r in (out if isinstance(out, list) else [out])]
+
+        cold = reports()
+        assert len(verify._sys_cache) > 0
+        assert reports() == cold
