@@ -155,6 +155,9 @@ class Field:
         self._spectrum = (None if spectrum is None
                           else _frozen(grid, spectrum, "spectrum"))
         self._rim = None
+        # Floats the norms measure on this field (``norms._stored``): kept
+        # while the field lives, since its arrays never change.
+        self._numbers = {}
         self.band_limit = band_limit
         self.spectral_gen = spectral_gen
         self.physical_gen = physical_gen

@@ -82,12 +82,10 @@ def _system_for(f: Field, sys: Optional[DyadicSystem]) -> DyadicSystem:
 
 # For the one (field, system) pair normed last: |S_k f| on factor-refined
 # lattices keyed by (k, factor), each a view of the magnitude stack its
-# block was transformed in, None for a block that is identically zero, and
-# the Besov block norms ||S_k f||_{L^p(|x|^gamma)} keyed by
-# (k, factor, p, gamma).  Norming any other pair replaces it, so every B/F
-# norm of one field transforms each block once per factor, a Besov norm at
-# another (s, q) is a ladder over stored block norms, and nothing outlives
-# the next field.
+# block was transformed in, None for a block that is identically zero.
+# Norming any other pair replaces it, so every B/F norm of one field
+# transforms each block once per factor and no magnitude outlives the next
+# field.  The numbers measured from them live on the field (``_stored``).
 _memo = (None, None, {})
 _MISSING = object()
 
@@ -99,6 +97,19 @@ def _field_memo(f: Field, sys: DyadicSystem) -> dict:
     if _memo[0] is not f or _memo[1] is not sys:
         _memo = (f, sys, {})
     return _memo[2]
+
+
+def _stored(f: Field, sys: Optional[DyadicSystem] = None) -> dict:
+    """The floats the norms keep on f for as long as f lives: its H and W
+    values, or, under ``sys``, its Besov block norms ||S_k f||_{L^p(|x|^gamma)}
+    keyed by (k, factor, p, gamma) and its F values.  Those are kept for
+    one system object at a time; another starts them afresh."""
+    if sys is None:
+        return f._numbers
+    held = f._numbers.get("sys")
+    if held is None or held[0] is not sys:
+        held = f._numbers["sys"] = (sys, {})
+    return held[1]
 
 
 def _block_abs(f: Field, sys: DyadicSystem, memo: dict,
@@ -131,8 +142,9 @@ def _block_norms(f: Field, sys: DyadicSystem, memo: dict, factors: List[int],
                  p: float, gamma: float) -> List[float]:
     """||S_k f||_{L^p(|x|^gamma)} on lattices refined by factors[k], for
     k = 0 .. len(factors)-1; the weighted sup norm is the weight-free max."""
+    stored = _stored(f, sys)
     keys = [(k, factor, p, gamma) for k, factor in enumerate(factors)]
-    out = [memo.get(key) for key in keys]
+    out = [stored.get(key) for key in keys]
     missing = {k: factors[k] for k, nk in enumerate(out) if nk is None}
     if missing:
         for k, mag in _block_abs(f, sys, memo, missing).items():
@@ -142,7 +154,7 @@ def _block_norms(f: Field, sys: DyadicSystem, memo: dict, factors: List[int],
                 out[k] = float(np.max(mag))
             else:
                 out[k] = weighted_cell_sum(f.grid, mag, p, gamma, factors[k])
-        memo.update((keys[k], out[k]) for k in missing)
+        stored.update((keys[k], out[k]) for k in missing)
     return out
 
 
@@ -174,6 +186,15 @@ def triebel_norm(f: Field, s, p, q, gamma, sys: Optional[DyadicSystem] = None) -
     warnings: List[str] = []
     _check_boundary(f, warnings)
     check_lp_range(f.grid.d, p, gamma)
+    stored = _stored(f, sys)
+    key = ("F", s, p, q, gamma)
+    if key not in stored:
+        stored[key] = _triebel_value(f, sys, memo, s, p, q, gamma)
+    return NormResult(stored[key], warnings=warnings)
+
+
+def _triebel_value(f: Field, sys: DyadicSystem, memo: dict, s: float, p: float,
+                   q: float, gamma: float) -> float:
     kmax = _active_blocks(f, sys)
     # Pointwise-first aggregation: blocks are band-limited, so upsample them
     # exactly, all by the factor the widest one needs, before taking
@@ -193,12 +214,10 @@ def triebel_norm(f: Field, s, p, q, gamma, sys: Optional[DyadicSystem] = None) -
             term **= q
             agg = term if agg is None else np.add(agg, term, out=agg)
     if agg is None:
-        return NormResult(0.0, warnings=warnings)
+        return 0.0
     if q != math.inf:
         agg **= 1.0 / q
-    return NormResult(
-        weighted_cell_sum(f.grid, agg, p, gamma, factor), warnings=warnings
-    )
+    return weighted_cell_sum(f.grid, agg, p, gamma, factor)
 
 
 def bessel_norm(f: Field, s, p, gamma) -> NormResult:
@@ -208,7 +227,11 @@ def bessel_norm(f: Field, s, p, gamma) -> NormResult:
         raise RangeError("the H-scale needs p < inf")
     warnings: List[str] = []
     _check_boundary(f, warnings)
-    return NormResult(weighted_lp(bessel_apply(f, s), p, gamma), warnings=warnings)
+    stored = _stored(f)
+    key = ("H", s, p, gamma)
+    if key not in stored:
+        stored[key] = weighted_lp(bessel_apply(f, s), p, gamma)
+    return NormResult(stored[key], warnings=warnings)
 
 
 def _multiindices(d: int, max_order: int):
@@ -224,14 +247,18 @@ def sobolev_norm(f: Field, m, p, gamma) -> NormResult:
         raise RangeError(f"Sobolev order must be a nonnegative integer, got {m}")
     if p == math.inf:
         raise RangeError("the W-scale needs p < inf")
-    total = 0.0
-    for alpha in _multiindices(f.grid.d, m):
-        total += weighted_lp(derivative(f, alpha), p, gamma)
+    stored = _stored(f)
+    key = ("W", m, p, gamma)
+    if key not in stored:
+        total = 0.0
+        for alpha in _multiindices(f.grid.d, m):
+            total += weighted_lp(derivative(f, alpha), p, gamma)
+        stored[key] = total
     # Scanned after the D^0 term, which may have read f's samples: the rim
     # scan then reuses them instead of transforming the spectrum again.
     warnings: List[str] = []
     _check_boundary(f, warnings)
-    return NormResult(total, warnings=warnings)
+    return NormResult(stored[key], warnings=warnings)
 
 
 def space_norm(f: Field, spec, sys: Optional[DyadicSystem] = None) -> NormResult:

@@ -555,7 +555,8 @@ def parameters(name: str) -> Dict[str, object]:
 
 def config_problems(names, overrides) -> List[str]:
     """One message per unknown experiment, per experiment listed more than
-    once, per override no runner reads and per bad grid override."""
+    once, per override no runner reads, per bad grid override and per bad
+    count or tolerance value (``_value_problem``)."""
     counts = Counter(names)
     problems = [f"unknown experiment {n!r}" for n in counts if n not in CATALOG]
     problems += [f"experiment {n!r} is listed more than once"
@@ -568,12 +569,28 @@ def config_problems(names, overrides) -> List[str]:
             problems.append(f"experiment {name!r} has no parameter "
                             f"{', '.join(unknown)}; it accepts "
                             f"{', '.join(accepted)}")
-        elif "grid" in given:
+            continue
+        if "grid" in given:
             try:
                 _grid(given["grid"])
             except RangeError as exc:
                 problems.append(f"experiment {name!r}: {exc}")
+        problems += [f"experiment {name!r}: {msg}" for key, v in given.items()
+                     if (msg := _value_problem(key, v))]
     return problems
+
+
+def _value_problem(key, v) -> Optional[str]:
+    """What is wrong with override ``key = v``, None if nothing: a count
+    (``count``, ``triples``, ``bases``) is an int of at least 1, a bool not
+    included, and a ``tolerance`` or ``cap`` a finite number above 0."""
+    if key in ("count", "triples", "bases"):
+        if type(v) is not int or v < 1:
+            return f"{key} must be an integer of at least 1, got {v!r}"
+    elif key in ("tolerance", "cap"):
+        if type(v) not in (int, float) or not (math.isfinite(v) and v > 0):
+            return f"{key} must be a finite number above 0, got {v!r}"
+    return None
 
 
 def _grid(g) -> Optional[Grid]:

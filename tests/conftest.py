@@ -10,7 +10,12 @@ from powemb.lpengine import Grid, make_dyadic
 @pytest.fixture(autouse=True)
 def empty_norm_memo():
     """Start every test with the norms' one-field memo empty, so no test
-    depends on which field an earlier test normed last."""
+    depends on which field an earlier test normed last.
+
+    The numbers a field's norms measure stay on the field itself, so a test
+    that counts transforms or cell sums builds its fields afresh rather than
+    taking a module- or session-scoped one (or a kept window member, unless
+    it empties ``verify._sys_cache`` first)."""
     norms._memo = (None, None, {})
 
 

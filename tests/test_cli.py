@@ -559,6 +559,66 @@ class TestConfigGrid:
         assert not (tmp_path / "v").exists()
 
 
+class TestConfigValues:
+    """A count or tolerance override is checked before any work starts."""
+
+    @pytest.mark.parametrize("name,key,value,named", [
+        ("sharp", "count", -5, "count must be an integer of at least 1, got -5"),
+        ("sharp", "count", 0, "count must be an integer of at least 1, got 0"),
+        ("sharp", "count", True,
+         "count must be an integer of at least 1, got True"),
+        ("sharp", "count", "abc",
+         "count must be an integer of at least 1, got 'abc'"),
+        ("peaks", "tolerance", "x",
+         "tolerance must be a finite number above 0, got 'x'"),
+        ("peaks", "tolerance", -1,
+         "tolerance must be a finite number above 0, got -1"),
+    ], ids=["count=-5", "count=0", "count=true", "count=abc", "tolerance=x",
+            "tolerance=-1"])
+    def test_rejected_value_exits_64(self, name, key, value, named, tmp_path,
+                                     monkeypatch, capsys):
+        out = tmp_path / "v"
+        monkeypatch.setenv("POWEMB_OUT", str(out))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"experiments": [
+            {"id": name, "overrides": {key: value}}]}))
+        assert main(["verify", str(cfg)]) == 64
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("experiment") == 1
+        assert f"experiment {name!r}: {named}" in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name,key,value", [
+        ("oracle", "triples", 0),
+        ("oracle", "count", 2.0),
+        ("nikolskij", "bases", 0),
+        ("gagliardo", "cap", 0),
+        ("gagliardo", "cap", math.inf),
+        ("lacunary", "tolerance", math.nan),
+        ("translation", "tolerance", False),
+    ])
+    def test_every_checked_key_rejected_before_work(self, name, key, value):
+        from powemb import suite
+
+        # Nikolskij with no bases ran no check and read ALL PASS.
+        with pytest.raises(RangeError) as exc:
+            suite.run_experiments([name], {name: {key: value}})
+        assert str(exc.value).startswith(f"experiment {name!r}: {key} must be")
+
+    def test_accepted_values_run(self):
+        from powemb import suite
+
+        reps = suite.run_experiments(
+            ["sharp", "gagliardo"],
+            {"sharp": {"count": 1},
+             "gagliardo": {"count": 1, "cap": 10, "gammas": [0],
+                           "grid": {"d": 1, "L": 16.0, "N": 1024}}})
+        assert [r.experiment_id for r in reps["sharp"]] == [
+            "sharp_case_fidelity[seed=0,count=1]"]
+        assert len(reps["gagliardo"]) == 1
+
+
 class TestMatrixRendering:
     def test_render_handles_errors_and_unknowns(self, capsys):
         from powemb.cli import _render_matrix

@@ -285,8 +285,8 @@ def test_pinned_norm_values(pinned_fields, key):
 
 
 def fresh_band96(seed=7):
-    # A field object no other test holds, for tests that need two fields or
-    # watch one being freed.
+    # A field object no other test holds, for tests that need two fields,
+    # watch one being freed or count what its norms compute.
     return random_band_limited(Grid(1, 16.0, 2 ** 12), seed, band=96.0)
 
 
@@ -294,11 +294,11 @@ def fresh_band96(seed=7):
     (lambda f, sys: besov_norm(f, 0.5, 2, 2, 0.5, sys=sys), True),
     (lambda f, sys: triebel_norm(f, 0.5, 2, 1, 0.5, sys=sys), False),
 ], ids=["besov", "triebel"])
-def test_one_fft_per_active_block(norm, own_factor, band96, fft_calls):
+def test_one_fft_per_active_block(norm, own_factor, fft_calls):
     # The field's own samples (read by the boundary check) are cached first;
     # after that each active block costs exactly one (padded) inverse FFT,
     # and the blocks of one upsampling factor share one call.
-    f = band96
+    f = fresh_band96()
     sys = make_dyadic(f.grid)
     f.values
     fft_calls.clear()
@@ -382,22 +382,27 @@ class TestSharedBlocks:
             assert fft_calls.blocks == ffts
 
     def test_only_the_last_field_is_held(self, fft_calls):
+        # The magnitudes are held for the field normed last only, while its
+        # block norms stay with each field: after g, f at its old gamma
+        # needs no transform, and at another gamma every block again.
         f, g = fresh_band96(7), fresh_band96(8)
         sys = make_dyadic(f.grid)
         f.values, g.values
         kmax = _active_blocks(f, sys)
-        for field_, ffts in ((f, kmax + 1), (f, 0), (g, kmax + 1), (f, kmax + 1)):
+        for field_, gamma, ffts in ((f, 0.5, kmax + 1), (f, 0.5, 0),
+                                    (g, 0.5, kmax + 1), (f, 0.5, 0),
+                                    (f, 1.0, kmax + 1)):
             fft_calls.clear()
-            besov_norm(field_, 0.5, 2, 2, 0.5, sys=sys)
+            besov_norm(field_, 0.5, 2, 2, gamma, sys=sys)
             assert fft_calls.blocks == ffts
         # Another system object for the same grid is another pair, too.
         fft_calls.clear()
         besov_norm(f, 0.5, 2, 2, 0.5, sys=make_dyadic(f.grid))
         assert fft_calls.blocks == kmax + 1
 
-    def test_besov_at_another_s_q_reads_stored_block_norms(self, band96,
-                                                            fft_calls, cell_sums):
-        f = band96
+    def test_besov_at_another_s_q_reads_stored_block_norms(self, fft_calls,
+                                                            cell_sums):
+        f = fresh_band96()
         sys = make_dyadic(f.grid)
         kmax = _active_blocks(f, sys)
         besov_norm(f, 0.5, 2, 2, 0.5, sys=sys)
@@ -464,6 +469,100 @@ class TestSharedBlocks:
         for mag in _block_abs(f, sys, _field_memo(f, sys), {0: 1, 1: 2}).values():
             with pytest.raises(ValueError):
                 mag[0] = 0.0
+
+
+STORED_NORMS = {
+    "B": lambda f, sys: besov_norm(f, 0.5, 2, 2, 0.5, sys=sys),
+    "F": lambda f, sys: triebel_norm(f, 0.5, 2, 1, 0.5, sys=sys),
+    "H": lambda f, sys: bessel_norm(f, 0.5, 2, 0.5),
+    "W": lambda f, sys: sobolev_norm(f, 1, 2, 0.5),
+    "Holder": lambda f, sys: space_norm(f, S("Holder", "1/2"), sys=sys),
+}
+
+
+def _rim_field():
+    # A Gaussian too wide for its torus: every norm of it warns.
+    return field_from_samples(Grid(1, 4.0, 2 ** 10),
+                              lambda x: np.exp(-x * x / 8.0), band_limit=8.0)
+
+
+class TestStoredNumbers:
+    """The numbers a field's norms measure stay on the field while it
+    lives; its block magnitudes stay only while it is the field normed
+    last."""
+
+    @pytest.fixture
+    def spies(self, monkeypatch, fft_calls, cell_sums):
+        # Cell sums made by the norms themselves and inside weighted_lp.
+        inner = lpengine.weighted_cell_sum
+        monkeypatch.setattr(lpengine, "weighted_cell_sum",
+                            lambda *a: cell_sums.append(a[2:]) or inner(*a))
+        return fft_calls, cell_sums
+
+    @pytest.mark.parametrize("which", list(STORED_NORMS))
+    @pytest.mark.parametrize("make", [fresh_band96, _rim_field],
+                             ids=["band96", "rim"])
+    def test_stored_value_is_the_fresh_fields_bit_for_bit(self, which, make,
+                                                          spies):
+        fft_calls, cell_sums = spies
+        norm = STORED_NORMS[which]
+        f = make()
+        sys = make_dyadic(f.grid)
+        first = norm(f, sys)
+        fft_calls.clear(), cell_sums.clear()
+        again = norm(f, sys)
+        assert (len(fft_calls), len(cell_sums)) == (0, 0)
+        ref = make()
+        fresh = norm(ref, make_dyadic(ref.grid))
+        # A new result each time, with the same value and warnings.
+        assert again is not first
+        assert again.to_dict() == first.to_dict() == fresh.to_dict()
+        assert fresh.warnings or make is not _rim_field
+
+    def test_another_system_recomputes(self, spies):
+        fft_calls, cell_sums = spies
+        f = fresh_band96()
+        sys = make_dyadic(f.grid)
+        f.values
+        kmax = _active_blocks(f, sys)
+        values = {name: norm(f, sys).value for name, norm in STORED_NORMS.items()}
+        for name in ("B", "F", "Holder"):
+            other = make_dyadic(f.grid)
+            fft_calls.clear(), cell_sums.clear()
+            assert STORED_NORMS[name](f, other).value == values[name]
+            assert fft_calls.blocks == kmax + 1, name
+            # B sums each block, F its one aggregate; the sup norm of a
+            # block is a max, not a cell sum.
+            assert len(cell_sums) == {"B": kmax + 1, "F": 1, "Holder": 0}[name]
+        # The H and W values are kept whatever system B and F last used.
+        for name in ("H", "W"):
+            fft_calls.clear(), cell_sums.clear()
+            assert STORED_NORMS[name](f, None).value == values[name]
+            assert (len(fft_calls), len(cell_sums)) == (0, 0)
+
+    def test_no_stored_value_is_an_array(self):
+        f = fresh_band96()
+        sys = make_dyadic(f.grid)
+        for norm in STORED_NORMS.values():
+            norm(f, sys)
+        numbers = dict(f._numbers)
+        held_sys, by_sys = numbers.pop("sys")
+        assert held_sys is sys
+        # H and W values, then B block norms and F values, all floats.
+        assert {key[0] for key in numbers} == {"H", "W"}
+        assert {key[0] for key in by_sys if isinstance(key[0], str)} == {"F"}
+        for value in (*numbers.values(), *by_sys.values()):
+            assert isinstance(value, float)
+            assert not isinstance(value, np.ndarray)
+
+    def test_numbers_go_with_the_field(self):
+        f = fresh_band96(7)
+        sys = make_dyadic(f.grid)
+        besov_norm(f, 0.5, 2, 2, 0.5, sys=sys)
+        gone = weakref.ref(f)
+        besov_norm(fresh_band96(8), 0.5, 2, 2, 0.5, sys=sys)
+        del f
+        assert gone() is None
 
 
 class TestBlockStacks:

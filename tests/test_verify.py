@@ -455,3 +455,62 @@ class TestWitnessWindows:
         cold = reports()
         assert len(verify._sys_cache) > 0
         assert reports() == cold
+
+
+class TestStoredMemberNumbers:
+    """Kept window members keep the numbers their norms measured, so a
+    later bounded check at a spec already measured re-measures nothing."""
+
+    @pytest.fixture(autouse=True)
+    def cold_cache(self):
+        from powemb import verify
+
+        verify._sys_cache.clear()
+        yield
+        verify._sys_cache.clear()
+
+    @pytest.mark.parametrize("chain", [
+        (S("W", 2, 2, gamma=0), S("H", 1, 2, gamma=0), S("F", "1/2", 2, 2, 0)),
+        (S("B", 1, 2, 1, 0), S("B", "3/4", 4, 1, 0), S("Holder", "1/4")),
+    ], ids=["W-H-F", "B-B-Holder"])
+    def test_second_check_at_measured_specs_transforms_nothing(
+            self, chain, monkeypatch, fft_calls, cell_sums):
+        from powemb import lpengine, verify
+
+        inner = lpengine.weighted_cell_sum
+        monkeypatch.setattr(lpengine, "weighted_cell_sum",
+                            lambda *a: cell_sums.append(a[2:]) or inner(*a))
+        x, y, z = chain
+        check_embedding_bounded(x, y)
+        check_embedding_bounded(y, z)
+        fft_calls.clear(), cell_sums.clear()
+        warm = [r.to_dict() for r in check_embedding_bounded(x, z)]
+        assert (len(fft_calls), len(cell_sums)) == (0, 0)
+        # The stored numbers are the ones a cold cache measures.
+        verify._sys_cache.clear()
+        assert [r.to_dict() for r in check_embedding_bounded(x, z)] == warm
+        assert len(fft_calls) > 0 and len(cell_sums) > 0
+
+    def test_clear_drops_the_members_with_their_numbers(self, fft_calls):
+        import gc
+        import weakref
+
+        from powemb import verify
+
+        spec = S("B", 1, 2, 1, 0)
+        fam = verify._witness_family("peaks", 1)
+        members = fam.members()
+        for m in members:
+            verify._member_norm(m, spec)
+        assert all(m._numbers for m in members)
+        gone = weakref.ref(members[0])
+        del fam, members, m
+        verify._sys_cache.clear()
+        gc.collect()
+        assert gone() is None
+        # The window built again holds new members, measured afresh.
+        fresh = verify._witness_family("peaks", 1).members()
+        assert not any(m._numbers for m in fresh)
+        fft_calls.clear()
+        verify._member_norm(fresh[0], spec)
+        assert len(fft_calls) > 0
