@@ -317,6 +317,62 @@ def make_dyadic(grid: Grid) -> DyadicSystem:
     return DyadicSystem(grid, K, hats)
 
 
+class LRUCache(OrderedDict):
+    """A map that keeps its most recently used entries up to a total size.
+
+    ``size(value)`` is an entry's cost (1 by default, so ``capacity`` counts
+    entries); a store past ``capacity`` evicts the least recently used
+    entries, never the one just stored.
+    """
+
+    def __init__(self, capacity, size=lambda value: 1):
+        super().__init__()
+        self.capacity = capacity
+        self.size = size
+
+    def lookup(self, key):
+        """The value stored under key, marked as just used, or None."""
+        value = self.get(key)
+        if value is not None:
+            self.move_to_end(key)
+        return value
+
+    def store(self, key, value):
+        self[key] = value
+        self.move_to_end(key)
+        while len(self) > 1 and sum(map(self.size, self.values())) > self.capacity:
+            self.popitem(last=False)
+
+
+# Per grid, at most this many: its dyadic system, and what callers build
+# once per grid on it (verify keeps its witness windows there).  The default
+# catalog uses four grids; a 2-D system on the default grid holds 20 MB, and
+# the three 1-D windows of the bounded and failure checks together 4.4 MB.
+DYADIC_CACHE_ENTRIES = 8
+_sys_cache = LRUCache(DYADIC_CACHE_ENTRIES)
+
+
+class GridEntry(NamedTuple):
+    """What is kept for one grid: its dyadic system, and what callers build
+    once per grid on it, by key."""
+    sys: DyadicSystem
+    built: dict
+
+
+def grid_entry(grid: Grid) -> GridEntry:
+    key = (grid.d, grid.L, grid.N)
+    entry = _sys_cache.lookup(key)
+    if entry is None:
+        entry = GridEntry(make_dyadic(grid), {})
+        _sys_cache.store(key, entry)
+    return entry
+
+
+def dyadic_for(grid: Grid) -> DyadicSystem:
+    """The one dyadic system of ``grid`` that every norm without ``sys`` uses."""
+    return grid_entry(grid).sys
+
+
 def lp_blocks(f: Field, sys: DyadicSystem,
               ks: Optional[Sequence[int]] = None) -> List[Field]:
     """Littlewood-Paley blocks S_k f for k in ks (default 0 .. K), in that
@@ -384,33 +440,6 @@ def derivative(f: Field, alpha) -> Field:
 # ---------------------------------------------------------------------------
 # Weighted quadrature
 # ---------------------------------------------------------------------------
-
-class LRUCache(OrderedDict):
-    """A map that keeps its most recently used entries up to a total size.
-
-    ``size(value)`` is an entry's cost (1 by default, so ``capacity`` counts
-    entries); a store past ``capacity`` evicts the least recently used
-    entries, never the one just stored.
-    """
-
-    def __init__(self, capacity, size=lambda value: 1):
-        super().__init__()
-        self.capacity = capacity
-        self.size = size
-
-    def lookup(self, key):
-        """The value stored under key, marked as just used, or None."""
-        value = self.get(key)
-        if value is not None:
-            self.move_to_end(key)
-        return value
-
-    def store(self, key, value):
-        self[key] = value
-        self.move_to_end(key)
-        while len(self) > 1 and sum(map(self.size, self.values())) > self.capacity:
-            self.popitem(last=False)
-
 
 # Cell weights by (d, L, n, gamma), at most this many bytes.  Weights are
 # stored per half-line (1-D) or quadrant (2-D): the default 2-D grid at its

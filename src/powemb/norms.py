@@ -25,8 +25,8 @@ from .lpengine import (
     bessel_apply,
     check_lp_range,
     derivative,
+    dyadic_for,
     lp_blocks,
-    make_dyadic,
     stack_slots,
     upsample_stack,
     weighted_cell_sum,
@@ -73,11 +73,6 @@ def _ell_q(values: List[float], q: float) -> float:
     if q == math.inf:
         return max(values)
     return float(np.sum(np.asarray(values) ** q) ** (1.0 / q))
-
-
-def _system_for(f: Field, sys: Optional[DyadicSystem]) -> DyadicSystem:
-    # A system on another grid is rejected by lp_blocks.
-    return make_dyadic(f.grid) if sys is None else sys
 
 
 # For the one (field, system) pair normed last: |S_k f| on factor-refined
@@ -161,7 +156,7 @@ def _block_norms(f: Field, sys: DyadicSystem, memo: dict, factors: List[int],
 def besov_norm(f: Field, s, p, q, gamma, sys: Optional[DyadicSystem] = None) -> NormResult:
     """(sum_k (2^{ks} ||S_k f||_{L^p(w)})^q)^{1/q}, sup over k at q = inf."""
     s, p, q, gamma = float(s), float(p), float(q), float(gamma)
-    sys = _system_for(f, sys)
+    sys = dyadic_for(f.grid) if sys is None else sys
     memo = _field_memo(f, sys)
     warnings: List[str] = []
     _check_boundary(f, warnings)
@@ -181,7 +176,7 @@ def triebel_norm(f: Field, s, p, q, gamma, sys: Optional[DyadicSystem] = None) -
     s, p, q, gamma = float(s), float(p), float(q), float(gamma)
     if p == math.inf:
         raise RangeError("the F-scale needs p < inf")
-    sys = _system_for(f, sys)
+    sys = dyadic_for(f.grid) if sys is None else sys
     memo = _field_memo(f, sys)
     warnings: List[str] = []
     _check_boundary(f, warnings)

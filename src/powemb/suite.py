@@ -279,7 +279,6 @@ def check_norm_equivalences(gamma, count: int = 100, seed: int = 0,
     grid = grid or Grid(1, 16.0, 2 ** 12)
     gamma = float(gamma)
     fields = random_field_batch(grid, count, seed)
-    sys = verify._dyadic_for(grid)
     from .lpengine import bessel_apply, derivative
 
     lifting, diffn, sand_f_lo, sand_f_hi, squeeze_lo, squeeze_hi, wh = (
@@ -289,20 +288,19 @@ def check_norm_equivalences(gamma, count: int = 100, seed: int = 0,
     for f in fields:
         # Every norm of f comes before those of J_sigma f and f', so the
         # B and F norms of f share one decomposition.
-        b_s = norms.besov_norm(f, s, p, q, gamma, sys=sys).value
-        b_lo = norms.besov_norm(f, s - 1, p, q, gamma, sys=sys).value
-        f_n = norms.triebel_norm(f, s, p, q, gamma, sys=sys).value
-        b_min = norms.besov_norm(f, s, p, min(p, q), gamma, sys=sys).value
-        b_max = norms.besov_norm(f, s, p, max(p, q), gamma, sys=sys).value
-        f1 = norms.triebel_norm(f, s, p, 1, gamma, sys=sys).value
-        finf = norms.triebel_norm(f, s, p, math.inf, gamma, sys=sys).value
+        b_s = norms.besov_norm(f, s, p, q, gamma).value
+        b_lo = norms.besov_norm(f, s - 1, p, q, gamma).value
+        f_n = norms.triebel_norm(f, s, p, q, gamma).value
+        b_min = norms.besov_norm(f, s, p, min(p, q), gamma).value
+        b_max = norms.besov_norm(f, s, p, max(p, q), gamma).value
+        f1 = norms.triebel_norm(f, s, p, 1, gamma).value
+        finf = norms.triebel_norm(f, s, p, math.inf, gamma).value
         h_n = norms.bessel_norm(f, s, p, gamma).value
         w_n = norms.sobolev_norm(f, 1, p, gamma).value
         h1 = norms.bessel_norm(f, 1, p, gamma).value
         lifted = norms.besov_norm(bessel_apply(f, sigma), s - sigma, p, q,
-                                  gamma, sys=sys).value
-        b_df = norms.besov_norm(derivative(f, (1,)), s - 1, p, q, gamma,
-                                sys=sys).value
+                                  gamma).value
+        b_df = norms.besov_norm(derivative(f, (1,)), s - 1, p, q, gamma).value
 
         lifting.append(lifted / b_s)
         diffn.append((b_lo + b_df) / b_s)
@@ -556,7 +554,7 @@ def parameters(name: str) -> Dict[str, object]:
 def config_problems(names, overrides) -> List[str]:
     """One message per unknown experiment, per experiment listed more than
     once, per override no runner reads, per bad grid override and per bad
-    count or tolerance value (``_value_problem``)."""
+    count, tolerance or list value (``_value_problem``)."""
     counts = Counter(names)
     problems = [f"unknown experiment {n!r}" for n in counts if n not in CATALOG]
     problems += [f"experiment {n!r} is listed more than once"
@@ -576,20 +574,28 @@ def config_problems(names, overrides) -> List[str]:
             except RangeError as exc:
                 problems.append(f"experiment {name!r}: {exc}")
         problems += [f"experiment {name!r}: {msg}" for key, v in given.items()
-                     if (msg := _value_problem(key, v))]
+                     if (msg := _value_problem(key, v, accepted[key]))]
     return problems
 
 
-def _value_problem(key, v) -> Optional[str]:
+def _value_problem(key, v, default) -> Optional[str]:
     """What is wrong with override ``key = v``, None if nothing: a count
     (``count``, ``triples``, ``bases``) is an int of at least 1, a bool not
-    included, and a ``tolerance`` or ``cap`` a finite number above 0."""
+    included, a ``tolerance`` or ``cap`` a finite number above 0, and a
+    parameter whose default is a tuple a non-empty list of objects where the
+    default holds dicts, of numbers (a bool not included) otherwise."""
     if key in ("count", "triples", "bases"):
         if type(v) is not int or v < 1:
             return f"{key} must be an integer of at least 1, got {v!r}"
     elif key in ("tolerance", "cap"):
         if type(v) not in (int, float) or not (math.isfinite(v) and v > 0):
             return f"{key} must be a finite number above 0, got {v!r}"
+    elif isinstance(default, tuple):
+        kinds, want = (((dict,), "objects") if isinstance(default[0], dict)
+                       else ((int, float), "numbers"))
+        if (not isinstance(v, (list, tuple)) or not v
+                or any(type(x) not in kinds for x in v)):
+            return f"{key} must be a non-empty list of {want}, got {v!r}"
     return None
 
 

@@ -18,13 +18,12 @@ import numpy as np
 
 from . import norms
 from .lpengine import (
-    DyadicSystem,
     Field,
     Grid,
-    LRUCache,
     RadialProfile,
+    _sys_cache,  # re-exported: perfbench clears and counts verify._sys_cache
     derivative,
-    make_dyadic,
+    grid_entry,
     radial_weighted_lp,
     weighted_lp,
 )
@@ -194,7 +193,7 @@ def _within(predicted, tolerance, residual_cap=math.inf):
 
 
 # ---------------------------------------------------------------------------
-# Grids and cached dyadic systems
+# Grids
 # ---------------------------------------------------------------------------
 
 DEFAULT_GRID_1D = (1, 16.0, 2 ** 14)
@@ -206,34 +205,6 @@ WIDE_GRID_2D = (2, 64.0, 2 ** 9)
 # t-window, so they live on a very wide, coarse lattice.
 DIM_GRID_1D = (1, 1024.0, 2 ** 13)
 DIM_GRID_2D = (2, 256.0, 2 ** 9)
-
-# Per grid, at most this many: its dyadic system and the witness windows
-# built on it (``_witness_family``).  The default catalog uses four grids; a
-# 2-D system on the default grid holds 20 MB, and the three 1-D windows of
-# the bounded and failure checks together 4.4 MB.
-DYADIC_CACHE_ENTRIES = 8
-_sys_cache = LRUCache(DYADIC_CACHE_ENTRIES)
-
-
-@dataclass
-class _GridEntry:
-    """What is kept for one grid: its dyadic system, and its witness windows
-    by (kind, d)."""
-    sys: DyadicSystem
-    windows: Dict[tuple, WitnessFamily] = field(default_factory=dict)
-
-
-def _grid_entry(grid: Grid) -> _GridEntry:
-    key = (grid.d, grid.L, grid.N)
-    entry = _sys_cache.lookup(key)
-    if entry is None:
-        entry = _GridEntry(make_dyadic(grid))
-        _sys_cache.store(key, entry)
-    return entry
-
-
-def _dyadic_for(grid: Grid) -> DyadicSystem:
-    return _grid_entry(grid).sys
 
 
 def default_grid(d: int, wide: bool = False) -> Grid:
@@ -267,7 +238,7 @@ def dilation_setup(d: int):
 
 
 def _member_norm(member: Field, spec: SpaceSpec) -> float:
-    return norms.space_norm(member, spec, sys=_dyadic_for(member.grid)).value
+    return norms.space_norm(member, spec).value
 
 
 # ---------------------------------------------------------------------------
@@ -397,10 +368,9 @@ def check_gagliardo(fields: Sequence[Field], s0, s1, theta, p, q, gamma,
     s = (1.0 - theta) * s0 + theta * s1
     nums, dens = [], []
     for f in fields:
-        sys = _dyadic_for(f.grid)
-        nums.append(norms.triebel_norm(f, s, p, q, gamma, sys=sys).value)
-        a = norms.triebel_norm(f, s0, p, q, gamma, sys=sys).value
-        b = norms.triebel_norm(f, s1, p, q, gamma, sys=sys).value
+        nums.append(norms.triebel_norm(f, s, p, q, gamma).value)
+        a = norms.triebel_norm(f, s0, p, q, gamma).value
+        b = norms.triebel_norm(f, s1, p, q, gamma).value
         dens.append(a ** (1.0 - theta) * b ** theta)
     measured = measured_rows(range(len(fields)), dens, nums)
     worst = max((r for r in measured.values if not math.isnan(r)), default=0.0)
@@ -524,7 +494,7 @@ def _witness_family(kind, d, grid: Optional[Grid] = None) -> WitnessFamily:
     its own grid.
 
     A window is built once and kept, with the members it has built, in the
-    ``_sys_cache`` entry of its grid: it is dropped with that entry, by the
+    lpengine grid entry of its grid: it is dropped with that entry, by the
     LRU or by ``_sys_cache.clear()``.
     """
     if kind == "peaks":
@@ -538,7 +508,7 @@ def _witness_family(kind, d, grid: Optional[Grid] = None) -> WitnessFamily:
     else:
         grid = dilation_grid(d)
         build = lambda: dilation_family(*dilation_setup(d))
-    windows = _grid_entry(grid).windows
+    windows = grid_entry(grid).built
     if (kind, d) not in windows:
         windows[(kind, d)] = build()
     return windows[(kind, d)]

@@ -217,7 +217,7 @@ def _hat_n(n: int):
     return lambda r: bump_hat(r / 2.0 ** n) - bump_hat(r / 2.0 ** (n - 1))
 
 
-def spectral_peaks(grid_or_sys, n_values: Sequence[int], j: int) -> WitnessFamily:
+def spectral_peaks(grid: Grid, n_values: Sequence[int], j: int) -> WitnessFamily:
     """Members phi_n * phi_{n+j}, via the product of the two dyadic hats.
 
     Only j in {-1, 0, 1} gives overlapping annuli; larger |j| makes the
@@ -225,7 +225,6 @@ def spectral_peaks(grid_or_sys, n_values: Sequence[int], j: int) -> WitnessFamil
     constant of the transform convention is absorbed into the member
     normalization (it cancels in every ratio and exponent).
     """
-    grid = grid_or_sys if isinstance(grid_or_sys, Grid) else grid_or_sys.grid
     j = int(j)
     if j not in (-1, 0, 1):
         raise RangeError(
@@ -251,13 +250,12 @@ def spectral_peaks(grid_or_sys, n_values: Sequence[int], j: int) -> WitnessFamil
     return WitnessFamily("SpectralPeak", {"j": j}, n_values, make)
 
 
-def lacunary_sum(grid_or_sys, coeffs: Sequence[float], s0, p0, gamma0) -> Field:
+def lacunary_sum(grid: Grid, coeffs: Sequence[float], s0, p0, gamma0) -> Field:
     """The block sum f = sum_j 2^{-3j(d + s0 - (d+gamma0)/p0)} a_j phi_{3j}.
 
     Blocks three apart have disjoint spectra, so the Besov per-block values
     collapse to multiples of a_j.
     """
-    grid = grid_or_sys if isinstance(grid_or_sys, Grid) else grid_or_sys.grid
     coeffs = [float(a) for a in coeffs]
     N = len(coeffs)
     if N < 1:

@@ -573,8 +573,22 @@ class TestConfigValues:
          "tolerance must be a finite number above 0, got 'x'"),
         ("peaks", "tolerance", -1,
          "tolerance must be a finite number above 0, got -1"),
-    ], ids=["count=-5", "count=0", "count=true", "count=abc", "tolerance=x",
-            "tolerance=-1"])
+        # An empty list ran no check and read ALL PASS; a string was
+        # iterated, so "24" ran p = "2" and p = "4".
+        ("translation", "gammas", [],
+         "gammas must be a non-empty list of numbers, got []"),
+        ("translation", "ps", "24",
+         "ps must be a non-empty list of numbers, got '24'"),
+        ("equivalences", "gammas", [0, True],
+         "gammas must be a non-empty list of numbers, got [0, True]"),
+        ("translation", "lambdas", [4, "8"],
+         "lambdas must be a non-empty list of numbers, got [4, '8']"),
+        ("peaks", "combos", [{"p": 2, "gamma": 0}, 2],
+         "combos must be a non-empty list of objects, "
+         "got [{'p': 2, 'gamma': 0}, 2]"),
+    ], ids=["count=-5", "count=0", "count=true", "count=abc",
+            "tolerance=x", "tolerance=-1", "gammas=[]", "ps=str",
+            "gammas=bool-item", "lambdas=str-item", "combos=number-item"])
     def test_rejected_value_exits_64(self, name, key, value, named, tmp_path,
                                      monkeypatch, capsys):
         out = tmp_path / "v"

@@ -563,19 +563,58 @@ class TestCacheBounds:
             cache.clear()
 
     def test_dyadic_cache_stays_within_its_entries(self):
-        from powemb import verify
-
-        bound = verify.DYADIC_CACHE_ENTRIES
+        bound = lpengine.DYADIC_CACHE_ENTRIES
         grids = [Grid(1, 16.0 + i, 64) for i in range(bound + 2)]
-        verify._sys_cache.clear()
+        lpengine._sys_cache.clear()
         try:
-            systems = [verify._dyadic_for(g) for g in grids]
-            assert len(verify._sys_cache) == bound
-            assert list(verify._sys_cache) == [(1, g.L, 64) for g in grids[2:]]
-            assert verify._dyadic_for(grids[-1]) is systems[-1]
+            systems = [lpengine.dyadic_for(g) for g in grids]
+            assert len(lpengine._sys_cache) == bound
+            assert list(lpengine._sys_cache) == [(1, g.L, 64) for g in grids[2:]]
+            assert lpengine.dyadic_for(grids[-1]) is systems[-1]
         finally:
-            verify._sys_cache.clear()
+            lpengine._sys_cache.clear()
 
+
+
+class TestOneSystemPerGrid:
+    """lpengine keeps the one dyadic system of each grid; verify reaches the
+    same cache, so clearing it there starts every grid cold."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        calls = []
+        inner = lpengine.make_dyadic
+        monkeypatch.setattr(lpengine, "make_dyadic",
+                            lambda grid: calls.append(grid) or inner(grid))
+        lpengine._sys_cache.clear()
+        yield calls
+        lpengine._sys_cache.clear()
+
+    def test_clearing_verify_cache_drops_the_systems(self, builds):
+        from powemb import verify
+        from powemb.norms import besov_norm
+
+        assert verify._sys_cache is lpengine._sys_cache
+        f = gaussian(Grid(1, 16.0, 2 ** 12))
+        besov_norm(f, 0.5, 2, 2, 0.5)
+        verify._witness_family("peaks", 1, f.grid)
+        builds.clear()
+        verify._sys_cache.clear()
+        besov_norm(f, 0.5, 2, 2, 0.5)
+        besov_norm(f, 0.5, 2, 1, 0.0)
+        assert builds == [f.grid]
+        assert verify._sys_cache[(1, 16.0, 2 ** 12)].built == {}
+
+    def test_catalog_run_builds_one_system_per_grid(self, builds):
+        from powemb import suite
+
+        reps = suite.run_experiments(
+            ["gagliardo", "equivalences"],
+            {"gagliardo": {"count": 2},
+             "equivalences": {"count": 2, "grid": {"d": 1, "L": 16.0, "N": 1024}}})
+        assert all(r.passed for rs in reps.values() for r in rs)
+        assert sorted(builds, key=lambda g: g.N) == [Grid(1, 16.0, 2 ** 10),
+                                                     Grid(1, 16.0, 2 ** 12)]
 
 class TestRadial:
     def test_constant_profile(self):

@@ -540,6 +540,29 @@ class TestStoredNumbers:
             assert STORED_NORMS[name](f, None).value == values[name]
             assert (len(fft_calls), len(cell_sums)) == (0, 0)
 
+    @pytest.mark.parametrize("norm", [
+        lambda f, **kw: besov_norm(f, 0.5, 2, 2, 0.5, **kw),
+        lambda f, **kw: triebel_norm(f, 0.5, 2, 1, 0.5, **kw),
+        lambda f, **kw: space_norm(f, S("Holder", "1/2"), **kw),
+    ], ids=["besov_norm", "triebel_norm", "space_norm-Holder"])
+    def test_repeat_without_system_reuses_the_grids_one(self, norm, spies,
+                                                        monkeypatch):
+        # The package API (no sys) shares the grid's one kept system, so a
+        # repeat builds nothing, transforms nothing and sums nothing.
+        fft_calls, cell_sums = spies
+        builds = []
+        inner = lpengine.make_dyadic
+        monkeypatch.setattr(lpengine, "make_dyadic",
+                            lambda grid: builds.append(grid) or inner(grid))
+        f = fresh_band96()
+        first = norm(f)
+        builds.clear(), fft_calls.clear(), cell_sums.clear()
+        again = norm(f)
+        assert (len(builds), len(fft_calls), len(cell_sums)) == (0, 0, 0)
+        ref = fresh_band96()
+        kept = norm(ref, sys=inner(ref.grid))
+        assert again.to_dict() == first.to_dict() == kept.to_dict()
+
     def test_no_stored_value_is_an_array(self):
         f = fresh_band96()
         sys = make_dyadic(f.grid)

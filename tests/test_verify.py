@@ -398,7 +398,7 @@ class TestBoundedChecks:
 
 class TestWitnessWindows:
     """Each window is built once per grid and kept in that grid's
-    ``_sys_cache`` entry, so it goes with the entry."""
+    ``lpengine._sys_cache`` entry, so it goes with the entry."""
 
     @pytest.fixture(autouse=True)
     def cold_cache(self):
@@ -415,20 +415,20 @@ class TestWitnessWindows:
         grid = Grid(1, 16.0, 2 ** 12)
         fam = verify._witness_family("peaks", 1, grid)
         assert verify._witness_family("peaks", 1, grid) is fam
-        assert verify._sys_cache[(1, 16.0, 2 ** 12)].windows == {("peaks", 1): fam}
+        assert verify._sys_cache[(1, 16.0, 2 ** 12)].built == {("peaks", 1): fam}
         # A window on another grid is another window.
         assert verify._witness_family("peaks", 1) is not fam
         verify._sys_cache.clear()
         assert verify._witness_family("peaks", 1, grid) is not fam
 
     def test_evicted_with_its_grid(self):
-        from powemb import verify
+        from powemb import lpengine, verify
         from powemb.lpengine import Grid
 
         grid = Grid(1, 16.0, 2 ** 12)
         fam = verify._witness_family("peaks", 1, grid)
-        for i in range(verify.DYADIC_CACHE_ENTRIES):
-            verify._dyadic_for(Grid(1, 20.0 + i, 64))
+        for i in range(lpengine.DYADIC_CACHE_ENTRIES):
+            lpengine.dyadic_for(Grid(1, 20.0 + i, 64))
         assert (1, 16.0, 2 ** 12) not in verify._sys_cache
         assert verify._witness_family("peaks", 1, grid) is not fam
 
