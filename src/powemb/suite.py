@@ -553,8 +553,7 @@ def parameters(name: str) -> Dict[str, object]:
 
 def config_problems(names, overrides) -> List[str]:
     """One message per unknown experiment, per experiment listed more than
-    once, per override no runner reads, per bad grid override and per bad
-    count, tolerance or list value (``_value_problem``)."""
+    once, per override no runner reads and per value its row rejects."""
     counts = Counter(names)
     problems = [f"unknown experiment {n!r}" for n in counts if n not in CATALOG]
     problems += [f"experiment {n!r} is listed more than once"
@@ -568,40 +567,27 @@ def config_problems(names, overrides) -> List[str]:
                             f"{', '.join(unknown)}; it accepts "
                             f"{', '.join(accepted)}")
             continue
-        if "grid" in given:
+        for key, v in given.items():
             try:
-                _grid(given["grid"])
+                OVERRIDES[key](v)
             except RangeError as exc:
                 problems.append(f"experiment {name!r}: {exc}")
-        problems += [f"experiment {name!r}: {msg}" for key, v in given.items()
-                     if (msg := _value_problem(key, v, accepted[key]))]
     return problems
 
 
-def _value_problem(key, v, default) -> Optional[str]:
-    """What is wrong with override ``key = v``, None if nothing: a count
-    (``count``, ``triples``, ``bases``) is an int of at least 1, a bool not
-    included, a ``tolerance`` or ``cap`` a finite number above 0, and a
-    parameter whose default is a tuple a non-empty list of objects where the
-    default holds dicts, of numbers (a bool not included) otherwise."""
-    if key in ("count", "triples", "bases"):
-        if type(v) is not int or v < 1:
-            return f"{key} must be an integer of at least 1, got {v!r}"
-    elif key in ("tolerance", "cap"):
-        if type(v) not in (int, float) or not (math.isfinite(v) and v > 0):
-            return f"{key} must be a finite number above 0, got {v!r}"
-    elif isinstance(default, tuple):
-        kinds, want = (((dict,), "objects") if isinstance(default[0], dict)
-                       else ((int, float), "numbers"))
-        if (not isinstance(v, (list, tuple)) or not v
-                or any(type(x) not in kinds for x in v)):
-            return f"{key} must be a non-empty list of {want}, got {v!r}"
-    return None
+def _row(key, want, kinds, ok=lambda v: True) -> Callable:
+    """The row that passes on, as given, a value whose type is one of
+    ``kinds`` (a bool is never a number) and for which ``ok`` holds."""
+    def parse(v):
+        if type(v) not in kinds or not ok(v):
+            raise RangeError(f"{key} must be {want}, got {v!r}")
+        return v
+    return parse
 
 
 def _grid(g) -> Optional[Grid]:
-    """The Grid a ``grid`` override names, None for an empty one; a
-    RangeError names the key at fault."""
+    """The row of ``grid``: the Grid a {d, L, N} object names, None for an
+    empty one."""
     if not g:
         return None
     if not isinstance(g, dict):
@@ -609,25 +595,39 @@ def _grid(g) -> Optional[Grid]:
     unknown = sorted(set(g) - {"d", "L", "N"})
     if unknown:
         raise RangeError(f"grid has no key {', '.join(unknown)}; it takes d, L, N")
-    for key, kinds, want in (("d", (int,), "an integer"),
-                             ("L", (int, float), "a finite number"),
-                             ("N", (int,), "an integer")):
+    for key, *row in (("d", "an integer", (int,)),
+                      ("L", "a finite number", (int, float), math.isfinite),
+                      ("N", "an integer", (int,))):
         if key not in g:
             raise RangeError(f"grid is missing {key!r}; it takes d, L, N")
-        v = g[key]
-        if type(v) not in kinds or (type(v) is float and not math.isfinite(v)):
-            raise RangeError(f"grid {key} must be {want}, got {v!r}")
+        _row(f"grid {key}", *row)(g[key])
     return Grid(g["d"], float(g["L"]), g["N"])
 
 
+# One row per parameter a runner declares, whichever runners declare it: it
+# returns what a runner receives for a JSON value or names the key at fault.
+OVERRIDES: Dict[str, Callable] = {"grid": _grid, **{
+    key: _row(key, want, kinds, ok) for keys, want, kinds, ok in (
+        ("count triples bases", "an integer of at least 1", (int,),
+         lambda v: v >= 1),
+        ("tolerance cap", "a finite number above 0", (int, float),
+         lambda v: math.isfinite(v) and v > 0),
+        ("gammas ps lambdas j_values t_values n_values",
+         "a non-empty list of numbers", (list, tuple),
+         lambda v: v and all(type(x) in (int, float) for x in v)),
+        ("combos parameter_sets", "a non-empty list of objects", (list, tuple),
+         lambda v: v and all(type(x) is dict for x in v)),
+    ) for key in keys.split()}, **dict.fromkeys((
+        "n_min n_max p0 gamma0 q0 p1 gamma1 q1 s0 s1 d theta p q").split(),
+        lambda v: v)}
+
+
 def _run_one(name, kw, seed) -> List[ExperimentReport]:
-    """Experiment ``name``'s reports; an exception becomes its one
-    ``{name}[error]`` report.  Its grid was checked by ``config_problems``."""
-    kw = dict(kw)
+    """Experiment ``name``'s reports, its overrides passed through their
+    rows; an exception becomes its one ``{name}[error]`` report."""
     try:
-        if "grid" in kw:
-            kw["grid"] = _grid(kw["grid"])
-        return CATALOG[name][1](seed, **kw)
+        return CATALOG[name][1](seed, **{key: OVERRIDES[key](v)
+                                         for key, v in kw.items()})
     except Exception as exc:
         return [ExperimentReport(
             experiment_id=f"{name}[error]",
@@ -639,9 +639,8 @@ def _run_one(name, kw, seed) -> List[ExperimentReport]:
 
 def run_experiments(names=None, overrides=None, seed: int = 0,
                     jobs: int = 1) -> Dict[str, List[ExperimentReport]]:
-    """Run catalog experiments; returns {name: [reports]}.  A ``grid``
-    override is a {"d", "L", "N"} dict.  With ``jobs`` > 1 each experiment
-    runs in a worker process, at most ``jobs`` at a time."""
+    """Run catalog experiments; returns {name: [reports]}.  With ``jobs`` > 1
+    each experiment runs in a worker process, at most ``jobs`` at a time."""
     names = list(names) if names else list(CATALOG.keys())
     overrides = overrides or {}
     problems = config_problems(names, overrides)
