@@ -260,7 +260,7 @@ def cmd_verify(args) -> int:
         for name, (desc, _) in suite.CATALOG.items():
             print(f"{name:<14} {desc}")
         return EX_OK
-    config = {"experiments": None, "seed": 0}
+    loaded = {}
     if args.config:
         try:
             loaded = json.loads(Path(args.config).read_text(encoding="utf-8"))
@@ -268,14 +268,18 @@ def cmd_verify(args) -> int:
             raise RangeError(str(exc)) from None
         if not isinstance(loaded, dict):
             raise RangeError("a verify config must be a JSON object")
-        config.update(loaded)
+    # An absent key keeps its default, and a present one must hold a valid
+    # value. The hash is of the config as read, with the default seed and
+    # experiments (null for the whole catalog) filled in.
+    config = {"experiments": None, "seed": 0, **loaded}
     if args.seed is not None:
         config["seed"] = args.seed
     if type(config["seed"]) is not int:
         raise RangeError(f"seed must be an integer, got {config['seed']!r}")
-    experiments = config["experiments"] or list(suite.CATALOG)
-    if not isinstance(experiments, list):
-        raise RangeError("experiments must be a JSON array")
+    experiments = loaded.get("experiments", list(suite.CATALOG))
+    if not isinstance(experiments, list) or not experiments:
+        raise RangeError(f"experiments must be a non-empty JSON array, got "
+                         f"{json.dumps(experiments)}")
     names, overrides = [], {}
     for entry in experiments:
         entry = {"id": entry} if isinstance(entry, str) else entry
@@ -286,7 +290,7 @@ def cmd_verify(args) -> int:
                              f"string 'id' and optionally an 'overrides' object")
         names.append(entry["id"])
         overrides[entry["id"]] = dict(entry.get("overrides", {}))
-    if config.get("grid"):
+    if "grid" in config:
         for name in names:
             if name in suite.CATALOG and "grid" in suite.parameters(name):
                 overrides[name].setdefault("grid", config["grid"])
@@ -295,6 +299,9 @@ def cmd_verify(args) -> int:
     if unknown:
         problems.insert(0, f"unknown config key {', '.join(map(repr, unknown))}"
                            f"; a config takes experiments, grid, out, seed")
+    if "out" in config and not (type(config["out"]) is str and config["out"]):
+        problems.append(f"out must be a non-empty path, got "
+                        f"{json.dumps(config['out'])}")
     if problems:
         raise RangeError("; ".join(problems))
 

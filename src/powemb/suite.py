@@ -9,6 +9,7 @@ from __future__ import annotations
 import inspect
 import math
 import random as _random
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -575,9 +576,12 @@ def config_problems(names, overrides) -> List[str]:
     return problems
 
 
+_NUM = (int, float)  # a bool is neither
+
+
 def _row(key, want, kinds, ok=lambda v: True) -> Callable:
     """The row that passes on, as given, a value whose type is one of
-    ``kinds`` (a bool is never a number) and for which ``ok`` holds."""
+    ``kinds`` and for which ``ok`` holds."""
     def parse(v):
         if type(v) not in kinds or not ok(v):
             raise RangeError(f"{key} must be {want}, got {v!r}")
@@ -585,18 +589,48 @@ def _row(key, want, kinds, ok=lambda v: True) -> Callable:
     return parse
 
 
-def _grid(g) -> Optional[Grid]:
-    """The row of ``grid``: the Grid a {d, L, N} object names, None for an
-    empty one."""
-    if not g:
-        return None
+def _finite(v) -> bool:
+    """Whether number ``v`` is one a float holds: no NaN, no infinity."""
+    return abs(v) <= sys.float_info.max
+
+
+def _list(key, kinds, want, item=lambda x: x) -> Callable:
+    """The row of a non-empty list of ``kinds`` values, each of which the
+    row ``item`` accepts."""
+    whole = _row(key, f"a non-empty list of {want}", (list, tuple),
+                 lambda v: v and all(type(x) in kinds for x in v))
+
+    def parse(v):
+        for x in whole(v):
+            item(x)
+        return v
+    return parse
+
+
+def _fields(key, names) -> Callable:
+    """The row of a ``key`` item: an object of exactly the number fields
+    ``names``."""
+    def parse(v):
+        odd = sorted(set(v) ^ set(names))
+        if odd:
+            what = "is missing" if odd[0] in names else "has no field"
+            raise RangeError(f"{key} item {v!r} {what} {odd[0]!r}; an item "
+                             f"takes {', '.join(names)}")
+        for f in names:
+            _row(f"{key} item {f}", "a number", _NUM)(v[f])
+        return v
+    return parse
+
+
+def _grid(g) -> Grid:
+    """The row of ``grid``: the Grid a {d, L, N} object names."""
     if not isinstance(g, dict):
         raise RangeError(f"grid wants a {{d, L, N}} object, got {g!r}")
     unknown = sorted(set(g) - {"d", "L", "N"})
     if unknown:
         raise RangeError(f"grid has no key {', '.join(unknown)}; it takes d, L, N")
     for key, *row in (("d", "an integer", (int,)),
-                      ("L", "a finite number", (int, float), math.isfinite),
+                      ("L", "a finite number", _NUM, _finite),
                       ("N", "an integer", (int,))):
         if key not in g:
             raise RangeError(f"grid is missing {key!r}; it takes d, L, N")
@@ -604,22 +638,40 @@ def _grid(g) -> Optional[Grid]:
     return Grid(g["d"], float(g["L"]), g["N"])
 
 
+# The row of an integrability exponent: p, p0, p1 and each item of ps.
+_P = ("a finite number of at least 1", _NUM, lambda v: _finite(v) and v >= 1)
+
 # One row per parameter a runner declares, whichever runners declare it: it
 # returns what a runner receives for a JSON value or names the key at fault.
-OVERRIDES: Dict[str, Callable] = {"grid": _grid, **{
-    key: _row(key, want, kinds, ok) for keys, want, kinds, ok in (
-        ("count triples bases", "an integer of at least 1", (int,),
+# What involves two keys or the grid (p1 < p0, gamma > -d, the Nyquist
+# bound, enough points for a fit) is left to the runner.
+OVERRIDES: Dict[str, Callable] = {
+    "grid": _grid,
+    **{key: _row(key, *row) for keys, *row in (
+        ("count triples bases d", "an integer of at least 1", (int,),
          lambda v: v >= 1),
-        ("tolerance cap", "a finite number above 0", (int, float),
-         lambda v: math.isfinite(v) and v > 0),
-        ("gammas ps lambdas j_values t_values n_values",
-         "a non-empty list of numbers", (list, tuple),
-         lambda v: v and all(type(x) in (int, float) for x in v)),
-        ("combos parameter_sets", "a non-empty list of objects", (list, tuple),
-         lambda v: v and all(type(x) is dict for x in v)),
-    ) for key in keys.split()}, **dict.fromkeys((
-        "n_min n_max p0 gamma0 q0 p1 gamma1 q1 s0 s1 d theta p q").split(),
-        lambda v: v)}
+        ("n_min n_max", "an integer of at least 2", (int,), lambda v: v >= 2),
+        ("tolerance cap", "a finite number above 0", _NUM,
+         lambda v: _finite(v) and v > 0),
+        ("p p0 p1", *_P),
+        ("q q0 q1", "a number of at least 1, or infinity", _NUM,
+         lambda v: v >= 1),
+        ("theta", "a number in [0, 1]", _NUM, lambda v: 0 <= v <= 1),
+        ("gamma0 gamma1 s0 s1", "a finite number", _NUM, _finite),
+    ) for key in keys.split()},
+    **{key: _list(key, _NUM, "numbers")
+       for key in ("gammas", "lambdas", "t_values")},
+    "ps": _list("ps", _NUM, "numbers", _row("ps item", *_P)),
+    "j_values": _list("j_values", _NUM, "numbers", _row(
+        "j_values item", "-1, 0 or 1", _NUM, lambda v: v in (-1, 0, 1))),
+    "n_values": _list("n_values", _NUM, "numbers", _row(
+        "n_values item", "an integer of at least 1", (int,),
+        lambda v: v >= 1)),
+    "combos": _list("combos", (dict,), "objects",
+                    _fields("combos", ("p", "gamma"))),
+    "parameter_sets": _list("parameter_sets", (dict,), "objects",
+                            _fields("parameter_sets", ("p0", "g0", "p1", "g1"))),
+}
 
 
 def _run_one(name, kw, seed) -> List[ExperimentReport]:

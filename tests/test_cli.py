@@ -166,6 +166,11 @@ class TestWitness:
         assert not (tmp_path / "w").exists()
 
 
+# Empty JSON values: a config key given one is not absent, so it must
+# still hold a valid value.
+EMPTY = [0, False, "", [], {}, None]
+
+
 class TestVerify:
     def test_list_catalog(self, capsys):
         assert main(["verify", "--list"]) == 0
@@ -249,9 +254,26 @@ class TestVerify:
          ("experiment 'peaks': N must be a power of two",)),
         ({"grid": {"d": 3, "L": 16.0, "N": 64}, "experiments": ["peaks", "nikolskij"]},
          ("experiment 'peaks': grid dimension", "experiment 'nikolskij': grid dimension")),
+        # An empty value ran the whole catalog, the default grid or the
+        # default directory.
+        *[({"experiments": v}, (f"experiments must be a non-empty JSON "
+                                f"array, got {json.dumps(v)}",))
+          for v in EMPTY[:4]],
+        *[({"grid": v, "experiments": ["dichotomy", "peaks"]},
+           ("experiment 'peaks': grid",)) for v in EMPTY],
+        *[({"experiments": [{"id": "peaks", "overrides": {"grid": v}}]},
+           ("experiment 'peaks': grid",)) for v in EMPTY],
+        ({"out": "", "experiments": ["dichotomy"]},
+         ('out must be a non-empty path, got ""',)),
+        ({"out": 5, "experiments": ["dichotomy"]},
+         ("out must be a non-empty path, got 5",)),
     ], ids=["misspelled_override", "top_level_key", "entry_key", "no_id",
             "not_object", "experiments_not_array", "seed_str", "seed_float", "seed_bool",
-            "duplicate_id", "id_not_string", "grid_not_power_of_two", "top_level_grid_d"])
+            "duplicate_id", "id_not_string", "grid_not_power_of_two", "top_level_grid_d",
+            *[f"experiments={json.dumps(v)}" for v in EMPTY[:4]],
+            *[f"top_level_grid={json.dumps(v)}" for v in EMPTY],
+            *[f"override_grid={json.dumps(v)}" for v in EMPTY],
+            "out_empty", "out_number"])
     def test_bad_config_exit_64(self, tmp_path, monkeypatch, capsys,
                                 payload, named):
         out = tmp_path / "v"
@@ -586,9 +608,67 @@ class TestConfigValues:
         ("peaks", "combos", [{"p": 2, "gamma": 0}, 2],
          "combos must be a non-empty list of objects, "
          "got [{'p': 2, 'gamma': 0}, 2]"),
+        # A combos item without gamma wrote a peaks[error] report reading
+        # KeyError: 'gamma' and exited 3.
+        ("peaks", "combos", [{"p": 2}],
+         "combos item {'p': 2} is missing 'gamma'; an item takes p, gamma"),
+        ("peaks", "combos", [{"p": 2, "gamma": 0, "q": 1}],
+         "combos item {'p': 2, 'gamma': 0, 'q': 1} has no field 'q'; "
+         "an item takes p, gamma"),
+        ("peaks", "combos", [{"p": "2", "gamma": 0}],
+         "combos item p must be a number, got '2'"),
+        ("nikolskij", "parameter_sets", [{"p0": 2, "g0": 0, "p1": 2}],
+         "parameter_sets item {'p0': 2, 'g0': 0, 'p1': 2} is missing 'g1'; "
+         "an item takes p0, g0, p1, g1"),
+        ("nikolskij", "parameter_sets",
+         [{"p0": 2, "g0": None, "p1": 2, "g1": 0}],
+         "parameter_sets item g0 must be a number, got None"),
+        ("peaks", "j_values", [0, 2],
+         "j_values item must be -1, 0 or 1, got 2"),
+        ("peaks", "j_values", [0.5],
+         "j_values item must be -1, 0 or 1, got 0.5"),
+        ("peaks", "n_min", 1, "n_min must be an integer of at least 2, got 1"),
+        ("peaks", "n_max", 6.0,
+         "n_max must be an integer of at least 2, got 6.0"),
+        ("lacunary", "n_values", [4, 0],
+         "n_values item must be an integer of at least 1, got 0"),
+        ("lacunary", "n_values", [4.5],
+         "n_values item must be an integer of at least 1, got 4.5"),
+        ("translation", "ps", [2, 0.5],
+         "ps item must be a finite number of at least 1, got 0.5"),
+        ("gagliardo", "p", 0.5,
+         "p must be a finite number of at least 1, got 0.5"),
+        ("dichotomy", "p0", "2",
+         "p0 must be a finite number of at least 1, got '2'"),
+        ("lacunary", "p1", math.inf,
+         "p1 must be a finite number of at least 1, got inf"),
+        ("gagliardo", "q", 0,
+         "q must be a number of at least 1, or infinity, got 0"),
+        ("lacunary", "q0", "inf",
+         "q0 must be a number of at least 1, or infinity, got 'inf'"),
+        ("lacunary", "q1", math.nan,
+         "q1 must be a number of at least 1, or infinity, got nan"),
+        ("gagliardo", "theta", 1.5, "theta must be a number in [0, 1], got 1.5"),
+        ("dichotomy", "d", 0, "d must be an integer of at least 1, got 0"),
+        ("dichotomy", "d", 1.0, "d must be an integer of at least 1, got 1.0"),
+        ("dichotomy", "gamma0", "0", "gamma0 must be a finite number, got '0'"),
+        ("dichotomy", "gamma1", math.nan,
+         "gamma1 must be a finite number, got nan"),
+        ("lacunary", "s0", True, "s0 must be a finite number, got True"),
+        ("gagliardo", "s1", -math.inf, "s1 must be a finite number, got -inf"),
+        # An integer no float holds raised an OverflowError: exit 70.
+        ("gagliardo", "cap", 10 ** 400,
+         f"cap must be a finite number above 0, got {10 ** 400!r}"),
     ], ids=["count=-5", "count=0", "count=true", "count=abc",
             "tolerance=x", "tolerance=-1", "gammas=[]", "ps=str",
-            "gammas=bool-item", "lambdas=str-item", "combos=number-item"])
+            "gammas=bool-item", "lambdas=str-item", "combos=number-item",
+            "combos=missing-field", "combos=unknown-field",
+            "combos=str-field", "parameter_sets=missing-field",
+            "parameter_sets=null-field", "j_values=2", "j_values=0.5",
+            "n_min=1", "n_max=float", "n_values=0", "n_values=float",
+            "ps=below-1", "p=0.5", "p0=str", "p1=inf", "q=0", "q0=str",
+            "q1=nan", "theta=1.5", "d=0", "d=float", "gamma0=str",
+            "gamma1=nan", "s0=bool", "s1=-inf", "cap=huge-int"])
     def test_rejected_value_exits_64(self, name, key, value, named, tmp_path,
                                      monkeypatch, capsys):
         out = tmp_path / "v"
@@ -619,6 +699,23 @@ class TestConfigValues:
         with pytest.raises(RangeError) as exc:
             suite.run_experiments([name], {name: {key: value}})
         assert str(exc.value).startswith(f"experiment {name!r}: {key} must be")
+
+    def test_every_runner_parameter_has_one_row(self):
+        # Each parameter a catalog runner declares is parsed by its one row,
+        # every row is read by some runner, and every default (but an
+        # absent grid) passes its row as it is.
+        from powemb import suite
+
+        declared = {}
+        for name in suite.CATALOG:
+            for key, default in suite.parameters(name).items():
+                declared.setdefault(key, []).append(default)
+        assert sorted(set(declared) - set(suite.OVERRIDES)) == []
+        assert sorted(set(suite.OVERRIDES) - set(declared)) == []
+        for key, defaults in declared.items():
+            for default in defaults:
+                if default is not None:
+                    assert suite.OVERRIDES[key](default) == default, key
 
     def test_accepted_values_run(self):
         from powemb import suite
