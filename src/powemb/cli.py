@@ -48,8 +48,13 @@ def _config_hash(obj) -> str:
 
 
 def _out_dir(args, config_out=None) -> Path:
-    out = (os.environ.get("POWEMB_OUT") or args.out or config_out
-           or "powemb_out")
+    """POWEMB_OUT, else --out, else the config's out, else ./powemb_out; an
+    empty POWEMB_OUT or --out is rejected, not passed over."""
+    env = os.environ.get("POWEMB_OUT")
+    for given, name in ((env, "POWEMB_OUT"), (args.out, "--out")):
+        if given == "":
+            raise RangeError(f"{name} must be a non-empty path, got \"\"")
+    out = env or args.out or config_out or "powemb_out"
     path = Path(out)
     path.mkdir(parents=True, exist_ok=True)
     return path
@@ -290,11 +295,22 @@ def cmd_verify(args) -> int:
                              f"string 'id' and optionally an 'overrides' object")
         names.append(entry["id"])
         overrides[entry["id"]] = dict(entry.get("overrides", {}))
+    # A top-level grid goes to every listed runner that takes one and has
+    # none of its own, and is checked there; one that reaches no runner is
+    # checked once here, so it is never ignored unread.
+    problems = []
     if "grid" in config:
-        for name in names:
-            if name in suite.CATALOG and "grid" in suite.parameters(name):
-                overrides[name].setdefault("grid", config["grid"])
-    problems = suite.config_problems(names, overrides)
+        readers = [name for name in names if name in suite.CATALOG
+                   and "grid" in suite.parameters(name)
+                   and "grid" not in overrides[name]]
+        for name in readers:
+            overrides[name]["grid"] = config["grid"]
+        if not readers:
+            try:
+                suite.OVERRIDES["grid"](config["grid"])
+            except RangeError as exc:
+                problems.append(f"top-level {exc}")
+    problems += suite.config_problems(names, overrides)
     unknown = sorted(set(config) - {"experiments", "seed", "grid", "out"})
     if unknown:
         problems.insert(0, f"unknown config key {', '.join(map(repr, unknown))}"

@@ -158,6 +158,8 @@ class Field:
         # Floats the norms measure on this field (``norms._stored``): kept
         # while the field lives, since its arrays never change.
         self._numbers = {}
+        # A witness window member's kept |S_k f| stacks (``norms.keep_blocks``).
+        self._kept = None
         self.band_limit = band_limit
         self.spectral_gen = spectral_gen
         self.physical_gen = physical_gen
@@ -294,11 +296,18 @@ class DyadicSystem:
     hat_phi[0] is the generator; hat_phi[k] = hat_phi0(2^-k xi) -
     hat_phi0(2^-k+1 xi) for k >= 1, supported in the annulus
     2^{k-1} <= |xi| <= (3/2) 2^k.
+
+    Each hat is stored on its support box |xi_i| <= (3/2) 2^k only:
+    ``hat_phi[k]`` holds its values at the lattice bins ``box[k]`` on every
+    axis (FFT order; None for a box that covers the whole lattice), and it
+    is exactly zero at every bin outside the box.  ``lattice_hat(k)`` puts
+    a hat back on the whole lattice.
     """
 
     grid: Grid
     K: int
     hat_phi: List[np.ndarray]
+    box: List[Optional[np.ndarray]]
 
     def block_band(self, k: int) -> float:
         return 1.5 * 2.0 ** k
@@ -306,15 +315,33 @@ class DyadicSystem:
     def block_lower_edge(self, k: int) -> float:
         return 0.0 if k == 0 else 2.0 ** (k - 1)
 
+    def lattice_hat(self, k: int) -> np.ndarray:
+        """hat_phi[k] on the whole frequency lattice."""
+        if self.box[k] is None:
+            return self.hat_phi[k]
+        out = np.zeros((self.grid.N,) * self.grid.d)
+        out[np.ix_(*(self.box[k],) * self.grid.d)] = self.hat_phi[k]
+        return out
+
 
 def make_dyadic(grid: Grid) -> DyadicSystem:
-    xi_abs = grid.freq_magnitude()
+    axis = grid.axis_freqs()
     radius = grid.xi_max * math.sqrt(grid.d)
     K = int(math.ceil(math.log2(radius))) + 1
-    hats = [bump_hat(xi_abs)]
-    for k in range(1, K + 1):
-        hats.append(bump_hat(xi_abs / 2.0 ** k) - bump_hat(xi_abs / 2.0 ** (k - 1)))
-    return DyadicSystem(grid, K, hats)
+    hats, boxes = [], []
+    for k in range(K + 1):
+        # Every bin of the ball |xi| <= (3/2) 2^k lies in the box, since
+        # sqrt(fl(x^2 + y^2)) >= |x|: outside it the hat is exactly zero.
+        idx = np.flatnonzero(np.abs(axis) <= 1.5 * 2.0 ** k)
+        box = None if idx.size == grid.N else idx
+        xi_abs = magnitude(*np.meshgrid(*(axis if box is None else axis[box],)
+                                        * grid.d, indexing="ij"))
+        hat = bump_hat(xi_abs / 2.0 ** k)
+        if k:
+            hat -= bump_hat(xi_abs / 2.0 ** (k - 1))
+        hats.append(hat)
+        boxes.append(box)
+    return DyadicSystem(grid, K, hats, boxes)
 
 
 class LRUCache(OrderedDict):
@@ -346,8 +373,11 @@ class LRUCache(OrderedDict):
 
 # Per grid, at most this many: its dyadic system, and what callers build
 # once per grid on it (verify keeps its witness windows there).  The default
-# catalog uses four grids; a 2-D system on the default grid holds 20 MB, and
-# the three 1-D windows of the bounded and failure checks together 4.4 MB.
+# catalog uses four grids.  With its hats on their boxes, a 2-D system on the
+# default grid holds 8.8 MB (21 MB on the whole lattice) and a 1-D one at
+# N = 2^14 0.5 MB.  The three 1-D windows of the bounded and failure checks
+# hold 4.4 MB of member arrays, and their members keep up to
+# norms.WINDOW_BLOCK_BYTES of block magnitudes per window (6.7 MB together).
 DYADIC_CACHE_ENTRIES = 8
 _sys_cache = LRUCache(DYADIC_CACHE_ENTRIES)
 
@@ -384,10 +414,20 @@ def lp_blocks(f: Field, sys: DyadicSystem,
     """
     if f.grid != sys.grid:
         raise GridMismatch("field and dyadic system live on different grids")
-    spec = f.spectrum
-    return [Field(f.grid, spectrum=_Fresh(spec * sys.hat_phi[k], f.real_valued),
+    return [Field(f.grid, spectrum=_Fresh(_block_spectrum(f.spectrum, sys, k),
+                                          f.real_valued),
                   band_limit=_block_band(f, sys, k))
             for k in (range(sys.K + 1) if ks is None else ks)]
+
+
+def _block_spectrum(spec: np.ndarray, sys: DyadicSystem, k: int) -> np.ndarray:
+    """spec * hat_phi[k] on the lattice, multiplied on the hat's box only."""
+    if sys.box[k] is None:
+        return spec * sys.hat_phi[k]
+    box = np.ix_(*(sys.box[k],) * spec.ndim)
+    out = np.zeros_like(spec)
+    out[box] = spec[box] * sys.hat_phi[k]
+    return out
 
 
 def _block_band(f: Field, sys: DyadicSystem, k: int) -> float:
@@ -613,7 +653,7 @@ def stack_slots(grid: Grid, factor: int, real: bool) -> int:
     return max(1, STACK_BYTES // nbytes)
 
 
-def weighted_cell_sum(grid: Grid, abs_values: np.ndarray, p: float, gamma: float,
+def weighted_cell_sum(grid: Grid, values: np.ndarray, p: float, gamma: float,
                       factor: int = 1) -> float:
     """(sum |values|^p W_c)^{1/p} over a factor-refined lattice of the grid."""
     n = grid.N * factor
@@ -621,7 +661,7 @@ def weighted_cell_sum(grid: Grid, abs_values: np.ndarray, p: float, gamma: float
     # |values|^p W_c in one buffer: refined lattices reach 2^20 cells in 2-D.
     # The weights are one half-line or quadrant; 2^d mirrored views of it
     # multiply the lattice in place.
-    terms = np.abs(abs_values)
+    terms = np.abs(values)
     terms **= p
     for cells, entries in _mirror_index(grid.d, n):
         view = terms[cells]
@@ -665,9 +705,7 @@ def weighted_lp(f: Field, p, gamma: float, oversample: Optional[int] = None) -> 
     if p == math.inf:
         return float(np.max(np.abs(f.values)))
     factor = auto_oversample(f.grid, f.band_limit) if oversample is None else int(oversample)
-    # The complex samples are dropped as soon as their magnitudes exist.
-    return weighted_cell_sum(f.grid, np.abs(upsample_values(f, factor)), p, gamma,
-                             factor)
+    return weighted_cell_sum(f.grid, upsample_values(f, factor), p, gamma, factor)
 
 
 def boundary_decay(f: Field, fraction: float = 0.02) -> float:

@@ -10,6 +10,7 @@ floats; q = inf aggregations use the exact max.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from itertools import product
 from typing import Dict, List, Optional, Tuple
@@ -81,16 +82,47 @@ def _ell_q(values: List[float], q: float) -> float:
 # Norming any other pair replaces it, so every B/F norm of one field
 # transforms each block once per factor and no magnitude outlives the next
 # field.  The numbers measured from them live on the field (``_stored``).
+# Witness window members keep their stacks on themselves instead
+# (``keep_blocks``), up to the window's bound; a stack past it goes here.
+# The field is held by a weak reference, so the memo keeps no window member
+# (nor its kept stacks) alive past its window.
 _memo = (None, None, {})
 _MISSING = object()
+
+# Bytes of |S_k f| stacks one witness window's members keep together.  The
+# three 1-D windows of the bounded and failure checks keep every stack
+# (peaks 2.6 MiB, dilation 0.6 MiB, translation 3.1 MiB); a 2-D window on
+# the default grid keeps at most two unrefined stacks (2 MiB each), and its
+# refined ones (8 MiB and more) go through ``_memo``.
+WINDOW_BLOCK_BYTES = 4 * 2 ** 20
+
+
+class _Keep:
+    """The system one window's kept stacks are for, and the bytes of its
+    bound they have left."""
+
+    def __init__(self, sys: DyadicSystem):
+        self.sys = sys
+        self.left = WINDOW_BLOCK_BYTES
+
+
+def keep_blocks(members: List[Field], sys: DyadicSystem) -> None:
+    """Let the members of one witness window keep, on themselves, the
+    |S_k f| stacks their B/F norms under ``sys`` make, within
+    WINDOW_BLOCK_BYTES together: each block is then transformed once per
+    factor for as long as the members live, whatever field is normed in
+    between."""
+    keep = _Keep(sys)
+    for f in members:
+        f._kept = (keep, {})
 
 
 def _field_memo(f: Field, sys: DyadicSystem) -> dict:
     """The memo of (f, sys); the memo of any other pair is dropped first,
     so its magnitudes are freed before this field's are computed."""
     global _memo
-    if _memo[0] is not f or _memo[1] is not sys:
-        _memo = (f, sys, {})
+    if _memo[0] is None or _memo[0]() is not f or _memo[1] is not sys:
+        _memo = (weakref.ref(f), sys, {})
     return _memo[2]
 
 
@@ -110,16 +142,21 @@ def _stored(f: Field, sys: Optional[DyadicSystem] = None) -> dict:
 def _block_abs(f: Field, sys: DyadicSystem, memo: dict,
                factors: Dict[int, int]) -> Dict[int, Optional[np.ndarray]]:
     """Read-only |S_k f| upsampled by factors[k] for each k, in the order
-    given; None where S_k f is identically zero."""
-    out = {k: memo.get((k, factor), _MISSING) for k, factor in factors.items()}
+    given; None where S_k f is identically zero.  A window member's stacks
+    are kept on it while its window's bound allows, the others in ``memo``."""
+    keep, kept = (f._kept if f._kept is not None and f._kept[0].sys is sys
+                  else (None, memo))
+    out = {k: kept.get((k, factor), memo.get((k, factor), _MISSING))
+           for k, factor in factors.items()}
     missing = [k for k, mag in out.items() if mag is _MISSING]
     groups: Dict[int, list] = {}
     for k, block in zip(missing, lp_blocks(f, sys, missing) if missing else ()):
         # A block whose annulus misses the spectrum (most blocks of a
         # spectral peak) is zero on every lattice: no transform.
-        out[k] = None
         if block.spectrum.any():
             groups.setdefault(factors[k], []).append((k, block.spectrum))
+        else:
+            out[k] = kept[(k, factors[k])] = None
     # The blocks of one factor are transformed together, as many per call
     # as the stack bound allows; a real field's at factor 1 too.
     for factor, group in groups.items():
@@ -129,7 +166,11 @@ def _block_abs(f: Field, sys: DyadicSystem, memo: dict,
             mags = np.abs(upsample_stack(spectra, factor, f.real_valued))
             mags.setflags(write=False)
             out.update(zip(ks, mags))
-    memo.update(((k, factors[k]), out[k]) for k in missing)
+            home = memo
+            if keep is not None and mags.nbytes <= keep.left:
+                keep.left -= mags.nbytes
+                home = kept
+            home.update(((k, factor), out[k]) for k in ks)
     return out
 
 

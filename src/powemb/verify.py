@@ -493,9 +493,10 @@ def _witness_family(kind, d, grid: Optional[Grid] = None) -> WitnessFamily:
     ``grid`` is; ``dilation``: the t -> 0 window of ``dilation_setup``, on
     its own grid.
 
-    A window is built once and kept, with the members it has built, in the
-    lpengine grid entry of its grid: it is dropped with that entry, by the
-    LRU or by ``_sys_cache.clear()``.
+    A window is built once, with all its members, and kept in the lpengine
+    grid entry of its grid; its members keep their block magnitudes under
+    the grid's system (``norms.keep_blocks``).  All of it is dropped with
+    that entry, by the LRU or by ``_sys_cache.clear()``.
     """
     if kind == "peaks":
         grid = grid or default_grid(d)
@@ -508,10 +509,12 @@ def _witness_family(kind, d, grid: Optional[Grid] = None) -> WitnessFamily:
     else:
         grid = dilation_grid(d)
         build = lambda: dilation_family(*dilation_setup(d))
-    windows = grid_entry(grid).built
-    if (kind, d) not in windows:
-        windows[(kind, d)] = build()
-    return windows[(kind, d)]
+    entry = grid_entry(grid)
+    if (kind, d) not in entry.built:
+        fam = build()
+        norms.keep_blocks(fam.members(), entry.sys)
+        entry.built[(kind, d)] = fam
+    return entry.built[(kind, d)]
 
 
 def _ratio_family_report(experiment_id, kind, fam: WitnessFamily, src, tgt,

@@ -231,7 +231,7 @@ class TestVerify:
                         + (out / "lacunary_000.csv").read_bytes())
         assert outs[0] == outs[1]
 
-    @pytest.mark.parametrize("payload, named", [
+    @pytest.mark.parametrize("payload, named, given", [*[(*row, {}) for row in [
         ({"experiments": [{"id": "translation",
                            "overrides": {"tolerence": 0.5, "gamma": [9]}}],
           "bogus_key": 1},
@@ -267,25 +267,38 @@ class TestVerify:
          ('out must be a non-empty path, got ""',)),
         ({"out": 5, "experiments": ["dichotomy"]},
          ("out must be a non-empty path, got 5",)),
+        # A top-level grid that no listed experiment reads ran unchecked.
+        ({"grid": 0, "experiments": ["dichotomy"]},
+         ("top-level grid wants a {d, L, N} object, got 0",)),
+    ]],
+        # An empty --out or POWEMB_OUT wrote to ./powemb_out.
+        ({"experiments": ["dichotomy"]},
+         ('--out must be a non-empty path, got ""',), {"flags": ["--out", ""]}),
+        ({"experiments": ["dichotomy"]},
+         ('POWEMB_OUT must be a non-empty path, got ""',), {"env": ""}),
     ], ids=["misspelled_override", "top_level_key", "entry_key", "no_id",
             "not_object", "experiments_not_array", "seed_str", "seed_float", "seed_bool",
             "duplicate_id", "id_not_string", "grid_not_power_of_two", "top_level_grid_d",
             *[f"experiments={json.dumps(v)}" for v in EMPTY[:4]],
             *[f"top_level_grid={json.dumps(v)}" for v in EMPTY],
             *[f"override_grid={json.dumps(v)}" for v in EMPTY],
-            "out_empty", "out_number"])
+            "out_empty", "out_number", "unread_top_level_grid",
+            "out_flag_empty", "out_env_empty"])
     def test_bad_config_exit_64(self, tmp_path, monkeypatch, capsys,
-                                payload, named):
+                                payload, named, given):
+        # ``given`` holds global flags and a POWEMB_OUT other than ``out``.
         out = tmp_path / "v"
-        monkeypatch.setenv("POWEMB_OUT", str(out))
+        monkeypatch.setenv("POWEMB_OUT", given.get("env", str(out)))
+        monkeypatch.chdir(tmp_path)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(payload))
-        assert main(["verify", str(cfg)]) == 64
+        assert main([*given.get("flags", []), "verify", str(cfg)]) == 64
         err = capsys.readouterr().err
         assert "internal error" not in err
         for word in named:
             assert word in err, (word, err)
         assert not out.exists()
+        assert not (tmp_path / "powemb_out").exists()
 
     def test_run_experiments_rejects_duplicate_id(self):
         from powemb import suite

@@ -72,30 +72,47 @@ class TestDyadic:
         assert np.all((vals >= 0) & (vals <= 1))
 
     def test_partition_of_unity(self, grid1d, sys1d):
-        total = sum(sys1d.hat_phi)
+        total = sum(map(sys1d.lattice_hat, range(sys1d.K + 1)))
         assert np.max(np.abs(total - 1.0)) <= 1e-12
 
     def test_partition_of_unity_2d(self, grid2d, sys2d):
-        total = sum(sys2d.hat_phi)
+        total = sum(map(sys2d.lattice_hat, range(sys2d.K + 1)))
         assert np.max(np.abs(total - 1.0)) <= 1e-12
 
     def test_block_one_vanishes_inside_unit_ball(self, grid1d, sys1d):
         xi = np.abs(grid1d.axis_freqs())
-        assert np.max(np.abs(sys1d.hat_phi[1][xi <= 1.0])) == 0.0
+        assert np.max(np.abs(sys1d.lattice_hat(1)[xi <= 1.0])) == 0.0
 
     def test_support_annuli(self, grid1d, sys1d):
         xi = np.abs(grid1d.axis_freqs())
         for k in (2, 4, 6):
             outside = (xi < 2.0 ** (k - 1)) | (xi > 1.5 * 2.0 ** k)
-            assert np.max(np.abs(sys1d.hat_phi[k][outside])) == 0.0
+            assert np.max(np.abs(sys1d.lattice_hat(k)[outside])) == 0.0
 
     def test_values_within_unit_interval(self, sys1d):
-        for h in sys1d.hat_phi:
+        for h in map(sys1d.lattice_hat, range(sys1d.K + 1)):
             assert np.all((h >= 0.0) & (h <= 1.0 + 1e-15))
 
     def test_blocks_beyond_nyquist_vanish(self, grid1d, sys1d):
         # the last block's support starts beyond the representable ball
-        assert np.max(np.abs(sys1d.hat_phi[sys1d.K])) == 0.0
+        assert np.max(np.abs(sys1d.lattice_hat(sys1d.K))) == 0.0
+
+    @pytest.mark.parametrize("grid", [Grid(1, 16.0, 2 ** 14), Grid(2, 8.0, 256),
+                                      Grid(1, 1024.0, 2 ** 13), Grid(2, 8.0, 2 ** 9)],
+                             ids=str)
+    def test_box_hats_are_the_lattice_hats(self, grid):
+        # Each hat kept on its box |xi_i| <= (3/2) 2^k, put back on the
+        # lattice, is the one made on the whole lattice, bit for bit.
+        sys_ = make_dyadic(grid)
+        xi_abs = grid.freq_magnitude()
+        full_bytes = 0
+        for k in range(sys_.K + 1):
+            full = bump_hat(xi_abs / 2.0 ** k)
+            if k:
+                full = full - bump_hat(xi_abs / 2.0 ** (k - 1))
+            assert sys_.lattice_hat(k).tobytes() == full.tobytes(), k
+            full_bytes += full.nbytes
+        assert sum(h.nbytes for h in sys_.hat_phi) < full_bytes
 
 
 class TestBlocks:
@@ -133,7 +150,7 @@ class TestBlocks:
 
     def test_disjoint_spectra_two_apart(self, grid1d, sys1d):
         for k in range(2, 8):
-            overlap = sys1d.hat_phi[k] * sys1d.hat_phi[k + 2]
+            overlap = sys1d.lattice_hat(k) * sys1d.lattice_hat(k + 2)
             assert np.max(np.abs(overlap)) == 0.0
 
     def test_only_the_blocks_asked_for_are_built(self, grid1d, sys1d, monkeypatch):
@@ -467,7 +484,7 @@ def _full_weighted_lp(f, p, gamma):
 
 
 def _full_block_abs(f, sys, k, factor):
-    block = Field(f.grid, spectrum=f.spectrum * sys.hat_phi[k])
+    block = Field(f.grid, spectrum=f.spectrum * sys.lattice_hat(k))
     return np.abs(_full_upsample(block, factor, real=f.real_valued))
 
 
@@ -1063,7 +1080,7 @@ class TestFreshArrays:
         assert spec.nbytes <= peak < 1.5 * spec.nbytes
         with pytest.raises(ValueError):
             block.spectrum.flat[0] = 1.0
-        assert np.array_equal(block.spectrum, spec * sys_.hat_phi[3])
+        assert np.array_equal(block.spectrum, spec * sys_.lattice_hat(3))
 
 
 def test_every_lru_cache_is_bounded():

@@ -457,6 +457,73 @@ class TestWitnessWindows:
         assert reports() == cold
 
 
+class TestKeptBlocks:
+    """Witness window members keep their block magnitudes, within a bound
+    per window, for as long as their window lives."""
+
+    @pytest.fixture(autouse=True)
+    def cold_cache(self):
+        from powemb import verify
+
+        verify._sys_cache.clear()
+        yield
+        verify._sys_cache.clear()
+
+    @pytest.mark.parametrize("pair", [
+        (S("B", 1, 2, 1, 0), S("B", 0, 4, 1, 0)),
+        (S("F", 1, 2, 2, 0), S("F", "1/2", 4, 1, 0)),
+    ], ids=["B", "F"])
+    def test_second_check_transforms_no_kept_block(self, pair, fft_calls):
+        from powemb import norms, verify
+
+        first = [r.to_dict() for r in check_embedding_bounded(*pair)]
+        members = [m for kind in ("peaks", "dilation", "translation")
+                   for m in verify._witness_family(kind, 1).members()]
+        assert all(m._kept[1] for m in members)
+        # Without the numbers measured from them, the norms read the kept
+        # magnitudes again: no block is transformed.
+        for m in members:
+            m._numbers.clear()
+        norms._memo = (None, None, {})
+        fft_calls.clear()
+        second = [r.to_dict() for r in check_embedding_bounded(*pair)]
+        assert fft_calls.blocks == 0
+        assert second == first
+
+    def test_2d_window_keeps_at_most_its_bound(self):
+        from powemb import norms, verify
+
+        fam = verify._witness_family("peaks", 2)
+        assert fam.member(0).grid == verify.default_grid(2)
+        for m in fam.members():
+            norms.besov_norm(m, 0.5, math.inf, math.inf, 0.0)
+        kept = {id(mag.base): mag.base.nbytes for m in fam.members()
+                for mag in m._kept[1].values() if mag is not None}
+        assert 0 < sum(kept.values()) <= norms.WINDOW_BLOCK_BYTES
+        # The stacks past the bound went through the one-field memo.
+        assert any(mag is not None for mag in norms._memo[2].values())
+
+    def test_clear_drops_the_kept_stacks(self):
+        import gc
+        import weakref
+
+        from powemb import verify
+
+        spec = S("B", 1, 2, 1, 0)
+        for kind in ("peaks", "dilation", "translation"):
+            for m in verify._witness_family(kind, 1).members():
+                verify._member_norm(m, spec)
+        stacks = {id(mag.base): weakref.ref(mag.base)
+                  for entry in verify._sys_cache.values()
+                  for fam in entry.built.values() for m in fam.members()
+                  for mag in m._kept[1].values() if mag is not None}
+        assert stacks
+        del m
+        verify._sys_cache.clear()
+        gc.collect()
+        assert all(ref() is None for ref in stacks.values())
+
+
 class TestStoredMemberNumbers:
     """Kept window members keep the numbers their norms measured, so a
     later bounded check at a spec already measured re-measures nothing."""
