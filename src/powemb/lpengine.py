@@ -155,8 +155,8 @@ class Field:
         self._spectrum = (None if spectrum is None
                           else _frozen(grid, spectrum, "spectrum"))
         self._rim = None
-        # Floats the norms measure on this field (``norms._stored``): kept
-        # while the field lives, since its arrays never change.
+        # Floats the norms measure on this field, under any system of its
+        # grid: kept while the field lives, since its arrays never change.
         self._numbers = {}
         # A witness window member's kept |S_k f| stacks (``norms.keep_blocks``).
         self._kept = None
@@ -189,7 +189,7 @@ class Field:
 
     @property
     def rim(self) -> float:
-        """``boundary_decay`` at its default fraction, scanned once."""
+        """``boundary_decay``, on the outer 2 % of the torus, scanned once."""
         if self._rim is None:
             self._rim = boundary_decay(self)
         return self._rim
@@ -297,7 +297,7 @@ class DyadicSystem:
     hat_phi0(2^-k+1 xi) for k >= 1, supported in the annulus
     2^{k-1} <= |xi| <= (3/2) 2^k.
 
-    Each hat is stored on its support box |xi_i| <= (3/2) 2^k only:
+    Each hat is read-only, stored on its support box |xi_i| <= (3/2) 2^k:
     ``hat_phi[k]`` holds its values at the lattice bins ``box[k]`` on every
     axis (FFT order; None for a box that covers the whole lattice), and it
     is exactly zero at every bin outside the box.  ``lattice_hat(k)`` puts
@@ -339,6 +339,7 @@ def make_dyadic(grid: Grid) -> DyadicSystem:
         hat = bump_hat(xi_abs / 2.0 ** k)
         if k:
             hat -= bump_hat(xi_abs / 2.0 ** (k - 1))
+        hat.setflags(write=False)
         hats.append(hat)
         boxes.append(box)
     return DyadicSystem(grid, K, hats, boxes)
@@ -451,11 +452,10 @@ def _active_blocks(f: Field, sys: DyadicSystem) -> int:
 # ---------------------------------------------------------------------------
 
 
-def apply_multiplier(f: Field, symbol: Callable, band_limit=None) -> Field:
+def apply_multiplier(f: Field, symbol: Callable) -> Field:
     """F^-1 [ symbol(xi) F f ]; symbol takes one frequency array per axis."""
     m = symbol(*f.grid.freqs())
-    return Field(f.grid, spectrum=_Fresh(f.spectrum * m),
-                 band_limit=band_limit if band_limit is not None else f.band_limit)
+    return Field(f.grid, spectrum=_Fresh(f.spectrum * m), band_limit=f.band_limit)
 
 
 def bessel_apply(f: Field, s: float) -> Field:
@@ -692,7 +692,7 @@ def check_lp_range(d: int, p: float, gamma: float) -> None:
         raise RangeError(f"p must lie in [1, inf], got {p}")
 
 
-def weighted_lp(f: Field, p, gamma: float, oversample: Optional[int] = None) -> float:
+def weighted_lp(f: Field, p, gamma: float) -> float:
     """Weighted Lebesgue norm of a sampled function.
 
     p = inf returns the max of |f| over the lattice (the weighted sup-norm
@@ -704,18 +704,18 @@ def weighted_lp(f: Field, p, gamma: float, oversample: Optional[int] = None) -> 
     check_lp_range(f.grid.d, p, gamma)
     if p == math.inf:
         return float(np.max(np.abs(f.values)))
-    factor = auto_oversample(f.grid, f.band_limit) if oversample is None else int(oversample)
+    factor = auto_oversample(f.grid, f.band_limit)
     return weighted_cell_sum(f.grid, upsample_values(f, factor), p, gamma, factor)
 
 
-def boundary_decay(f: Field, fraction: float = 0.02) -> float:
-    """max |f| on the outer fraction of the torus, relative to max |f|.
+def boundary_decay(f: Field) -> float:
+    """max |f| on the outer 2 % of the torus, relative to max |f|.
 
     The field's samples are scanned when it holds them; otherwise its
     spectrum is transformed for the scan and the samples are not kept.
     """
     n = f.grid.N
-    edge = max(1, int(n * fraction))
+    edge = max(1, int(n * 0.02))
     samples = f._values if f._values is not None else np.fft.ifftn(f._spectrum)
     mag = np.abs(samples)
     peak = float(np.max(mag))
@@ -902,9 +902,9 @@ def load_field(path) -> Field:
     return Field(grid, values.astype(np.complex128), band_limit=header["band_limit"])
 
 
-def save_profile_csv(prof: RadialProfile, path, n_points: int = 512):
+def save_profile_csv(prof: RadialProfile, path):
     lo = prof.inner_cutoff if prof.inner_cutoff > 0 else prof.R0 * 2.0 ** -20
-    r = np.exp(np.linspace(math.log(lo), math.log(prof.R0), n_points))
+    r = np.exp(np.linspace(math.log(lo), math.log(prof.R0), 512))
     vals = prof(r)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("r,value\n")

@@ -20,6 +20,7 @@ import numpy as np
 from .lpengine import (
     DyadicSystem,
     Field,
+    GridMismatch,
     _active_blocks,
     _block_band,
     auto_oversample,
@@ -76,17 +77,17 @@ def _ell_q(values: List[float], q: float) -> float:
     return float(np.sum(np.asarray(values) ** q) ** (1.0 / q))
 
 
-# For the one (field, system) pair normed last: |S_k f| on factor-refined
-# lattices keyed by (k, factor), each a view of the magnitude stack its
-# block was transformed in, None for a block that is identically zero.
-# Norming any other pair replaces it, so every B/F norm of one field
-# transforms each block once per factor and no magnitude outlives the next
-# field.  The numbers measured from them live on the field (``_stored``).
+# For the one field normed last: |S_k f| on factor-refined lattices keyed
+# by (k, factor), each a view of the magnitude stack its block was
+# transformed in, None for a block that is identically zero.  Norming any
+# other field replaces it, so every B/F norm of one field transforms each
+# block once per factor and no magnitude outlives the next field.  The
+# numbers measured from them live on the field (``Field._numbers``).
 # Witness window members keep their stacks on themselves instead
 # (``keep_blocks``), up to the window's bound; a stack past it goes here.
 # The field is held by a weak reference, so the memo keeps no window member
 # (nor its kept stacks) alive past its window.
-_memo = (None, None, {})
+_memo = (None, {})
 _MISSING = object()
 
 # Bytes of |S_k f| stacks one witness window's members keep together.  The
@@ -98,45 +99,37 @@ WINDOW_BLOCK_BYTES = 4 * 2 ** 20
 
 
 class _Keep:
-    """The system one window's kept stacks are for, and the bytes of its
-    bound they have left."""
-
-    def __init__(self, sys: DyadicSystem):
-        self.sys = sys
-        self.left = WINDOW_BLOCK_BYTES
+    """The bytes of one window's bound its kept stacks have left."""
+    left = WINDOW_BLOCK_BYTES
 
 
-def keep_blocks(members: List[Field], sys: DyadicSystem) -> None:
+def keep_blocks(members: List[Field]) -> None:
     """Let the members of one witness window keep, on themselves, the
-    |S_k f| stacks their B/F norms under ``sys`` make, within
-    WINDOW_BLOCK_BYTES together: each block is then transformed once per
-    factor for as long as the members live, whatever field is normed in
-    between."""
-    keep = _Keep(sys)
+    |S_k f| stacks their B/F norms make, within WINDOW_BLOCK_BYTES
+    together: each block is then transformed once per factor for as long
+    as the members live, whatever field is normed in between."""
+    keep = _Keep()
     for f in members:
         f._kept = (keep, {})
 
 
-def _field_memo(f: Field, sys: DyadicSystem) -> dict:
-    """The memo of (f, sys); the memo of any other pair is dropped first,
-    so its magnitudes are freed before this field's are computed."""
+def _field_memo(f: Field) -> dict:
+    """The memo of f; the memo of any other field is dropped first, so its
+    magnitudes are freed before this field's are computed."""
     global _memo
-    if _memo[0] is None or _memo[0]() is not f or _memo[1] is not sys:
-        _memo = (weakref.ref(f), sys, {})
-    return _memo[2]
+    if _memo[0] is None or _memo[0]() is not f:
+        _memo = (weakref.ref(f), {})
+    return _memo[1]
 
 
-def _stored(f: Field, sys: Optional[DyadicSystem] = None) -> dict:
-    """The floats the norms keep on f for as long as f lives: its H and W
-    values, or, under ``sys``, its Besov block norms ||S_k f||_{L^p(|x|^gamma)}
-    keyed by (k, factor, p, gamma) and its F values.  Those are kept for
-    one system object at a time; another starts them afresh."""
+def _system(f: Field, sys: Optional[DyadicSystem]) -> DyadicSystem:
+    """``sys``, else f's grid's one; every system of a grid is the same, so
+    f's numbers hold under any, and one of another grid is rejected."""
     if sys is None:
-        return f._numbers
-    held = f._numbers.get("sys")
-    if held is None or held[0] is not sys:
-        held = f._numbers["sys"] = (sys, {})
-    return held[1]
+        return dyadic_for(f.grid)
+    if sys.grid != f.grid:
+        raise GridMismatch("field and dyadic system live on different grids")
+    return sys
 
 
 def _block_abs(f: Field, sys: DyadicSystem, memo: dict,
@@ -144,8 +137,7 @@ def _block_abs(f: Field, sys: DyadicSystem, memo: dict,
     """Read-only |S_k f| upsampled by factors[k] for each k, in the order
     given; None where S_k f is identically zero.  A window member's stacks
     are kept on it while its window's bound allows, the others in ``memo``."""
-    keep, kept = (f._kept if f._kept is not None and f._kept[0].sys is sys
-                  else (None, memo))
+    keep, kept = f._kept if f._kept is not None else (None, memo)
     out = {k: kept.get((k, factor), memo.get((k, factor), _MISSING))
            for k, factor in factors.items()}
     missing = [k for k, mag in out.items() if mag is _MISSING]
@@ -177,8 +169,9 @@ def _block_abs(f: Field, sys: DyadicSystem, memo: dict,
 def _block_norms(f: Field, sys: DyadicSystem, memo: dict, factors: List[int],
                  p: float, gamma: float) -> List[float]:
     """||S_k f||_{L^p(|x|^gamma)} on lattices refined by factors[k], for
-    k = 0 .. len(factors)-1; the weighted sup norm is the weight-free max."""
-    stored = _stored(f, sys)
+    k = 0 .. len(factors)-1, kept on f; the weighted sup norm is the
+    weight-free max."""
+    stored = f._numbers
     keys = [(k, factor, p, gamma) for k, factor in enumerate(factors)]
     out = [stored.get(key) for key in keys]
     missing = {k: factors[k] for k, nk in enumerate(out) if nk is None}
@@ -197,8 +190,8 @@ def _block_norms(f: Field, sys: DyadicSystem, memo: dict, factors: List[int],
 def besov_norm(f: Field, s, p, q, gamma, sys: Optional[DyadicSystem] = None) -> NormResult:
     """(sum_k (2^{ks} ||S_k f||_{L^p(w)})^q)^{1/q}, sup over k at q = inf."""
     s, p, q, gamma = float(s), float(p), float(q), float(gamma)
-    sys = dyadic_for(f.grid) if sys is None else sys
-    memo = _field_memo(f, sys)
+    sys = _system(f, sys)
+    memo = _field_memo(f)
     warnings: List[str] = []
     _check_boundary(f, warnings)
     check_lp_range(f.grid.d, p, gamma)
@@ -217,12 +210,12 @@ def triebel_norm(f: Field, s, p, q, gamma, sys: Optional[DyadicSystem] = None) -
     s, p, q, gamma = float(s), float(p), float(q), float(gamma)
     if p == math.inf:
         raise RangeError("the F-scale needs p < inf")
-    sys = dyadic_for(f.grid) if sys is None else sys
-    memo = _field_memo(f, sys)
+    sys = _system(f, sys)
+    memo = _field_memo(f)
     warnings: List[str] = []
     _check_boundary(f, warnings)
     check_lp_range(f.grid.d, p, gamma)
-    stored = _stored(f, sys)
+    stored = f._numbers
     key = ("F", s, p, q, gamma)
     if key not in stored:
         stored[key] = _triebel_value(f, sys, memo, s, p, q, gamma)
@@ -263,7 +256,7 @@ def bessel_norm(f: Field, s, p, gamma) -> NormResult:
         raise RangeError("the H-scale needs p < inf")
     warnings: List[str] = []
     _check_boundary(f, warnings)
-    stored = _stored(f)
+    stored = f._numbers
     key = ("H", s, p, gamma)
     if key not in stored:
         stored[key] = weighted_lp(bessel_apply(f, s), p, gamma)
@@ -283,7 +276,7 @@ def sobolev_norm(f: Field, m, p, gamma) -> NormResult:
         raise RangeError(f"Sobolev order must be a nonnegative integer, got {m}")
     if p == math.inf:
         raise RangeError("the W-scale needs p < inf")
-    stored = _stored(f)
+    stored = f._numbers
     key = ("W", m, p, gamma)
     if key not in stored:
         total = 0.0
@@ -297,7 +290,7 @@ def sobolev_norm(f: Field, m, p, gamma) -> NormResult:
     return NormResult(stored[key], warnings=warnings)
 
 
-def space_norm(f: Field, spec, sys: Optional[DyadicSystem] = None) -> NormResult:
+def space_norm(f: Field, spec) -> NormResult:
     """Norm of f in the space described by a validated SpaceSpec.
 
     Holder targets use the weight-free B^{s}_{inf,inf} realization of
@@ -305,13 +298,13 @@ def space_norm(f: Field, spec, sys: Optional[DyadicSystem] = None) -> NormResult
     """
     fam = spec.family
     if fam == "B":
-        return besov_norm(f, spec.s, spec.p, spec.q, spec.gamma, sys=sys)
+        return besov_norm(f, spec.s, spec.p, spec.q, spec.gamma)
     if fam == "F":
-        return triebel_norm(f, spec.s, spec.p, spec.q, spec.gamma, sys=sys)
+        return triebel_norm(f, spec.s, spec.p, spec.q, spec.gamma)
     if fam == "H":
         return bessel_norm(f, spec.s, spec.p, spec.gamma)
     if fam == "W":
         return sobolev_norm(f, int(spec.s), spec.p, spec.gamma)
     if fam == "Holder":
-        return besov_norm(f, spec.s, math.inf, math.inf, 0.0, sys=sys)
+        return besov_norm(f, spec.s, math.inf, math.inf, 0.0)
     raise RangeError(f"no norm for family {fam!r}")

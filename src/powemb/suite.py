@@ -58,10 +58,10 @@ def S(family, s=0, p=None, q=None, gamma=None, d=1) -> SpaceSpec:
 _DENS = (1, 2, 3, 4, 5, 6, 8, 12)
 
 
-def frac(rng, lo, hi, dens=_DENS) -> Fraction:
+def frac(rng, lo, hi) -> Fraction:
     # exact integer ceil/floor of lo*den and hi*den (int or Fraction bounds),
     # so sampled values never leak past exact-range floors
-    den = dens[rng.randrange(len(dens))]
+    den = _DENS[rng.randrange(len(_DENS))]
     lo_n = -(-lo.numerator * den // lo.denominator)
     hi_n = hi.numerator * den // hi.denominator
     if hi_n < lo_n:
@@ -253,12 +253,13 @@ def sharp_case_fidelity(seed: int = 0, count: int = 200) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def random_field_batch(grid: Grid, count: int, seed: int, band: float = 96.0):
-    return [random_band_limited(grid, seed * 100003 + i, band=band)
+def random_field_batch(grid: Grid, count: int, seed: int):
+    return [random_band_limited(grid, seed * 100003 + i, band=96.0)
             for i in range(count)]
 
 
-def _window_report(experiment_id, ratios, lo=0.1, hi=10.0):
+def _window_report(experiment_id, ratios):
+    lo, hi = 0.1, 10.0
     # The extremes of the measured ratios wherever a NaN sits.
     measured = [r for r in ratios if not math.isnan(r)]
     worst_lo = min(measured, default=math.nan)

@@ -38,6 +38,7 @@ class BoundaryError(ValueError):
 
 
 Member = Union[Field, RadialProfile]
+RIM_TOL = 1e-10  # the share of its peak a translated member may leave at the rim
 
 
 @dataclass
@@ -86,17 +87,16 @@ def _radial(fn: Callable) -> Callable:
     return lambda *k: fn(magnitude(*k))
 
 
-def gaussian_base(grid: Grid, sigma: float = 1.0, center: float = 0.0) -> Field:
-    """A Gaussian sampled in physical space.
+def gaussian_base(grid: Grid, sigma: float = 1.0) -> Field:
+    """A Gaussian at the origin, sampled in physical space.
 
     Not strictly band-limited; the declared band is where the transform
     falls below 1e-16, which is what the spectral machinery needs.
     """
     band = math.sqrt(2.0 * 36.8) / sigma
 
-    def gen(x, *rest):
-        r2 = sum((y ** 2 for y in rest), (x - center) ** 2)
-        return np.exp(-r2 / (2.0 * sigma ** 2))
+    def gen(*axes):
+        return np.exp(-sum(y ** 2 for y in axes) / (2.0 * sigma ** 2))
 
     return field_from_samples(grid, gen, band_limit=band)
 
@@ -115,16 +115,15 @@ def gaussian_spectral_base(grid: Grid, sigma_xi: float = 10.0) -> Field:
     return field_from_spectral(grid, gen, band_limit=band)
 
 
-def random_band_limited(grid: Grid, seed: int, band: float = 1.0,
-                        degree: int = 6) -> Field:
+def random_band_limited(grid: Grid, seed: int, band: float = 1.0) -> Field:
     """A random smooth function with transform supported in |xi| <= band.
 
-    The transform is a random polynomial under the smooth bump envelope, so
-    members dilate exactly through their spectral generator.  The seed is
-    the whole story: the same seed gives the same field on any grid.
+    The transform is a random degree-6 polynomial under the smooth bump
+    envelope, so members dilate exactly through their spectral generator.
+    The seed is the whole story: the same seed gives the same field on any grid.
     """
     rng = np.random.default_rng(seed)
-    coeff = rng.normal(size=degree + 1) + 1j * rng.normal(size=degree + 1)
+    coeff = rng.normal(size=7) + 1j * rng.normal(size=7)
 
     def radial(t):
         # t = |xi| / band in [0, 1]; smooth cutoff at 1.
@@ -176,34 +175,27 @@ def dilation_family(base: Field, t_values: Sequence[float]) -> WitnessFamily:
     )
 
 
-def translation_family(base: Field, lambda_values: Sequence[float],
-                       rim_tol: float = 1e-10) -> WitnessFamily:
-    """Members base(. - lambda e1), exact for (numerically) band-limited bases."""
-    grid = base.grid
+def translation_family(base: Field, lambda_values: Sequence[float]) -> WitnessFamily:
+    """Members base(. - lambda e1), sampled from the base's function."""
+    if base.physical_gen is None:
+        raise RangeError("translation needs a sampled base (physical_gen)")
+    grid, gen = base.grid, base.physical_gen
     lambda_values = [float(lam) for lam in lambda_values]
 
     def make(i: int) -> Field:
         lam = lambda_values[i]
-        if base.physical_gen is not None:
-            gen = base.physical_gen
-            f = field_from_samples(grid, lambda x, *rest: gen(x - lam, *rest),
-                                   band_limit=base.band_limit)
-        elif base.spectral_gen is not None:
-            gen = base.spectral_gen
-            mod = lambda k1, *rest: gen(k1, *rest) * np.exp(-1j * k1 * lam)
-            f = field_from_spectral(grid, mod, band_limit=base.band_limit)
-        else:
-            raise RangeError("translation needs a base with a generator")
-        if f.rim > rim_tol:
+        f = field_from_samples(grid, lambda x, *rest: gen(x - lam, *rest),
+                               band_limit=base.band_limit)
+        if f.rim > RIM_TOL:
             raise BoundaryError(
                 f"lambda={lam} leaves {f.rim:.2e} of the peak at "
-                f"the torus rim (tolerance {rim_tol:g})"
+                f"the torus rim (tolerance {RIM_TOL:g})"
             )
         return f
 
     return WitnessFamily(
         "Translation",
-        {"band_limit": base.band_limit, "rim_tol": rim_tol,
+        {"band_limit": base.band_limit, "rim_tol": RIM_TOL,
          "seed": getattr(base, "seed", None)},
         lambda_values,
         make,
@@ -289,15 +281,13 @@ def lacunary_sum(grid: Grid, coeffs: Sequence[float], s0, p0, gamma0) -> Field:
 # ---------------------------------------------------------------------------
 
 
-def log_singularity(p0, gamma0, p1, d: int, eps: float = 0.0,
-                    printed_exponent: bool = False) -> RadialProfile:
+def log_singularity(p0, gamma0, p1, d: int, eps: float = 0.0) -> RadialProfile:
     """The sharp-case dichotomy profile r^{-(d+gamma0)/p0} log(1/r)^{-1/p1}.
 
-    The power defaults to the weight-adjusted exponent -(d+gamma0)/p0, which
-    reproduces the two decisive integrals (convergent in the source space,
-    log-log divergent in the target under dim-index equality) for every
-    gamma0 > -d and coincides with the plain -d/p0 form at gamma0 = 0; pass
-    printed_exponent=True for the plain form.
+    The weight-adjusted power -(d+gamma0)/p0 reproduces the two decisive
+    integrals (convergent in the source space, log-log divergent in the
+    target under dim-index equality) for every gamma0 > -d; at gamma0 = 0
+    it is the plain -d/p0.
     """
     p0, p1, gamma0 = float(p0), float(p1), float(gamma0)
     if not p1 < p0:
@@ -306,10 +296,9 @@ def log_singularity(p0, gamma0, p1, d: int, eps: float = 0.0,
         raise RangeError(f"eps must lie in [0, 1/4], got {eps}")
     if gamma0 <= -d:
         raise RangeError(f"gamma0 must exceed -d, got {gamma0}")
-    a = d / p0 if printed_exponent else (d + gamma0) / p0
     return RadialProfile(
-        d=d, kind="power_log", a=a, b=1.0 / p1, R0=0.5, inner_cutoff=eps,
-        label="log_singularity",
+        d=d, kind="power_log", a=(d + gamma0) / p0, b=1.0 / p1, R0=0.5,
+        inner_cutoff=eps, label="log_singularity",
     )
 
 

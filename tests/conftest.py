@@ -16,7 +16,7 @@ def empty_norm_memo():
     that counts transforms or cell sums builds its fields afresh rather than
     taking a module- or session-scoped one (or a kept window member, unless
     it empties ``verify._sys_cache`` first)."""
-    norms._memo = (None, None, {})
+    norms._memo = (None, {})
 
 
 @pytest.fixture(scope="session")

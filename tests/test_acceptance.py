@@ -113,8 +113,7 @@ def test_criterion_5_nikolskij_boundedness():
         for p0, g0, p1, g1 in valid:
             for alpha in ((0,), (1,)):
                 rep = check_nikolskij(base, p0, g0, p1, g1, alpha=alpha,
-                                      t_values=(1, 2, 4, 8, 16),
-                                      bound_factor=10.0)
+                                      t_values=(1, 2, 4, 8, 16))
                 if not rep.passed:
                     print(f"nikolskij {p0},{g0}->{p1},{g1} alpha={alpha}: "
                           f"spread {rep.details['normalized_spread']}")

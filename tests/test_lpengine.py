@@ -114,6 +114,16 @@ class TestDyadic:
             full_bytes += full.nbytes
         assert sum(h.nbytes for h in sys_.hat_phi) < full_bytes
 
+    def test_hats_are_read_only(self, grid1d, grid2d):
+        # Two systems of one grid hold the same hats, and neither can be
+        # written, so the two cannot come to differ.
+        for grid in (grid1d, grid2d):
+            a, b = make_dyadic(grid), make_dyadic(grid)
+            for k in range(a.K + 1):
+                assert a.hat_phi[k].tobytes() == b.hat_phi[k].tobytes(), k
+                with pytest.raises(ValueError):
+                    a.hat_phi[k][...] = 0.0
+
 
 class TestBlocks:
     def test_low_band_field_is_block_zero(self, grid1d, sys1d):
@@ -879,6 +889,9 @@ def _witness_members(grid):
     peak_n = 2 if grid.d == 2 else 6
     rand = witnesses.random_band_limited(grid, seed=7, band=1.0)
     gauss = witnesses.gaussian_spectral_base(grid, sigma_xi=2.0)
+    # The spectral Gaussian moved by 1.5 along e1: a non-radial, complex
+    # generator.
+    shifted = lambda k1, *rest: gauss.spectral_gen(k1, *rest) * np.exp(-1j * k1 * 1.5)
     members = {
         "bump": field_from_spectral(grid, lambda *k: bump_hat(magnitude(*k)),
                                     band_limit=1.5),
@@ -886,7 +899,8 @@ def _witness_members(grid):
         "random": rand,
         "dilation": witnesses.dilation_family(rand, [4.0]).member(0),
         "gaussian_dilation": witnesses.dilation_family(gauss, [0.5]).member(0),
-        "translation": witnesses.translation_family(gauss, [1.5]).member(0),
+        "translation": field_from_spectral(grid, shifted,
+                                           band_limit=gauss.band_limit),
         "lacunary": witnesses.lacunary_sum(
             grid, [1.0, -0.5] if grid.d == 1 else [1.0], 1.0, 2.0, 0.5),
     }

@@ -206,11 +206,11 @@ class TestAcrossScales:
 
     def test_space_norm_dispatch(self, grid1d, sys1d, batch):
         f = batch[0]
-        assert space_norm(f, S("B", "1/2", 2, 2, "1/2"), sys=sys1d).value > 0
-        assert space_norm(f, S("F", "1/2", 2, 2, "1/2"), sys=sys1d).value > 0
+        assert space_norm(f, S("B", "1/2", 2, 2, "1/2")).value > 0
+        assert space_norm(f, S("F", "1/2", 2, 2, "1/2")).value > 0
         assert space_norm(f, S("H", "1/2", 2, gamma="1/2")).value > 0
         assert space_norm(f, S("W", 1, 2, gamma="1/2")).value > 0
-        assert space_norm(f, S("Holder", "3/2"), sys=sys1d).value > 0
+        assert space_norm(f, S("Holder", "3/2")).value > 0
 
     def test_boundary_warning_attached(self, grid1d, sys1d):
         flat = Field(grid1d, np.ones(grid1d.N, dtype=complex), band_limit=0.5)
@@ -351,6 +351,11 @@ def test_zero_field_has_zero_norms(cell_sums):
 def test_foreign_dyadic_system_rejected(band96, sys1d, norm):
     with pytest.raises(GridMismatch):
         norm(band96, 0.5, 2, 2, 0.0, sys=sys1d)
+    # Also for a field that holds the numbers asked for: none is read.
+    f = fresh_band96()
+    norm(f, 0.5, 2, 2, 0.0)
+    with pytest.raises(GridMismatch):
+        norm(f, 0.5, 2, 2, 0.0, sys=sys1d)
 
 
 class TestSharedBlocks:
@@ -395,10 +400,13 @@ class TestSharedBlocks:
             fft_calls.clear()
             besov_norm(field_, 0.5, 2, 2, gamma, sys=sys)
             assert fft_calls.blocks == ffts
-        # Another system object for the same grid is another pair, too.
+        # Another system object for the same grid is the same system: its
+        # numbers are f's stored ones, bit for bit.
         fft_calls.clear()
-        besov_norm(f, 0.5, 2, 2, 0.5, sys=make_dyadic(f.grid))
-        assert fft_calls.blocks == kmax + 1
+        again = besov_norm(f, 0.5, 2, 2, 0.5, sys=make_dyadic(f.grid))
+        assert fft_calls.blocks == 0
+        first = besov_norm(f, 0.5, 2, 2, 0.5, sys=sys)
+        assert again.to_dict() == first.to_dict()
 
     def test_besov_at_another_s_q_reads_stored_block_norms(self, fft_calls,
                                                             cell_sums):
@@ -425,9 +433,10 @@ class TestSharedBlocks:
         sys = make_dyadic(f.grid)
         blocks = lp_blocks(f, sys)
         for factor in (1, 4, 1):
-            got = _block_norms(f, sys, _field_memo(f, sys), [factor] * 3, 2.0, 0.5)
-            assert got == [weighted_lp(blocks[k], 2.0, 0.5, oversample=factor)
-                           for k in range(3)]
+            got = _block_norms(f, sys, _field_memo(f), [factor] * 3, 2.0, 0.5)
+            assert got == [weighted_cell_sum(
+                f.grid, upsample_values(blocks[k], factor), 2.0, 0.5, factor)
+                for k in range(3)]
 
     def test_rim_is_scanned_once_per_field(self, monkeypatch):
         scans = []
@@ -466,7 +475,7 @@ class TestSharedBlocks:
 
         f = fresh_band96()
         sys = make_dyadic(f.grid)
-        for mag in _block_abs(f, sys, _field_memo(f, sys), {0: 1, 1: 2}).values():
+        for mag in _block_abs(f, sys, _field_memo(f), {0: 1, 1: 2}).values():
             with pytest.raises(ValueError):
                 mag[0] = 0.0
 
@@ -476,7 +485,8 @@ STORED_NORMS = {
     "F": lambda f, sys: triebel_norm(f, 0.5, 2, 1, 0.5, sys=sys),
     "H": lambda f, sys: bessel_norm(f, 0.5, 2, 0.5),
     "W": lambda f, sys: sobolev_norm(f, 1, 2, 0.5),
-    "Holder": lambda f, sys: space_norm(f, S("Holder", "1/2"), sys=sys),
+    # What space_norm takes a Holder norm to, under the system given.
+    "Holder": lambda f, sys: besov_norm(f, 0.5, math.inf, math.inf, 0.0, sys=sys),
 }
 
 
@@ -519,21 +529,20 @@ class TestStoredNumbers:
         assert again.to_dict() == first.to_dict() == fresh.to_dict()
         assert fresh.warnings or make is not _rim_field
 
-    def test_another_system_recomputes(self, spies):
+    def test_another_system_of_the_grid_reads_the_stored_numbers(self, spies):
+        # Every system of one grid is the same (make_dyadic is deterministic
+        # and its hats are read-only), so another system object of f's grid
+        # reads f's stored numbers: no transform, no cell sum.
         fft_calls, cell_sums = spies
         f = fresh_band96()
         sys = make_dyadic(f.grid)
         f.values
-        kmax = _active_blocks(f, sys)
         values = {name: norm(f, sys).value for name, norm in STORED_NORMS.items()}
         for name in ("B", "F", "Holder"):
             other = make_dyadic(f.grid)
             fft_calls.clear(), cell_sums.clear()
             assert STORED_NORMS[name](f, other).value == values[name]
-            assert fft_calls.blocks == kmax + 1, name
-            # B sums each block, F its one aggregate; the sup norm of a
-            # block is a max, not a cell sum.
-            assert len(cell_sums) == {"B": kmax + 1, "F": 1, "Holder": 0}[name]
+            assert (len(fft_calls), len(cell_sums)) == (0, 0), name
         # The H and W values are kept whatever system B and F last used.
         for name in ("H", "W"):
             fft_calls.clear(), cell_sums.clear()
@@ -543,7 +552,9 @@ class TestStoredNumbers:
     @pytest.mark.parametrize("norm", [
         lambda f, **kw: besov_norm(f, 0.5, 2, 2, 0.5, **kw),
         lambda f, **kw: triebel_norm(f, 0.5, 2, 1, 0.5, **kw),
-        lambda f, **kw: space_norm(f, S("Holder", "1/2"), **kw),
+        # space_norm takes no system; under one, its sup-norm ladder.
+        lambda f, **kw: (STORED_NORMS["Holder"](f, kw["sys"]) if kw
+                         else space_norm(f, S("Holder", "1/2"))),
     ], ids=["besov_norm", "triebel_norm", "space_norm-Holder"])
     def test_repeat_without_system_reuses_the_grids_one(self, norm, spies,
                                                         monkeypatch):
@@ -568,13 +579,12 @@ class TestStoredNumbers:
         sys = make_dyadic(f.grid)
         for norm in STORED_NORMS.values():
             norm(f, sys)
-        numbers = dict(f._numbers)
-        held_sys, by_sys = numbers.pop("sys")
-        assert held_sys is sys
-        # H and W values, then B block norms and F values, all floats.
-        assert {key[0] for key in numbers} == {"H", "W"}
-        assert {key[0] for key in by_sys if isinstance(key[0], str)} == {"F"}
-        for value in (*numbers.values(), *by_sys.values()):
+        numbers = f._numbers
+        # H, W and F values and B block norms, keyed by (k, ...), all floats.
+        named = {key[0] for key in numbers if isinstance(key[0], str)}
+        assert named == {"H", "W", "F"}
+        assert any(isinstance(key[0], int) for key in numbers)
+        for value in numbers.values():
             assert isinstance(value, float)
             assert not isinstance(value, np.ndarray)
 
@@ -600,7 +610,7 @@ class TestBlockStacks:
         # Room for the padded buffers of three blocks per call.
         monkeypatch.setattr(lpengine, "STACK_BYTES", 3 * 16 * f.grid.N * factor)
         fft_calls.clear()
-        mags = norms_mod._block_abs(f, sys, norms_mod._field_memo(f, sys),
+        mags = norms_mod._block_abs(f, sys, norms_mod._field_memo(f),
                                     dict.fromkeys(range(kmax + 1), factor))
         assert kmax + 1 == 8
         assert fft_calls == [("ifft", 3), ("ifft", 3), ("ifft", 2)]
@@ -629,7 +639,7 @@ class TestBlockStacks:
         assert f.real_valued
         kmax = _active_blocks(f, sys)
         fft_calls.clear()
-        mags = norms_mod._block_abs(f, sys, norms_mod._field_memo(f, sys),
+        mags = norms_mod._block_abs(f, sys, norms_mod._field_memo(f),
                                     dict.fromkeys(range(kmax + 1), 1))
         assert fft_calls[-1] == ("irfft", 3)
         for block, (k, mag) in zip(lp_blocks(f, sys), mags.items()):
@@ -706,7 +716,7 @@ def test_block_memo_values_do_not_depend_on_call_order(which):
     sys = make_dyadic(f.grid)
     expected = [ref(f, *args, sys) for _, ref, args in calls]
     for order in permutations(range(len(calls))):
-        sys = make_dyadic(f.grid)  # another pair: the memo starts empty
+        f = SHARED_FIELDS[which]()  # another field: nothing stored or held
         for i in order:
             norm, _, args = calls[i]
             assert norm(f, *args, sys=sys).value == expected[i]

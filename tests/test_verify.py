@@ -484,7 +484,7 @@ class TestKeptBlocks:
         # magnitudes again: no block is transformed.
         for m in members:
             m._numbers.clear()
-        norms._memo = (None, None, {})
+        norms._memo = (None, {})
         fft_calls.clear()
         second = [r.to_dict() for r in check_embedding_bounded(*pair)]
         assert fft_calls.blocks == 0
@@ -501,7 +501,7 @@ class TestKeptBlocks:
                 for mag in m._kept[1].values() if mag is not None}
         assert 0 < sum(kept.values()) <= norms.WINDOW_BLOCK_BYTES
         # The stacks past the bound went through the one-field memo.
-        assert any(mag is not None for mag in norms._memo[2].values())
+        assert any(mag is not None for mag in norms._memo[1].values())
 
     def test_clear_drops_the_kept_stacks(self):
         import gc
