@@ -20,6 +20,7 @@ from . import suite
 from .lpengine import Grid, save_field, save_profile_csv
 from .oracle import EMBEDS, NO, UNKNOWN, FamilyError, decide, embedding_matrix
 from .params import RangeError, parse_spec, spec_from_json, validate
+from .verify import default_grid
 from .witnesses import (
     dilation_family,
     gaussian_base,
@@ -75,15 +76,31 @@ def _parse_grid(text) -> Grid:
     return Grid(*values)
 
 
-def _parse_range(text):
-    """Accept '3..7', '3:7', or a comma list '1,2,4,8'."""
-    text = str(text)
-    for sep in ("..", ":"):
-        if sep in text:
-            a, b = text.split(sep)
-            return list(range(int(a), int(b) + 1))
-    return [float(x) if "." in x or "e" in x.lower() else int(x)
-            for x in text.split(",")]
+def _parse_range(args, flag: str):
+    """--flag's '3..7' or '3:7' (integers, not empty) or comma list '1,2,4,8'."""
+    text = str(getattr(args, flag))
+    a, sep, b = text.replace(":", "..").partition("..")
+    try:
+        values = (list(range(int(a), int(b) + 1)) if sep else
+                  [float(x) if "." in x or "e" in x.lower() else int(x)
+                   for x in text.split(",")])
+    except ValueError:
+        values = []
+    if not values:
+        raise RangeError(f"--{flag} must be a nonempty integer range a..b or a "
+                         f"comma list of numbers, got {text!r}")
+    return values
+
+
+def _scalar(args, flag: str, kind=float):
+    """--flag's value as an int or a float."""
+    text = getattr(args, flag)
+    try:
+        return kind(text)
+    except ValueError:
+        want = "an integer" if kind is int else "a number"
+        raise RangeError(f"--{flag.replace('_', '-')} must be {want}, "
+                         f"got {text!r}") from None
 
 
 def _write_json(path: Path, payload, cfg_hash: str):
@@ -188,24 +205,23 @@ def cmd_witness(args) -> int:
     fam = None
     try:
         if kind == "peaks":
-            grid = grid or Grid(1, 16.0, 2 ** 14)
-            fam = spectral_peaks(grid, _parse_range(args.n), int(args.j))
+            grid = grid or default_grid(1)
+            fam = spectral_peaks(grid, _parse_range(args, "n"), _scalar(args, "j", int))
         elif kind == "dilation":
-            grid = grid or Grid(1, 16.0, 2 ** 14)
+            grid = grid or default_grid(1)
             base = (random_band_limited(grid, args.seed, band=1.0)
                     if args.seed is not None else gaussian_spectral_base(grid))
-            fam = dilation_family(base, [float(t) for t in _parse_range(args.t)])
+            fam = dilation_family(base, _parse_range(args, "t"))
         elif kind == "translation":
-            grid = grid or Grid(1, 128.0, 2 ** 14)
-            base = gaussian_base(grid, sigma=float(args.sigma))
-            fam = translation_family(base, [float(x) for x in
-                                            _parse_range(args.lam)])
+            grid = grid or default_grid(1, wide=True)
+            base = gaussian_base(grid, sigma=_scalar(args, "sigma"))
+            fam = translation_family(base, _parse_range(args, "lam"))
         elif kind == "lacunary":
-            grid = grid or Grid(1, 16.0, 2 ** 14)
-            coeffs = ([float(c) for c in _parse_range(args.coeffs)]
-                      if args.coeffs else [1.0] * int(args.n_terms))
-            f = lacunary_sum(grid, coeffs, float(args.s0), float(args.p0),
-                             float(args.gamma0))
+            grid = grid or default_grid(1)
+            coeffs = ([float(c) for c in _parse_range(args, "coeffs")]
+                      if args.coeffs else [1.0] * _scalar(args, "n_terms", int))
+            f = lacunary_sum(grid, coeffs, _scalar(args, "s0"), _scalar(args, "p0"),
+                             _scalar(args, "gamma0"))
             manifest = {
                 "kind": "LacunarySum",
                 "parameters": {"coeffs": coeffs, "s0": args.s0, "p0": args.p0,
@@ -215,9 +231,9 @@ def cmd_witness(args) -> int:
             save = lambda out: save_field(f, out / "lacunary.field",
                                           extra_header={"config_hash": cfg_hash})
         elif kind == "logsing":
-            prof = log_singularity(float(args.p0), float(args.gamma0),
-                                   float(args.p1), int(args.dim),
-                                   eps=float(args.eps))
+            prof = log_singularity(_scalar(args, "p0"), _scalar(args, "gamma0"),
+                                   _scalar(args, "p1"), _scalar(args, "dim", int),
+                                   eps=_scalar(args, "eps"))
             manifest = {
                 "kind": "LogSingularity",
                 "parameters": {"p0": args.p0, "gamma0": args.gamma0,
@@ -226,8 +242,8 @@ def cmd_witness(args) -> int:
             }
             save = lambda out: save_profile_csv(prof, out / "logsing.csv")
         elif kind == "rieszlog":
-            prof = riesz_log(float(args.a), float(args.b), int(args.dim),
-                             eps=float(args.eps))
+            prof = riesz_log(_scalar(args, "a"), _scalar(args, "b"),
+                             _scalar(args, "dim", int), eps=_scalar(args, "eps"))
             manifest = {
                 "kind": "RieszLog",
                 "parameters": {"a": args.a, "b": args.b, "dim": args.dim,

@@ -253,6 +253,9 @@ def sharp_case_fidelity(seed: int = 0, count: int = 200) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
+BATCH_GRID = Grid(1, 16.0, 2 ** 12)  # of norm equivalences and Gagliardo
+
+
 def random_field_batch(grid: Grid, count: int, seed: int):
     return [random_band_limited(grid, seed * 100003 + i, band=96.0)
             for i in range(count)]
@@ -278,7 +281,7 @@ def _window_report(experiment_id, ratios):
 def check_norm_equivalences(gamma, count: int = 100, seed: int = 0,
                             grid: Optional[Grid] = None) -> List[ExperimentReport]:
     """Lifting, differentiation, sandwich and W=H ratio windows on a batch."""
-    grid = grid or Grid(1, 16.0, 2 ** 12)
+    grid = grid or BATCH_GRID
     gamma = float(gamma)
     fields = random_field_batch(grid, count, seed)
     from .lpengine import bessel_apply, derivative
@@ -513,7 +516,7 @@ def _exp_equivalences(seed, grid=None, gammas=(0, 0.5),
 
 def _exp_gagliardo(seed, grid=None, gammas=(0, 0.5), count=20, s0=0, s1=2,
                    theta=0.5, p=2, q=2, cap=10.0) -> List[ExperimentReport]:
-    grid = grid or Grid(1, 16.0, 2 ** 12)
+    grid = grid or BATCH_GRID
     return [check_gagliardo(random_field_batch(grid, count, seed), s0, s1,
                             theta, p, q, gamma, cap=cap)
             for gamma in gammas]

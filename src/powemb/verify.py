@@ -280,8 +280,7 @@ def check_peak_scaling(p, gamma, j, n_range=range(3, 8), grid: Optional[Grid] = 
 def check_translation_scaling(p, gamma, lambda_values=(4, 8, 16, 32, 64),
                               grid: Optional[Grid] = None,
                               tolerance=0.05) -> ExperimentReport:
-    """Fit of log ||f(. - lambda e1)||_{L^p(w)} against log lambda for a
-    unit Gaussian f; slope gamma/p, no residual above 0.1."""
+    """Fit of log ||f(. - lambda e1)||_{L^p(w)} against log lambda; slope gamma/p."""
     d = grid.d if grid is not None else 1
     grid = grid or default_grid(d, wide=True)
     fam = translation_family(gaussian_base(grid, sigma=1.0), list(lambda_values))

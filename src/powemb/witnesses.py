@@ -88,11 +88,13 @@ def _radial(fn: Callable) -> Callable:
 
 
 def gaussian_base(grid: Grid, sigma: float = 1.0) -> Field:
-    """A Gaussian at the origin, sampled in physical space.
+    """A Gaussian of width sigma > 0 at the origin, sampled in physical space.
 
     Not strictly band-limited; the declared band is where the transform
     falls below 1e-16, which is what the spectral machinery needs.
     """
+    if not sigma > 0:
+        raise RangeError(f"sigma must be positive, got {sigma}")
     band = math.sqrt(2.0 * 36.8) / sigma
 
     def gen(*axes):
@@ -290,6 +292,8 @@ def log_singularity(p0, gamma0, p1, d: int, eps: float = 0.0) -> RadialProfile:
     it is the plain -d/p0.
     """
     p0, p1, gamma0 = float(p0), float(p1), float(gamma0)
+    if d < 1:
+        raise RangeError(f"dimension must be >= 1, got {d}")
     if not p1 < p0:
         raise RangeError(f"the dichotomy needs p1 < p0, got p0={p0}, p1={p1}")
     if not 0.0 <= eps <= 0.25:

@@ -157,6 +157,34 @@ class TestWitness:
         assert main(["witness", "peaks", "--j", "5"]) == 64
         assert not (tmp_path / "w").exists()
 
+    @pytest.mark.parametrize("argv,message", [
+        (["translation", "--sigma", "0"], "sigma must be positive, got 0.0"),
+        (["translation", "--sigma", "-1"], "sigma must be positive, got -1.0"),
+        (["peaks", "--n", "5..3"], "--n must be a nonempty integer range a..b "
+         "or a comma list of numbers, got '5..3'"),
+        (["peaks", "--j", "0.5"], "--j must be an integer, got '0.5'"),
+        (["translation", "--sigma", "abc"], "--sigma must be a number, got 'abc'"),
+        (["translation", "--lam", ""], "--lam must be a nonempty integer range "
+         "a..b or a comma list of numbers, got ''"),
+        (["lacunary", "--coeffs", "1,x"], "--coeffs must be a nonempty integer "
+         "range a..b or a comma list of numbers, got '1,x'"),
+        (["peaks", "--n", "3..7.5"], "--n must be a nonempty integer range a..b "
+         "or a comma list of numbers, got '3..7.5'"),
+        (["logsing", "--dim", "1.5"], "--dim must be an integer, got '1.5'"),
+        (["lacunary", "--n-terms", "x"], "--n-terms must be an integer, got 'x'"),
+        (["logsing", "--dim", "-1"], "dimension must be >= 1, got -1"),
+        (["logsing", "--dim", "0"], "dimension must be >= 1, got 0"),
+    ], ids=["sigma_zero", "sigma_negative", "n_empty_range", "j_not_int",
+            "sigma_not_number", "lam_empty", "coeffs_not_number",
+            "n_range_not_int", "dim_not_int", "n_terms_not_int", "dim_negative",
+            "dim_zero"])
+    def test_bad_value_exits_64_naming_its_flag(self, argv, message, tmp_path,
+                                                monkeypatch, capsys):
+        monkeypatch.setenv("POWEMB_OUT", str(tmp_path / "w"))
+        assert main(["witness", *argv]) == 64
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "w").exists()
+
     def test_unread_witness_flags_exit_64(self, tmp_path, monkeypatch, capsys):
         # No kind reads --p or --gamma; neither may pass as a prefix of
         # --p0 or --gamma0 either.
