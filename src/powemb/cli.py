@@ -93,14 +93,16 @@ def _parse_range(args, flag: str):
 
 
 def _scalar(args, flag: str, kind=float):
-    """--flag's value as an int or a float."""
+    """--flag's value as an int or a float; a float may be infinite, not NaN."""
     text = getattr(args, flag)
     try:
-        return kind(text)
+        value = kind(text)
+        if value == value:  # not NaN
+            return value
     except ValueError:
-        want = "an integer" if kind is int else "a number"
-        raise RangeError(f"--{flag.replace('_', '-')} must be {want}, "
-                         f"got {text!r}") from None
+        pass
+    want = "an integer" if kind is int else "a number"
+    raise RangeError(f"--{flag.replace('_', '-')} must be {want}, got {text!r}")
 
 
 def _write_json(path: Path, payload, cfg_hash: str):

@@ -18,7 +18,7 @@ Quadrature conventions:
     (``upsample_stack``, at most STACK_BYTES per call), and a stack of
     ``real_valued`` spectra, which are exactly Hermitian, is padded on the
     non-negative half of its last frequency axis only and ends in one real
-    (c2r) inverse transform.
+    (c2r) inverse transform; ``weighted_lps`` makes a batch's samples so.
 """
 
 from __future__ import annotations
@@ -104,6 +104,7 @@ class _Fresh(NamedTuple):
 
     array: np.ndarray
     real: bool = False
+    box: Optional[float] = None  # see Field
 
 
 def _frozen(grid: Grid, array, name: str) -> np.ndarray:
@@ -143,6 +144,8 @@ class Field:
     ``upsample_values`` past factor 1, and the norms' block stacks at every
     factor, then transform only half of the spectrum.  Every other field is
     False, and ``values`` stays complex either way.
+    ``field_from_spectral`` with a band R (and ``lp_blocks`` and multipliers
+    of such a field) fixes ``_box`` = R: the spectrum is 0 outside |xi_i| <= R.
     """
 
     def __init__(self, grid: Grid, values=None, band_limit=None,
@@ -151,6 +154,7 @@ class Field:
             raise ValueError("a Field needs exactly one of values or spectrum")
         self.grid = grid
         self._real = isinstance(spectrum, _Fresh) and spectrum.real
+        self._box = spectrum.box if isinstance(spectrum, _Fresh) else None
         self._values = None if values is None else _frozen(grid, values, "values")
         self._spectrum = (None if spectrum is None
                           else _frozen(grid, spectrum, "spectrum"))
@@ -222,16 +226,16 @@ def field_from_spectral(grid: Grid, spectral_fn: Callable, band_limit=None) -> F
     """
     d, n = grid.d, grid.N
     axis = grid.axis_freqs()
-    idx = (np.arange(n) if band_limit is None
-           else np.flatnonzero(np.abs(axis) <= band_limit))
+    box = _band_box(axis, band_limit)
+    idx = np.arange(n) if box is None else box
     # The spectrum the field keeps is made before the box's temporaries, so
     # it sits below them on the heap and their release leaves no hole under
     # it; made after them, it raised the peak heap size of 2-D passes.
-    spectrum = np.zeros((n,) * d, dtype=np.complex128) if idx.size < n else None
-    box = np.meshgrid(*(axis[idx],) * d, indexing="ij")
-    coeff = np.asarray(spectral_fn(*box), dtype=np.complex128)
+    spectrum = None if box is None else np.zeros((n,) * d, dtype=np.complex128)
+    xi = np.meshgrid(*(axis[idx],) * d, indexing="ij")
+    coeff = np.asarray(spectral_fn(*xi), dtype=np.complex128)
     if band_limit is not None:
-        coeff = np.where(magnitude(*box) <= band_limit, coeff, 0.0)
+        coeff = np.where(magnitude(*xi) <= band_limit, coeff, 0.0)
     real = spectrum is not None and _even_real(coeff)
     weight = (math.pi / grid.L) ** d / (2.0 * math.pi) ** (d / 2.0)
     # Trig-interpolant coefficients carry the (-1)^k phase of the -L origin.
@@ -241,8 +245,15 @@ def field_from_spectral(grid: Grid, spectral_fn: Callable, band_limit=None) -> F
         spectrum = inner
     else:
         spectrum[np.ix_(*(idx,) * d)] = inner
-    return Field(grid, spectrum=_Fresh(spectrum, real), band_limit=band_limit,
-                 spectral_gen=spectral_fn)
+    return Field(grid, spectrum=_Fresh(spectrum, real, band_limit),
+                 band_limit=band_limit, spectral_gen=spectral_fn)
+
+
+def _band_box(axis: np.ndarray, radius) -> Optional[np.ndarray]:
+    """Indices of the bins |xi| <= radius of one frequency axis, or None for
+    the whole axis (no radius, or one that reaches every bin)."""
+    idx = None if radius is None else np.flatnonzero(np.abs(axis) <= radius)
+    return None if idx is None or idx.size == axis.size else idx
 
 
 def _even_real(box: np.ndarray) -> bool:
@@ -332,8 +343,7 @@ def make_dyadic(grid: Grid) -> DyadicSystem:
     for k in range(K + 1):
         # Every bin of the ball |xi| <= (3/2) 2^k lies in the box, since
         # sqrt(fl(x^2 + y^2)) >= |x|: outside it the hat is exactly zero.
-        idx = np.flatnonzero(np.abs(axis) <= 1.5 * 2.0 ** k)
-        box = None if idx.size == grid.N else idx
+        box = _band_box(axis, 1.5 * 2.0 ** k)
         xi_abs = magnitude(*np.meshgrid(*(axis if box is None else axis[box],)
                                         * grid.d, indexing="ij"))
         hat = bump_hat(xi_abs / 2.0 ** k)
@@ -416,7 +426,7 @@ def lp_blocks(f: Field, sys: DyadicSystem,
     if f.grid != sys.grid:
         raise GridMismatch("field and dyadic system live on different grids")
     return [Field(f.grid, spectrum=_Fresh(_block_spectrum(f.spectrum, sys, k),
-                                          f.real_valued),
+                                          f.real_valued, f._box),
                   band_limit=_block_band(f, sys, k))
             for k in (range(sys.K + 1) if ks is None else ks)]
 
@@ -453,9 +463,19 @@ def _active_blocks(f: Field, sys: DyadicSystem) -> int:
 
 
 def apply_multiplier(f: Field, symbol: Callable) -> Field:
-    """F^-1 [ symbol(xi) F f ]; symbol takes one frequency array per axis."""
-    m = symbol(*f.grid.freqs())
-    return Field(f.grid, spectrum=_Fresh(f.spectrum * m), band_limit=f.band_limit)
+    """F^-1 [ symbol(xi) F f ]; symbol takes one frequency array per axis
+    and must act elementwise: it is evaluated on the field's box only."""
+    axis = f.grid.axis_freqs()
+    box = _band_box(axis, f._box)
+    m = symbol(*np.meshgrid(*(axis if box is None else axis[box],) * f.grid.d,
+                            indexing="ij"))
+    if box is None:
+        spec = f.spectrum * m
+    else:
+        cells = np.ix_(*(box,) * f.grid.d)
+        spec = np.zeros_like(f.spectrum)
+        spec[cells] = f.spectrum[cells] * m
+    return Field(f.grid, spectrum=_Fresh(spec, box=f._box), band_limit=f.band_limit)
 
 
 def bessel_apply(f: Field, s: float) -> Field:
@@ -693,19 +713,45 @@ def check_lp_range(d: int, p: float, gamma: float) -> None:
 
 
 def weighted_lp(f: Field, p, gamma: float) -> float:
-    """Weighted Lebesgue norm of a sampled function.
+    """Weighted Lebesgue norm of a sampled function: a batch of one."""
+    return weighted_lps([(f, p, gamma)])[0]
 
-    p = inf returns the max of |f| over the lattice (the weighted sup-norm
-    is weight-free).  For finite p the norm is the cell sum
-    (sum |f(x_c)|^p W_c)^{1/p} with W_c the exact cell integral of |x|^gamma,
-    evaluated on an upsampled lattice when the band limit asks for it.
+
+def weighted_lps(items: Sequence) -> List[float]:
+    """Weighted Lebesgue norms of ``(field, p, gamma)`` items, in order:
+    p = inf gives the weight-free max of |f|; finite p the cell sum
+    (sum |f(x_c)|^p W_c)^{1/p}, W_c the cell integral of |x|^gamma, upsampled
+    as the band limit asks.  Each field is transformed once, in stacks of one
+    grid, factor and realness; a field keeps a factor 1 lane as ``values``.
     """
-    p = float(p)
-    check_lp_range(f.grid.d, p, gamma)
-    if p == math.inf:
-        return float(np.max(np.abs(f.values)))
-    factor = auto_oversample(f.grid, f.band_limit)
-    return weighted_cell_sum(f.grid, upsample_values(f, factor), p, gamma, factor)
+    groups = {}  # (grid, factor, real) -> {field: [(item index, p, gamma)]}
+    for i, (f, p, gamma) in enumerate(items):
+        p = float(p)
+        check_lp_range(f.grid.d, p, gamma)
+        factor = 1 if p == math.inf else auto_oversample(f.grid, f.band_limit)
+        key = (f.grid, factor, factor > 1 and f.real_valued)
+        groups.setdefault(key, {}).setdefault(f, []).append((i, p, gamma))
+    out = [0.0] * len(items)
+    for (grid, factor, real), fields in groups.items():
+        fields, slots = list(fields.items()), stack_slots(grid, factor, real)
+        for start in range(0, len(fields), slots):
+            _stack_norms(fields[start:start + slots], factor, real, out)
+    return out
+
+
+def _stack_norms(chunk, factor: int, real: bool, out: list) -> None:
+    """Fill ``out`` from one stack of ``weighted_lps`` fields, dropped here."""
+    fresh = [f for f, _ in chunk if factor > 1 or f._values is None]
+    stack = upsample_stack([f.spectrum for f in fresh], factor, real) if fresh else ()
+    if factor == 1:  # complex lanes, kept as the fields' values
+        for f, lane in zip(fresh, stack):
+            lane.setflags(write=False)
+            f._values = lane
+        stack = [f.values for f, _ in chunk]
+    for (f, jobs), lane in zip(chunk, stack):
+        for i, p, gamma in jobs:
+            out[i] = (float(np.max(np.abs(lane))) if p == math.inf
+                      else weighted_cell_sum(f.grid, lane, p, gamma, factor))
 
 
 def boundary_decay(f: Field) -> float:

@@ -33,6 +33,7 @@ from .lpengine import (
     upsample_stack,
     weighted_cell_sum,
     weighted_lp,
+    weighted_lps,
 )
 from .params import RangeError
 
@@ -279,9 +280,10 @@ def sobolev_norm(f: Field, m, p, gamma) -> NormResult:
     stored = f._numbers
     key = ("W", m, p, gamma)
     if key not in stored:
-        total = 0.0
-        for alpha in _multiindices(f.grid.d, m):
-            total += weighted_lp(derivative(f, alpha), p, gamma)
+        total = 0.0  # an explicit loop: sum() rounds differently on 3.12+
+        for value in weighted_lps([(derivative(f, alpha), p, gamma)
+                                   for alpha in _multiindices(f.grid.d, m)]):
+            total += value
         stored[key] = total
     # Scanned after the D^0 term, which may have read f's samples: the rim
     # scan then reuses them instead of transforming the spectrum again.

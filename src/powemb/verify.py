@@ -26,6 +26,7 @@ from .lpengine import (
     grid_entry,
     radial_weighted_lp,
     weighted_lp,
+    weighted_lps,
 )
 from .oracle import NO, EMBEDS, Verdict, decide
 from .params import SpaceSpec, indices, is_inf, spec_to_dict, validate
@@ -261,7 +262,7 @@ def check_peak_scaling(p, gamma, j, n_range=range(3, 8), grid: Optional[Grid] = 
     d = grid.d if grid is not None else 1
     grid = grid or default_grid(d)
     fam = spectral_peaks(grid, list(n_range), j)
-    values = [weighted_lp(m, p, float(gamma)) for m in fam.members()]
+    values = weighted_lps([(m, p, float(gamma)) for m in fam.members()])
     predicted = d - _dim_index(p, gamma, d)
     return measured_report(
         f"peak_scaling[p={p},gamma={gamma},j={j},d={d}]",
@@ -284,7 +285,7 @@ def check_translation_scaling(p, gamma, lambda_values=(4, 8, 16, 32, 64),
     d = grid.d if grid is not None else 1
     grid = grid or default_grid(d, wide=True)
     fam = translation_family(gaussian_base(grid, sigma=1.0), list(lambda_values))
-    values = [weighted_lp(m, p, float(gamma)) for m in fam.members()]
+    values = weighted_lps([(m, p, float(gamma)) for m in fam.members()])
     predicted = 0.0 if float(p) == math.inf else float(gamma) / float(p)
     return measured_report(
         f"translation_scaling[p={p},gamma={gamma},d={d}]",
@@ -323,11 +324,10 @@ def check_nikolskij(base: Field, p0, gamma0, p1, gamma1, alpha=0,
             f"got weight indices {w1} vs {w0} and dim indices {dim1} vs {dim0}"
         )
     fam = dilation_family(base, [float(t) for t in t_values])
-    nums, dens = [], []
-    for member in fam.members():
-        nums.append(weighted_lp(derivative(member, alpha), p1, float(gamma1)))
-        dens.append(weighted_lp(member, p0, float(gamma0)))
-    measured = measured_rows(fam.member_params, dens, nums)
+    # One batch: each member's target norm, then its source norm.
+    values = weighted_lps([item for member in fam.members() for item in (
+        (derivative(member, alpha), p1, float(gamma1)), (member, p0, float(gamma0)))])
+    measured = measured_rows(fam.member_params, values[1::2], values[0::2])
     normalized = [r / t ** (order + delta)
                   for r, t in zip(measured.values, fam.member_params)]
     spread = (max(normalized) / min(normalized) if min(normalized) > 0

@@ -174,16 +174,25 @@ class TestWitness:
         (["lacunary", "--n-terms", "x"], "--n-terms must be an integer, got 'x'"),
         (["logsing", "--dim", "-1"], "dimension must be >= 1, got -1"),
         (["logsing", "--dim", "0"], "dimension must be >= 1, got 0"),
+        (["logsing", "--gamma0", "nan"], "--gamma0 must be a number, got 'nan'"),
+        (["rieszlog", "--a", "nan"], "--a must be a number, got 'nan'"),
+        (["lacunary", "--s0", "nan"], "--s0 must be a number, got 'nan'"),
     ], ids=["sigma_zero", "sigma_negative", "n_empty_range", "j_not_int",
             "sigma_not_number", "lam_empty", "coeffs_not_number",
             "n_range_not_int", "dim_not_int", "n_terms_not_int", "dim_negative",
-            "dim_zero"])
+            "dim_zero", "gamma0_nan", "a_nan", "s0_nan"])
     def test_bad_value_exits_64_naming_its_flag(self, argv, message, tmp_path,
                                                 monkeypatch, capsys):
         monkeypatch.setenv("POWEMB_OUT", str(tmp_path / "w"))
         assert main(["witness", *argv]) == 64
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "w").exists()
+
+    def test_infinite_p0_stays_accepted(self, tmp_path, monkeypatch):
+        # NaN is rejected, infinity is not: lacunary_sum has a p0 = inf branch.
+        monkeypatch.setenv("POWEMB_OUT", str(tmp_path / "w"))
+        assert main(["witness", "lacunary", "--p0", "inf"]) == 0
+        assert (tmp_path / "w").exists()
 
     def test_unread_witness_flags_exit_64(self, tmp_path, monkeypatch, capsys):
         # No kind reads --p or --gamma; neither may pass as a prefix of

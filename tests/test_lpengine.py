@@ -37,6 +37,7 @@ from powemb.lpengine import (
     upsample_values,
     weighted_cell_sum,
     weighted_lp,
+    weighted_lps,
 )
 from powemb.params import RangeError
 
@@ -1075,6 +1076,197 @@ class TestUpsampleStack:
         # still gets its call.
         grid = Grid(d, 8.0, 4096 if d == 1 else 256)
         assert lpengine.stack_slots(grid, factor, real) == slots
+
+
+def _one_by_one(f, p, gamma):
+    """A norm the way one field used to take it: its ``values`` at factor
+    1 (and for p = inf), else its one-field upsampling."""
+    if p == math.inf:
+        return float(np.max(np.abs(f.values)))
+    factor = lpengine.auto_oversample(f.grid, f.band_limit)
+    return weighted_cell_sum(f.grid, upsample_values(f, factor), float(p),
+                             gamma, factor)
+
+
+def _batch_items(d):
+    """(field, p, gamma) items on a small grid: real-valued and complex
+    fields at factors 1, 2 and 4, a sampled field that holds its values,
+    p = inf, and fields listed twice."""
+    grid = Grid(d, 8.0, 64 if d == 1 else 32)
+    # The bands that give factors 1, 2 and 4 on this grid.
+    bands = {1: 0.5 / d, 2: 1.5 / d, 4: 3.0 / d}
+    even = lambda a: lambda *k: np.exp(-a * sum(x * x for x in k))
+    shifted = lambda *k: np.exp(-sum(x * x for x in k) - 1.5j * k[0])
+    real = {c: field_from_spectral(grid, even(0.3 * c), band_limit=b)
+            for c, b in bands.items()}
+    cplx = {c: field_from_spectral(grid, shifted, band_limit=b)
+            for c, b in bands.items()}
+    noisy = Field(grid, spectrum=_random_coefficients(grid, 5), band_limit=bands[4])
+    flat = Field(grid, spectrum=_random_coefficients(grid, 6), band_limit=bands[1])
+    sampled = field_from_samples(grid, lambda *x: np.exp(-sum(y * y for y in x)),
+                                 band_limit=bands[1])
+    items = [(real[1], 2, 0.5), (cplx[2], 3.0, -0.5), (real[4], 1.5, 1.0),
+             (cplx[1], 2, 0.0), (noisy, 4, 0.5), (sampled, 2, 0.5),
+             (real[2], 2, 0.0), (cplx[4], 1, 0.25), (real[1], math.inf, 0.0),
+             (real[4], math.inf, 0.5), (cplx[2], 2, 0.5), (real[1], 3, 0.0),
+             (sampled, math.inf, 0.0), (noisy, 2, 0.0), (flat, 2, 1.0)]
+    assert {lpengine.auto_oversample(grid, f.band_limit)
+            for f, _, _ in items} == {1, 2, 4}
+    return items
+
+
+class TestWeightedLps:
+    """The batch gives every item's norm, in order, bit for bit as the
+    fields would one at a time."""
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_matches_the_per_item_loop(self, d):
+        got = weighted_lps(_batch_items(d))
+        assert got == [weighted_lp(f, p, g) for f, p, g in _batch_items(d)]
+        assert got == [_one_by_one(f, p, g) for f, p, g in _batch_items(d)]
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_factor_one_lanes_are_the_values(self, d, fft_calls):
+        items = [(f, p, g) for f, p, g in _batch_items(d)
+                 if p == math.inf or lpengine.auto_oversample(
+                     f.grid, f.band_limit) == 1]
+        fresh = list({id(f): f for f, _, _ in items if f._values is None}.values())
+        held = [f for f, _, _ in items if f._values is not None]
+        kept = [f.values for f in held]
+        fft_calls.clear()
+        weighted_lps(items)
+        # Each field without values once, in one stack; none that holds them.
+        assert fft_calls == [("ifft", len(fresh))] * d
+        assert all(f.values is v for f, v in zip(held, kept))
+        for f in fresh:
+            assert f.values.tobytes() == np.fft.ifftn(f.spectrum).tobytes()
+            with pytest.raises(ValueError):
+                f.values.flat[0] = 1.0
+
+    def test_a_field_listed_twice_is_transformed_once(self, fft_calls):
+        f = witnesses.spectral_peaks(Grid(1, 8.0, 256), [3], 0).member(0)
+        assert lpengine.auto_oversample(f.grid, f.band_limit) > 1
+        fft_calls.clear()
+        got = weighted_lps([(f, 2, 0.5), (f, 3, 0.0), (f, 2, 0.5)])
+        assert fft_calls == [("irfft", 1)]
+        assert got == [_one_by_one(f, 2, 0.5), _one_by_one(f, 3, 0.0),
+                       _one_by_one(f, 2, 0.5)]
+
+    def test_bad_item_raises_before_any_transform(self, fft_calls):
+        f = witnesses.spectral_peaks(Grid(1, 8.0, 256), [3], 0).member(0)
+        fft_calls.clear()
+        with pytest.raises(RangeError):
+            weighted_lps([(f, 2, 0.5), (f, 0.5, 0.0)])
+        assert fft_calls == []
+
+    def test_refined_stacks_are_dropped_one_by_one(self):
+        # Three 2-D members at factor 4, one lane per stack: the batch peaks
+        # where one norm does, not at three stacks.
+        grid = Grid(2, 8.0, 128)
+        fields = [field_from_spectral(
+            grid, lambda *k, a=a: np.exp(-a * sum(x * x for x in k)), band_limit=5.0)
+            for a in (0.2, 0.3, 0.4)]
+        assert lpengine.auto_oversample(grid, 5.0) == 4
+        assert lpengine.stack_slots(grid, 4, True) == 1
+        weighted_lp(fields[0], 2, 0.5)  # the cell weights, built once
+
+        def peak(run):
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                run()
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        one = peak(lambda: weighted_lp(fields[1], 2, 0.5))
+        three = peak(lambda: weighted_lps([(f, 2, 0.5) for f in fields]))
+        assert three <= 1.1 * one
+
+
+def _box_bins(f):
+    """The bins of each axis inside the field's band box."""
+    return lpengine._band_box(f.grid.axis_freqs(), f._box)
+
+
+class TestBoxMultipliers:
+    """A multiplier of a field that knows its band box is evaluated on the
+    box only, and gives the whole-lattice product: the same coefficients
+    (outside the box the whole-lattice product may hold -0 where the box
+    path holds +0) and the same samples, byte for byte."""
+
+    MULTIPLIERS = {
+        "derivative": lambda f: derivative(f, (1,) * f.grid.d),
+        "second_derivative": lambda f: derivative(f, (2,) + (1,) * (f.grid.d - 1)),
+        "bessel": lambda f: bessel_apply(f, 0.7),
+        "bessel_of_derivative": lambda f: bessel_apply(derivative(f, (1,) * f.grid.d),
+                                                       -0.4),
+    }
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("which", list(MULTIPLIERS))
+    def test_matches_the_whole_lattice_product(self, grid1d, grid2d, d, which):
+        grid = grid1d if d == 1 else grid2d
+        apply = self.MULTIPLIERS[which]
+        for name, f in _witness_members(grid).items():
+            assert f._box is not None, name
+            got = apply(f)
+            # Field(...) knows no box: the whole-lattice path.
+            ref = apply(Field(grid, spectrum=f.spectrum))
+            assert got._box is f._box and ref._box is None
+            cells = np.ix_(*(_box_bins(f),) * d)
+            assert got.spectrum[cells].tobytes() == ref.spectrum[cells].tobytes()
+            assert np.array_equal(got.spectrum, ref.spectrum), name
+            assert got.values.tobytes() == ref.values.tobytes(), name
+
+    @staticmethod
+    def seen_by(f):
+        seen = []
+
+        def recording(*k):
+            seen.append(k[0].size)
+            return 1.0 + k[0] * k[0]
+
+        return seen, lpengine.apply_multiplier(f, recording)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_symbol_sees_only_the_box(self, grid1d, grid2d, d):
+        grid = grid1d if d == 1 else grid2d
+        f = witnesses.random_band_limited(grid, 3, band=1.0)
+        seen, g = self.seen_by(f)
+        assert seen == [_box_bins(f).size ** d] and _box_bins(f).size < grid.N
+        # The box is fixed when the field is built: a later band does not
+        # move it.
+        f.band_limit = 2.0 * grid.xi_max
+        seen_again, h = self.seen_by(f)
+        assert seen_again == seen
+        assert h.values.tobytes() == g.values.tobytes()
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_sampled_fields_take_the_whole_lattice(self, grid1d, grid2d, d):
+        grid = grid1d if d == 1 else grid2d
+        for f in (field_from_samples(grid, lambda *x: np.exp(-sum(y * y for y in x)),
+                                     band_limit=4.0),
+                  Field(grid, spectrum=_random_coefficients(grid), band_limit=4.0)):
+            assert f._box is None
+            seen, g = self.seen_by(f)
+            assert seen == [grid.N ** d] and g._box is None
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_blocks_keep_the_box(self, grid1d, grid2d, d):
+        grid = grid1d if d == 1 else grid2d
+        sys_ = make_dyadic(grid)
+        f = witnesses.random_band_limited(grid, 3, band=3.0)
+        for k, block in enumerate(lp_blocks(f, sys_)):
+            assert block._box is f._box, k
+            inside = np.zeros((grid.N,) * d, bool)
+            inside[np.ix_(*(_box_bins(f),) * d)] = True
+            assert not block.spectrum[~inside].any(), k
+            got = bessel_apply(block, 0.7)
+            ref = bessel_apply(Field(grid, spectrum=block.spectrum), 0.7)
+            assert got.values.tobytes() == ref.values.tobytes(), k
+        sampled = field_from_samples(grid, lambda *x: np.exp(-sum(y * y for y in x)))
+        assert all(b._box is None for b in lp_blocks(sampled, sys_))
 
 
 class TestFreshArrays:

@@ -196,12 +196,16 @@ class TestNonFiniteRatios:
 
 def _bad_at(real, calls, value=math.nan):
     """``real`` with its return value replaced by ``value`` on the given
-    (0-based) calls."""
+    (0-based) calls; each item of a batch (a returned list) counts as one
+    call."""
     count = iter(range(10 ** 6))
+
+    def bad(out):
+        return value if next(count) in calls else out
 
     def wrapped(*args, **kw):
         out = real(*args, **kw)
-        return value if next(count) in calls else out
+        return [bad(x) for x in out] if isinstance(out, list) else bad(out)
 
     return wrapped
 
@@ -221,8 +225,8 @@ class TestNonFiniteMeasurements:
         from powemb import verify
         from powemb.lpengine import Grid
 
-        monkeypatch.setattr(verify, "weighted_lp",
-                            _bad_at(verify.weighted_lp, {pos}))
+        monkeypatch.setattr(verify, "weighted_lps",
+                            _bad_at(verify.weighted_lps, {pos}))
         rep = check_peak_scaling(2, 0, 0, n_range=range(2, 7),
                                  grid=Grid(1, 16.0, 2 ** 10))
         assert _named_and_failed(rep, [pos]).fit is None
@@ -232,8 +236,8 @@ class TestNonFiniteMeasurements:
         from powemb import verify
         from powemb.lpengine import Grid
 
-        monkeypatch.setattr(verify, "weighted_lp",
-                            _bad_at(verify.weighted_lp, {pos}))
+        monkeypatch.setattr(verify, "weighted_lps",
+                            _bad_at(verify.weighted_lps, {pos}))
         rep = check_translation_scaling(2, 1, grid=Grid(1, 128.0, 2 ** 11))
         assert _named_and_failed(rep, [pos]).fit is None
 
@@ -244,8 +248,8 @@ class TestNonFiniteMeasurements:
 
         base = random_band_limited(Grid(1, 16.0, 2 ** 10), 3, band=1.0)
         # Each member takes the target norm, then the source norm.
-        monkeypatch.setattr(verify, "weighted_lp",
-                            _bad_at(verify.weighted_lp, {2 * pos}))
+        monkeypatch.setattr(verify, "weighted_lps",
+                            _bad_at(verify.weighted_lps, {2 * pos}))
         rep = check_nikolskij(base, 2, 0.5, 4, 1, alpha=(1,))
         assert _named_and_failed(rep, [pos]).fit is None
 
@@ -318,8 +322,8 @@ class TestNonFiniteMeasurements:
         from powemb import verify
         from powemb.lpengine import Grid
 
-        monkeypatch.setattr(verify, "weighted_lp",
-                            _bad_at(verify.weighted_lp, {pos}, 0.0))
+        monkeypatch.setattr(verify, "weighted_lps",
+                            _bad_at(verify.weighted_lps, {pos}, 0.0))
         rep = check_peak_scaling(2, 0, 0, n_range=range(2, 7),
                                  grid=Grid(1, 16.0, 2 ** 10))
         _named_and_failed(rep, [pos])
