@@ -3,6 +3,7 @@ integrals, and field serialization."""
 
 import functools
 import importlib
+import itertools
 import math
 import os
 import pkgutil
@@ -337,7 +338,8 @@ def _full_weights(d, L, n, gamma):
 
 def _einsum_cell_weights_2d(L, n, gamma):
     """The direct 8x8 Gauss-Legendre rule on all n^2 cells through (n, n, 8, 8)
-    arrays, kept as the reference for the mirrored-quadrant build."""
+    arrays, kept as the reference for the mirrored-quadrant build; it agrees
+    with the mixed 8x8/4x4 rule to within a few ulp."""
     h = 2.0 * L / n
     x = -L + h * np.arange(n)
     nodes, wts = np.polynomial.legendre.leggauss(lpengine._GL_NODES_2D)
@@ -349,14 +351,40 @@ def _einsum_cell_weights_2d(L, n, gamma):
     V = nodes[None, None, None, :]
     R2 = (X + U) ** 2 + (Y + V) ** 2
     out = np.einsum("ijuv,u,v->ij", R2 ** (gamma / 2.0), wts, wts)
+    out[n // 2, n // 2] = _polar_origin_cell(h, gamma)
+    return out
+
+
+def _polar_origin_cell(h, gamma):
+    """4 * integral of r^gamma over [0, h/2]^2 in polar form."""
     half = h / 2.0
     theta, tw = np.polynomial.legendre.leggauss(lpengine._THETA_NODES)
     theta = (theta + 1.0) * (math.pi / 8.0)
     tw = tw * (math.pi / 8.0)
     sec_int = float(np.sum(tw / np.cos(theta) ** (gamma + 2.0)))
-    out[n // 2, n // 2] = (4.0 * 2.0 * half ** (gamma + 2.0) / (gamma + 2.0)
-                           * sec_int)
-    return out
+    return 4.0 * 2.0 * half ** (gamma + 2.0) / (gamma + 2.0) * sec_int
+
+
+def _quadrant_8x8(L, n, gamma):
+    """The 8x8 Gauss-Legendre rule on every cell of the quadrant, with the
+    polar origin cell: the all-8x8 build, kept as the reference for the
+    mixed 8x8/4x4 rule."""
+    h = 2.0 * L / n
+    m = n // 2
+    nodes, wts = np.polynomial.legendre.leggauss(8)
+    wts = wts * (h / 2.0)
+    sq = (h * np.arange(m + 1) + nodes[:, None] * (h / 2.0)) ** 2
+    shape = (m + 1, m + 1)
+    diag, off, tmp = np.zeros(shape), np.zeros(shape), np.empty(shape)
+    for u, v in itertools.combinations_with_replacement(range(8), 2):
+        np.add(sq[u][:, None], sq[v], out=tmp)
+        np.power(tmp, gamma / 2.0, out=tmp)
+        tmp *= wts[u] * wts[v]
+        acc = diag if u == v else off
+        acc += tmp
+    q = diag + (off + off.T)
+    q[0, 0] = _polar_origin_cell(h, gamma)
+    return q
 
 
 class TestCellWeights1d:
@@ -373,7 +401,7 @@ class TestCellWeights1d:
 class TestCellWeights2d:
     @pytest.mark.parametrize("n", [16, 64, 256])
     @pytest.mark.parametrize("L", [8.0, 3.0])
-    @pytest.mark.parametrize("gamma", [-1.5, -0.5, 0.0, 0.5, 1.0, 3.0])
+    @pytest.mark.parametrize("gamma", [-1.5, -0.5, 0.0, 0.5, 1.0, 3.0, 8.0])
     def test_matches_einsum_reference(self, n, L, gamma):
         q = lpengine._cell_weights_2d(L, n, gamma)
         assert q.shape == (n // 2 + 1,) * 2
@@ -391,8 +419,8 @@ class TestCellWeights2d:
 
     @pytest.mark.parametrize("L", [8.0, 3.0])
     def test_quadratic_weight_exact(self, L):
-        # The 8-point rule integrates x^2 + y^2 exactly on every cell; the
-        # cells tile [-L - h/2, L - h/2]^2.
+        # Both the 8x8 and the 4x4 rule (exact to degree 7) integrate
+        # x^2 + y^2 exactly on every cell; the cells tile [-L - h/2, L - h/2]^2.
         n = 64
         h = 2.0 * L / n
         a, b = -L - h / 2.0, L - h / 2.0
@@ -406,6 +434,53 @@ class TestCellWeights2d:
         # is symmetric under transposition, bit for bit.
         q = lpengine._cell_weights_2d(3.0, 64, gamma)
         assert np.array_equal(q, q.T)
+
+    GAMMAS = [-1.9, -1.5, -0.5, 0.5, 1.0, 2.5, 8.0]
+
+    @pytest.mark.parametrize("n", [16, 64, 1024])
+    @pytest.mark.parametrize("L", [8.0, 3.0])
+    @pytest.mark.parametrize("gamma", GAMMAS + [0.0])
+    def test_corner_is_the_8x8_rule(self, n, L, gamma):
+        # Cells with both indices <= _NEAR_CELLS, the origin cell included,
+        # are the all-8x8 build's bit for bit; at m <= _NEAR_CELLS that is
+        # the whole quadrant.
+        q, ref = lpengine._cell_weights_2d(L, n, gamma), _quadrant_8x8(L, n, gamma)
+        corner = (slice(None, lpengine._NEAR_CELLS + 1),) * 2
+        assert q[corner].tobytes() == ref[corner].tobytes()
+        if n // 2 <= lpengine._NEAR_CELLS:
+            assert q.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("L", [8.0, 3.0])
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_far_cells_within_ulps_of_the_8x8_rule(self, L, gamma):
+        # Rounding, not truncation: 4-5 ulp (9 at gamma = 8) measured; a
+        # corner of radius 16 leaves cells 46 (gamma = 8) to 190 ulp off.
+        q, ref = lpengine._cell_weights_2d(L, 1024, gamma), _quadrant_8x8(L, 1024, gamma)
+        ulps = np.abs(q - ref) / np.spacing(ref)
+        assert ulps.max() <= (16 if gamma > 4 else 8)
+
+    @pytest.mark.parametrize("L", [8.0, 3.0])
+    def test_unit_weight_cells(self, L):
+        # At gamma = 0 every cell is h^2 exactly or the 8x8 build's value
+        # (at L = 3, h is no power of two, and the 8x8 sum rounds off h^2).
+        n = 1024
+        h = 2.0 * L / n
+        q, ref = lpengine._cell_weights_2d(L, n, 0.0), _quadrant_8x8(L, n, 0.0)
+        assert np.all((q == h * h) | (q == ref))
+
+    def test_every_rule_order_stays_cached(self):
+        # _gauss_legendre holds every order lpengine uses, so no build
+        # evicts a rule that the next one makes again.
+        orders = {lpengine._GL_NODES_2D, lpengine._GL_NODES_FAR,
+                  lpengine._THETA_NODES, lpengine._PANEL_NODES}
+        assert len(orders) <= lpengine._gauss_legendre.cache_info().maxsize
+        prof = RadialProfile(d=2, kind="power_log", a=0.5, b=0.0, R0=0.5)
+        lpengine._gauss_legendre.cache_clear()
+        for _ in range(2):
+            lpengine._cell_weights_2d(8.0, 4 * lpengine._NEAR_CELLS, 0.5)
+            radial_weighted_lp(prof, 2, 0.0)
+        info = lpengine._gauss_legendre.cache_info()
+        assert info.misses == info.currsize == len(orders)
 
     def test_default_grid_peak_memory_bounded(self):
         # DEFAULT_GRID_2D (N=512) at the 2-D oversampling cap of 4 asks for
@@ -1142,6 +1217,24 @@ class TestWeightedLps:
             assert f.values.tobytes() == np.fft.ifftn(f.spectrum).tobytes()
             with pytest.raises(ValueError):
                 f.values.flat[0] = 1.0
+
+    def test_kept_values_retain_their_own_bytes(self):
+        # A factor 1 lane of a stack of three (f, f', f'') kept as a view
+        # held the whole stack: 786432 bytes for 262144 bytes of samples.
+        from powemb.norms import sobolev_norm
+        from powemb.verify import default_grid
+
+        def retained(a):
+            while a.base is not None:
+                a = a.base
+            return a.nbytes
+
+        f = witnesses.random_band_limited(default_grid(1), 3)
+        sobolev_norm(f, 2, 2, 0.5)
+        assert retained(f._values) == f._values.nbytes
+        g = witnesses.random_band_limited(default_grid(1), 4)
+        weighted_lp(g, 2, 0.5)  # a stack of one lane
+        assert retained(g._values) == g._values.nbytes
 
     def test_a_field_listed_twice_is_transformed_once(self, fft_calls):
         f = witnesses.spectral_peaks(Grid(1, 8.0, 256), [3], 0).member(0)
