@@ -11,14 +11,16 @@ Quadrature conventions:
     cell (closed form in 1-D, tensor Gauss-Legendre in 2-D with the origin
     cell done in polar coordinates), never a point sample of the weight at
     the origin; the weight is radial, so only the half-line (1-D) or the
-    quadrant (2-D) of cells is integrated and stored;
+    quadrant (2-D) of cells is integrated and stored, and a point-symmetric
+    2-D integrand is summed over the half-plane |x_0| >= 0 only;
   * band-limited integrands are upsampled by zero-padding before summation
     so that cell sums resolve the carrier oscillation; same-grid spectra
     are padded into one stack and transformed by one call per axis
     (``upsample_stack``, at most STACK_BYTES per call), and a stack of
     ``real_valued`` spectra, which are exactly Hermitian, is padded on the
     non-negative half of its last frequency axis only and ends in one real
-    (c2r) inverse transform; ``weighted_lps`` makes a batch's samples so.
+    (c2r) inverse transform, in 2-D of the half-plane rows only;
+    ``weighted_lps`` makes a batch's samples so.
 """
 
 from __future__ import annotations
@@ -141,9 +143,12 @@ class Field:
     whose spectrum is exactly Hermitian with zero Nyquist lanes, as
     ``field_from_spectral`` finds for a real, even generator in a band
     below the Nyquist frequency, and for the ``lp_blocks`` of such a field.
+    The flag means real and even: the samples are point-symmetric about the
+    origin, v(x) = v(-x), up to the rounding of the origin phase.
     ``upsample_values`` past factor 1, and the norms' block stacks at every
-    factor, then transform only half of the spectrum.  Every other field is
-    False, and ``values`` stays complex either way.
+    factor, then transform only half of the spectrum, and in 2-D make only
+    the half-plane |x_0| >= 0 of the samples.  Every other field is False,
+    and ``values`` stays complex either way.
     ``field_from_spectral`` with a band R (and ``lp_blocks`` and multipliers
     of such a field) fixes ``_box`` = R: the spectrum is 0 outside |xi_i| <= R.
     """
@@ -626,7 +631,7 @@ def auto_oversample(grid: Grid, band_limit) -> int:
 def upsample_values(f: Field, factor: int) -> np.ndarray:
     """Exact samples of the trig interpolant on a factor-times finer lattice:
     ``values`` at factor 1, else the one-field ``upsample_stack``, real for
-    a ``real_valued`` field."""
+    a ``real_valued`` field, and then in 2-D its (m/2 + 1, m) half-plane."""
     if factor == 1:
         return f.values
     return upsample_stack([f.spectrum], factor, f.real_valued)[0]
@@ -648,12 +653,16 @@ def upsample_stack(spectra: Sequence[np.ndarray], factor: int,
     (``Field.real_valued``).  Only the non-negative half of their last axis
     is padded, the first axis (2-D) is transformed on the lanes holding
     coefficients only, and one ``irfft`` ends it: the samples are real,
-    ``irfftn``'s of the padded half-spectrum bit for bit.
+    ``irfftn``'s of the padded half-spectrum bit for bit.  A real field is
+    even too, so its 2-D samples are point-symmetric, v(x) = v(-x): only the
+    half-plane of rows m/2 .. m-1 and then row 0, the rows with |x_0| = 0,
+    h, .., L, is made, a (b, m/2 + 1, m) stack (``weighted_cell_sum``).
     """
     d, n = spectra[0].ndim, spectra[0].shape[0]
     m, half = n * factor, n // 2
     last = m // 2 + 1 if real else m
-    pad = np.zeros((len(spectra),) + (m,) * (d - 1) + (last,), dtype=np.complex128)
+    # A real 2-D buffer has a spare row m, for a copy of row 0.
+    pad = np.zeros((len(spectra),) + (m + real,) * (d - 1) + (last,), dtype=complex)
     # A real spectrum keeps bins 0..half-1 of its last axis: the others are
     # the conjugates of those and the zero Nyquist bin.
     box = (slice(None, n),) * (d - 1) + (slice(None, half if real else n),)
@@ -666,7 +675,7 @@ def upsample_stack(spectra: Sequence[np.ndarray], factor: int,
         # Axes before this one, and on the real path the last axis, are
         # untransformed, their coefficients still in the first n (half)
         # indices; only those lanes are transformed.
-        lanes = (pad[:, :, :half] if real
+        lanes = (pad[:, :m, :half] if real
                  else pad[(slice(None),) + (slice(None, n),) * axis])
         if factor > 1:
             # The non-negative frequencies stay in front, the negative ones
@@ -676,6 +685,9 @@ def upsample_stack(spectra: Sequence[np.ndarray], factor: int,
             line[m - half:] = line[half:n]
             line[half:n] = 0.0
         np.fft.ifft(lanes, axis=axis + 1, out=lanes)
+    if real and d == 2:
+        pad[:, m] = pad[:, 0]
+        pad = pad[:, m // 2:]
     return np.fft.irfft(pad, n=m, axis=-1) if real else pad
 
 
@@ -683,39 +695,51 @@ def stack_slots(grid: Grid, factor: int, real: bool) -> int:
     """How many of the grid's spectra one ``upsample_stack`` call at this
     factor takes within STACK_BYTES: at least one."""
     m = grid.N * factor
-    nbytes = 16 * m ** (grid.d - 1) * (m // 2 + 1 if real else m)
+    nbytes = 16 * (m + real) ** (grid.d - 1) * (m // 2 + 1 if real else m)
     return max(1, STACK_BYTES // nbytes)
 
 
 def weighted_cell_sum(grid: Grid, values: np.ndarray, p: float, gamma: float,
                       factor: int = 1) -> float:
-    """(sum |values|^p W_c)^{1/p} over a factor-refined lattice of the grid."""
+    """(sum |values|^p W_c)^{1/p} over a factor-refined n^d lattice of the
+    grid, or over the 2-D half-plane (n/2 + 1, n) of ``upsample_stack``:
+    its rows a = 1 .. n/2-1 stand for lattice rows a and -a too."""
     n = grid.N * factor
+    shapes = [(n,) * grid.d] + [(n // 2 + 1, n)] * (grid.d == 2)
+    if values.shape not in shapes:
+        raise GridMismatch(f"a lattice of shape {values.shape} on a {grid.d}-D "
+                           f"grid refined to n = {n}; expected one of {shapes}")
+    half = values.shape != shapes[0]
     w = _get_weights(grid.d, grid.L, n, float(gamma))
     # |values|^p W_c in one buffer: refined lattices reach 2^20 cells in 2-D.
     # The weights are one half-line or quadrant; 2^d mirrored views of it
-    # multiply the lattice in place.
+    # (two on a half-plane) multiply the lattice in place.
     terms = np.abs(values)
     terms **= p
-    for cells, entries in _mirror_index(grid.d, n):
+    for cells, entries in _mirror_index(grid.d, n, half):
         view = terms[cells]
         view *= w[entries]
-    return float(np.sum(terms)) ** (1.0 / p)
+    total = (2.0 * np.sum(terms[1:-1]) + np.sum(terms[0]) + np.sum(terms[-1])
+             if half else np.sum(terms))
+    return float(total) ** (1.0 / p)
 
 
 @functools.lru_cache(maxsize=32)
-def _mirror_index(d: int, n: int):
-    """(lattice cells, weight entries) index pairs that cover an n^d lattice.
+def _mirror_index(d: int, n: int, half: bool):
+    """(lattice cells, weight entries) index pairs that cover an n^d lattice,
+    or with ``half`` the 2-D half-plane of ``weighted_cell_sum``.
 
     Lattice index i reads weight entry |i - n/2| on each axis: indices
     0..n/2 read the entries backwards, n/2+1..n-1 read entries 1..n/2-1.
-    Kept per (d, n): building the pairs cost half again the multiplies'
-    own time in a 1-D cell sum at n = 4096.
+    Half-plane row a reads weight row a.  Kept: building the pairs cost half
+    again the multiplies' own time in a 1-D cell sum at n = 4096.
     """
-    half = n // 2
-    axis = ((slice(None, half + 1), slice(None, None, -1)),
-            (slice(half + 1, None), slice(1, half)))
-    return tuple(tuple(zip(*parts)) for parts in itertools.product(axis, repeat=d))
+    mid = n // 2
+    axis = ((slice(None, mid + 1), slice(None, None, -1)),
+            (slice(mid + 1, None), slice(1, mid)))
+    rows = ((slice(None), slice(None)),) if half else axis
+    return tuple(tuple(zip(*parts))
+                 for parts in itertools.product(rows, *(axis,) * (d - 1)))
 
 
 def check_lp_range(d: int, p: float, gamma: float) -> None:

@@ -94,8 +94,9 @@ _MISSING = object()
 # Bytes of |S_k f| stacks one witness window's members keep together.  The
 # three 1-D windows of the bounded and failure checks keep every stack
 # (peaks 2.6 MiB, dilation 0.6 MiB, translation 3.1 MiB); a 2-D window on
-# the default grid keeps at most two unrefined stacks (2 MiB each), and its
-# refined ones (8 MiB and more) go through ``_memo``.
+# the default grid keeps three unrefined half-plane stacks (1 MiB each) of
+# a real field or two (2 MiB each) of a complex one, and its refined ones
+# (4 MiB and more) go through ``_memo``.
 WINDOW_BLOCK_BYTES = 4 * 2 ** 20
 
 

@@ -283,6 +283,24 @@ class TestWeightedLp:
         expected = float(np.sum(np.abs(up) ** p * w)) ** (1.0 / p)
         assert weighted_cell_sum(grid, up, p, gamma, 2) == expected
 
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_wrong_lattice_shape_is_grid_mismatch(self, d):
+        # The shape got and the shapes accepted are named, not left to a
+        # broadcast error: n^d, and in 2-D the real path's half-plane.
+        grid = Grid(d, 8.0, 64)
+        n = 64 * 2
+        accepted = [(n,) * d] + [(n // 2 + 1, n)] * (d == 2)
+        for shape in [(n // 2 + 1,), (n // 2,), (64,) * d, (n, n // 2 + 1),
+                      (n // 2 + 1, n // 2 + 1)]:
+            if len(shape) != d:
+                continue
+            with pytest.raises(GridMismatch) as err:
+                weighted_cell_sum(grid, np.ones(shape), 2.0, 0.5, 2)
+            assert str(shape) in str(err.value)
+            assert all(str(ok) in str(err.value) for ok in accepted)
+        for shape in accepted:
+            assert weighted_cell_sum(grid, np.ones(shape), 2.0, 0.5, 2) > 0.0
+
     def test_gamma_at_minus_d_rejected(self, grid1d):
         with pytest.raises(RangeError):
             weighted_lp(gaussian(grid1d), 2, -1.0)
@@ -559,37 +577,59 @@ def _full_upsample(f, factor, real=None):
     return np.fft.ifftn(pad) * factor ** d
 
 
+def _half_plane(a):
+    """Rows m/2 .. m-1 and then row 0 of an m x m lattice: the rows with
+    |x_0| = 0, h, .., L that the 2-D real path makes."""
+    return np.concatenate([a[len(a) // 2:], a[:1]])
+
+
+def _half_plane_cell_sum(grid, mag, p, gamma, factor):
+    """The cell sum over a half-plane: rows 1 .. m/2-1 count twice, for
+    their mirror rows, and rows 0 and m/2 once."""
+    terms = np.abs(mag) ** p * _half_plane(
+        _full_weights(grid.d, grid.L, grid.N * factor, gamma))
+    total = 2.0 * np.sum(terms[1:-1]) + np.sum(terms[0]) + np.sum(terms[-1])
+    return float(total) ** (1.0 / p)
+
+
 def _full_cell_sum(grid, mag, p, gamma, factor):
     w = _full_weights(grid.d, grid.L, grid.N * factor, gamma)
     return float(np.sum(np.abs(mag) ** p * w)) ** (1.0 / p)
 
 
-def _full_weighted_lp(f, p, gamma):
+def _full_weighted_lp(f, p, gamma, half=False):
+    """The full-lattice weighted norm; with ``half``, a 2-D real field's
+    refined samples are cut to the half-plane and summed as one."""
     factor = lpengine.auto_oversample(f.grid, f.band_limit)
-    return _full_cell_sum(f.grid, np.abs(_full_upsample(f, factor)), p, gamma, factor)
+    mag = np.abs(_full_upsample(f, factor))
+    if half and factor > 1:
+        return _half_plane_cell_sum(f.grid, _half_plane(mag), p, gamma, factor)
+    return _full_cell_sum(f.grid, mag, p, gamma, factor)
 
 
-def _full_block_abs(f, sys, k, factor):
+def _full_block_abs(f, sys, k, factor, half=False):
     block = Field(f.grid, spectrum=f.spectrum * sys.lattice_hat(k))
-    return np.abs(_full_upsample(block, factor, real=f.real_valued))
+    mag = np.abs(_full_upsample(block, factor, real=f.real_valued))
+    return _half_plane(mag) if half else mag
 
 
-def _full_besov(f, s, p, q, gamma, sys):
+def _full_besov(f, s, p, q, gamma, sys, half=False):
+    cell_sum = _half_plane_cell_sum if half else _full_cell_sum
     vals = []
     for k in range(lpengine._active_blocks(f, sys) + 1):
         factor = lpengine.auto_oversample(f.grid, lpengine._block_band(f, sys, k))
-        vals.append(2.0 ** (k * s) * _full_cell_sum(
-            f.grid, _full_block_abs(f, sys, k, factor), p, gamma, factor))
+        vals.append(2.0 ** (k * s) * cell_sum(
+            f.grid, _full_block_abs(f, sys, k, factor, half), p, gamma, factor))
     return max(vals) if q == math.inf else float(
         np.sum(np.asarray(vals) ** q) ** (1.0 / q))
 
 
-def _full_triebel(f, s, p, q, gamma, sys):
+def _full_triebel(f, s, p, q, gamma, sys, half=False):
     kmax = lpengine._active_blocks(f, sys)
     factor = lpengine.auto_oversample(f.grid, lpengine._block_band(f, sys, kmax))
     agg = None
     for k in range(kmax + 1):
-        term = _full_block_abs(f, sys, k, factor) * 2.0 ** (k * s)
+        term = _full_block_abs(f, sys, k, factor, half) * 2.0 ** (k * s)
         if q == math.inf:
             agg = term if agg is None else np.maximum(agg, term)
         else:
@@ -597,7 +637,8 @@ def _full_triebel(f, s, p, q, gamma, sys):
             agg = term if agg is None else agg + term
     if q != math.inf:
         agg **= 1.0 / q
-    return _full_cell_sum(f.grid, agg, p, gamma, factor)
+    return (_half_plane_cell_sum if half else _full_cell_sum)(
+        f.grid, agg, p, gamma, factor)
 
 
 @pytest.mark.parametrize("which", ["band96_1d", "gauss_1d", "peak_1d",
@@ -605,6 +646,9 @@ def _full_triebel(f, s, p, q, gamma, sys):
 def test_norms_match_full_lattice_reference(which):
     # Mirrored weights, axis-by-axis upsampling and skipped zero blocks give
     # the values of full-lattice weights and one ifftn per block, bit for bit.
+    # A 2-D real field is summed over the half-plane of its point-symmetric
+    # samples: bit for bit the half-plane sum of the full transform's rows,
+    # and the full-lattice sum to rounding.
     from powemb.norms import besov_norm, triebel_norm
     from powemb.witnesses import random_band_limited, spectral_peaks
 
@@ -619,13 +663,74 @@ def test_norms_match_full_lattice_reference(which):
     }[which]()
     sys = lpengine.make_dyadic(f.grid)
     low = -0.5 if f.grid.d == 1 else -1.5
+    half = f.grid.d == 2 and f.real_valued
+    assert half == (which == "peak_2d")
+
+    def check(got, ref, *args):
+        assert got == ref(f, *args, half=half)
+        full = ref(f, *args)
+        assert got == full if not half else abs(got - full) <= 1e-14 * full
+
     for p, gamma in [(1.0, low), (2.0, 0.0), (3.5, 1.0)]:
-        assert weighted_lp(f, p, gamma) == _full_weighted_lp(f, p, gamma)
+        check(weighted_lp(f, p, gamma), _full_weighted_lp, p, gamma)
         for s, q in [(0.5, 2.0), (-0.5, math.inf)]:
-            assert (besov_norm(f, s, p, q, gamma, sys=sys).value
-                    == _full_besov(f, s, p, q, gamma, sys))
-            assert (triebel_norm(f, s, p, q, gamma, sys=sys).value
-                    == _full_triebel(f, s, p, q, gamma, sys))
+            check(besov_norm(f, s, p, q, gamma, sys=sys).value,
+                  _full_besov, s, p, q, gamma, sys)
+            check(triebel_norm(f, s, p, q, gamma, sys=sys).value,
+                  _full_triebel, s, p, q, gamma, sys)
+
+
+class TestHalfPlaneSum:
+    """A 2-D real field's norms sum the half-plane of its point-symmetric
+    samples; they are the full-lattice sums to rounding."""
+
+    # h = 1/16: bands 3, 6 and 12 are refined by 1, 2 and 4.
+    GRID = Grid(2, 2.0, 64)
+    PS = (1.0, 1.5, 2.0, 4.0)
+    GAMMAS = (-1.5, 0.0, 0.5, 2.5)
+
+    @staticmethod
+    def assert_close(got, ref, *key):
+        assert abs(got - ref) <= 1e-14 * ref, key
+
+    @pytest.mark.parametrize("n,factors", [(2, {1, 2}), (3, {2, 4})],
+                             ids=["n2", "n3"])
+    def test_peaks_and_blocks_match_full_lattice(self, n, factors):
+        from powemb.norms import besov_norm, triebel_norm
+
+        grid = self.GRID
+        sys = lpengine.make_dyadic(grid)
+        f = witnesses.spectral_peaks(grid, [n], 0).member(0)
+        # The non-zero blocks; their bands are the Besov blocks' too.
+        blocks = [b for b in lp_blocks(f, sys) if b.spectrum.any()]
+        assert f.real_valued and all(b.real_valued for b in blocks)
+        assert {lpengine.auto_oversample(grid, g.band_limit)
+                for g in [f] + blocks} == factors
+        items = [(g, p, gamma) for g in [f] + blocks
+                 for p, gamma in itertools.product(self.PS, self.GAMMAS)]
+        for (g, p, gamma), got in zip(items, weighted_lps(items)):
+            self.assert_close(got, _full_weighted_lp(g, p, gamma), p, gamma)
+        for p, gamma, q in itertools.product(self.PS, self.GAMMAS, (2.0, math.inf)):
+            self.assert_close(besov_norm(f, 0.5, p, q, gamma, sys=sys).value,
+                              _full_besov(f, 0.5, p, q, gamma, sys), p, gamma, q)
+            self.assert_close(triebel_norm(f, 0.5, p, q, gamma, sys=sys).value,
+                              _full_triebel(f, 0.5, p, q, gamma, sys), p, gamma, q)
+
+    @pytest.mark.parametrize("factor", [1, 2, 4])
+    def test_cell_sum_of_a_stack_matches_full_lattice(self, factor):
+        grid = self.GRID
+        f = witnesses.spectral_peaks(grid, [3], -1).member(0)
+        fields = [f] + lp_blocks(f, lpengine.make_dyadic(grid), [2, 3])
+        stack = lpengine.upsample_stack([g.spectrum for g in fields], factor, real=True)
+        m = grid.N * factor
+        assert stack.shape == (3, m // 2 + 1, m)
+        for g, half in zip(fields, stack):
+            full = np.abs(_full_upsample(g, factor, real=True))
+            for p, gamma in itertools.product(self.PS, self.GAMMAS):
+                got = weighted_cell_sum(grid, half, p, gamma, factor)
+                assert got == _half_plane_cell_sum(grid, half, p, gamma, factor)
+                self.assert_close(got, _full_cell_sum(grid, full, p, gamma, factor),
+                                  p, gamma)
 
 
 class TestCacheBounds:
@@ -889,7 +994,8 @@ class TestFieldRepresentation:
         # One in-place transform per axis, of the lanes holding coefficients
         # only; the samples are those of one inverse FFT of the whole padded
         # spectrum and a scaling, bit for bit.  A real-valued field ends in
-        # one irfft along the last axis and its samples are real.
+        # one irfft along the last axis and its samples are real; in 2-D they
+        # are the half-plane rows of that transform.
         grid = Grid(d, 8.0, 16)
         if real:
             f = field_from_spectral(
@@ -902,7 +1008,12 @@ class TestFieldRepresentation:
         names = ["ifft"] * (d - 1) + ["irfft"] if real else ["ifft"] * d
         assert fft_calls == [(name, 1) for name in names]
         assert up.dtype == (np.float64 if real else np.complex128)
-        assert np.array_equal(up, _full_upsample(f, factor))
+        ref = _full_upsample(f, factor)
+        if real and d == 2:  # the half-plane rows of the point-symmetric samples
+            ref = _half_plane(ref)
+        m = 16 * factor
+        assert up.shape == ((m // 2 + 1, m) if real and d == 2 else (m,) * d)
+        assert np.array_equal(up, ref)
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_rim_of_a_spectrum_keeps_no_samples(self, grid1d, grid2d, d,
@@ -1092,6 +1203,47 @@ class TestRealValued:
             assert not f.real_valued, name
 
     @pytest.mark.parametrize("d", [1, 2])
+    def test_flagged_fields_are_point_symmetric(self, grid1d, grid2d, d):
+        # The 2-D real path sums a half-plane, so the flag must mean real
+        # and even: v[i] = v[-i], lattice index i against (n - i) mod n.
+        # The origin phase exp(-i pi k) is not exactly (-1)^k; the odd part
+        # its rounding leaves, at most 2 sum |S| |phase - (-1)^k| / n^d, is
+        # up to 1.4e-13 of the peak in 1-D, so 1e-15 of the peak is allowed
+        # on top of it.
+        grid = grid1d if d == 1 else grid2d
+        n, axes = grid.N, tuple(range(d))
+        k = np.fft.fftfreq(n, d=1.0 / n)
+        phase = functools.reduce(np.multiply.outer, (lpengine._origin_phase_axis(n),) * d)
+        sign = functools.reduce(np.multiply.outer, (np.where(k % 2, -1.0, 1.0),) * d)
+        members = _witness_members(grid)
+
+        def asymmetry(g, v):
+            """max |v[i] - v[-i]| over the bound."""
+            odd = 2.0 * np.sum(np.abs(g.spectrum) * np.abs(phase - sign)) / n ** d
+            mirror = np.roll(np.flip(v, axes), 1, axes)
+            return np.max(np.abs(v - mirror)) / (odd + 1e-15 * np.max(np.abs(v)))
+
+        for name in sorted(_REAL_MEMBERS):
+            for g in [members[name]] + lp_blocks(members[name], make_dyadic(grid)):
+                if g.spectrum.any():
+                    assert asymmetry(g, _full_upsample(g, 1, real=True)) <= 1.0, name
+        # The bound has teeth: a moved Gaussian is not even and lies far outside.
+        moved = members["translation"]
+        assert asymmetry(moved, moved.values.real) > 1e6
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_real_generators_that_are_not_even_are_not_flagged(self, grid1d,
+                                                               grid2d, d):
+        grid = grid1d if d == 1 else grid2d
+        gauss = lambda *k: np.exp(-sum(x * x for x in k))
+        for fn in (lambda *k: k[0] * gauss(*k),
+                   lambda *k: np.exp(-sum((x - 0.5) ** 2 for x in k)),
+                   lambda *k: gauss(*k) * (1.0 + 0.1 * np.sin(k[-1]))):
+            f = field_from_spectral(grid, fn, band_limit=6.0)
+            assert np.isrealobj(fn(*grid.freqs()))
+            assert not f.real_valued
+
+    @pytest.mark.parametrize("d", [1, 2])
     def test_real_path_matches_complex_path(self, grid1d, grid2d, d):
         grid = grid1d if d == 1 else grid2d
         factors = [2, 4, 8, 16, 32] if d == 1 else [2, 4]
@@ -1102,6 +1254,8 @@ class TestRealValued:
             for factor in factors:
                 got = upsample_values(f, factor)
                 ref = upsample_values(as_complex, factor)
+                if d == 2:
+                    ref = _half_plane(ref)
                 assert got.dtype == np.float64
                 assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), (
                     name, factor)
@@ -1136,8 +1290,11 @@ class TestUpsampleStack:
         up = lpengine.upsample_stack([f.spectrum for f in fields], factor, real=True)
         assert fft_calls == [("ifft", 3)] * (d - 1) + [("irfft", 3)]
         assert up.dtype == np.float64
+        m = 16 * factor
+        assert up.shape == (3,) + ((m // 2 + 1, m) if d == 2 else (m,))
         for f, got in zip(fields, up):
-            assert np.array_equal(got, _full_upsample(f, factor, real=True))
+            ref = _full_upsample(f, factor, real=True)
+            assert np.array_equal(got, _half_plane(ref) if d == 2 else ref)
             if factor > 1:
                 assert np.array_equal(got, upsample_values(f, factor))
 
