@@ -73,11 +73,21 @@ class Grid:
         return math.pi * self.N / (2.0 * self.L)
 
     def axis_points(self) -> np.ndarray:
-        return -self.L + self.h * np.arange(self.N)
+        """Sample coordinates -L + h*i, read-only, one array per Grid."""
+        return self._point_axis
 
     def axis_freqs(self) -> np.ndarray:
-        """Frequencies pi*k/L for k = -N/2 .. N/2-1 in FFT layout."""
-        return 2.0 * math.pi * np.fft.fftfreq(self.N, d=self.h)
+        """Frequencies pi*k/L for k = -N/2 .. N/2-1 in FFT layout, read-only,
+        one array per Grid; bin N-k is exactly -1 times bin k."""
+        return self._freq_axis
+
+    @functools.cached_property
+    def _point_axis(self) -> np.ndarray:
+        return _read_only(-self.L + self.h * np.arange(self.N))
+
+    @functools.cached_property
+    def _freq_axis(self) -> np.ndarray:
+        return _read_only(2.0 * math.pi * np.fft.fftfreq(self.N, d=self.h))
 
     def points(self):
         """Physical coordinates, one array per axis (meshgrid layout)."""
@@ -89,6 +99,11 @@ class Grid:
 
     def freq_magnitude(self) -> np.ndarray:
         return magnitude(*self.freqs())
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.setflags(write=False)
+    return array
 
 
 def magnitude(*axes) -> np.ndarray:
@@ -182,18 +197,14 @@ class Field:
     def values(self) -> np.ndarray:
         """Samples on the lattice."""
         if self._values is None:
-            values = np.fft.ifftn(self._spectrum)
-            values.setflags(write=False)
-            self._values = values
+            self._values = _read_only(np.fft.ifftn(self._spectrum))
         return self._values
 
     @property
     def spectrum(self) -> np.ndarray:
         """Raw FFT coefficients of the samples (numpy fft layout)."""
         if self._spectrum is None:
-            spectrum = np.fft.fftn(self._values)
-            spectrum.setflags(write=False)
-            self._spectrum = spectrum
+            self._spectrum = _read_only(np.fft.fftn(self._values))
         return self._spectrum
 
     @property
@@ -229,6 +240,8 @@ def field_from_spectral(grid: Grid, spectral_fn: Callable, band_limit=None) -> F
     bit for bit: the origin phase exp(-i pi k) is exactly conjugate under
     k -> -k, so the spectrum is then exactly Hermitian.
     """
+    if band_limit is not None and not band_limit >= 0:
+        raise RangeError(f"band limit must be a number >= 0, got {band_limit}")
     d, n = grid.d, grid.N
     axis = grid.axis_freqs()
     box = _band_box(axis, band_limit)
@@ -255,10 +268,17 @@ def field_from_spectral(grid: Grid, spectral_fn: Callable, band_limit=None) -> F
 
 
 def _band_box(axis: np.ndarray, radius) -> Optional[np.ndarray]:
-    """Indices of the bins |xi| <= radius of one frequency axis, or None for
-    the whole axis (no radius, or one that reaches every bin)."""
-    idx = None if radius is None else np.flatnonzero(np.abs(axis) <= radius)
-    return None if idx is None or idx.size == axis.size else idx
+    """Indices of the bins |xi| <= radius of an ``axis_freqs`` axis, in
+    increasing order, or None for the whole axis (no radius, or one that
+    reaches every bin).  Bisects the increasing half 0 .. n/2-1, since bin
+    n-k is exactly -1 times bin k; the radius must be a number >= 0."""
+    if radius is None:
+        return None
+    n = axis.size
+    m = int(np.searchsorted(axis[:n // 2], radius, side="right"))
+    if m == n // 2 and radius >= -axis[n // 2]:
+        return None
+    return np.r_[0:m, n - m + 1:n]
 
 
 def _even_real(box: np.ndarray) -> bool:
@@ -275,9 +295,7 @@ def _origin_phase_axis(n: int) -> np.ndarray:
     """exp(-i pi k) per FFT bin k, read-only.  Not an exact +-1 table: the
     two differ by up to ~1e-12 at large n, and spectra are pinned to this."""
     k = np.fft.fftfreq(n, d=1.0 / n)
-    ph = np.exp(-1j * math.pi * k)
-    ph.setflags(write=False)
-    return ph
+    return _read_only(np.exp(-1j * math.pi * k))
 
 
 # ---------------------------------------------------------------------------
@@ -285,23 +303,17 @@ def _origin_phase_axis(n: int) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def smooth_step(t: np.ndarray) -> np.ndarray:
-    """chi(t) = exp(-1/t) for t > 0, else 0 (vectorized, overflow-safe)."""
-    t = np.asarray(t, dtype=np.float64)
-    out = np.zeros_like(t)
-    pos = t > 0
-    with np.errstate(over="ignore"):
-        out[pos] = np.exp(-1.0 / t[pos])
-    return out
-
-
 def bump_hat(xi_abs: np.ndarray) -> np.ndarray:
-    """The fixed dyadic generator: 1 on |xi|<=1, 0 on |xi|>=3/2, smooth between."""
+    """The fixed dyadic generator a / (a + b), a = chi(3/2 - xi), b = chi(xi - 1)
+    with chi(t) = exp(-1/t) for t > 0 and 0 else.  It is exactly 1 on xi <= 1
+    and exactly 0 on xi >= 3/2 and at NaN, as the quotient is there, so the
+    quotient is evaluated only on the transition band 1 < xi < 3/2."""
     xi_abs = np.asarray(xi_abs, dtype=np.float64)
-    a = smooth_step(1.5 - xi_abs)
-    b = smooth_step(xi_abs - 1.0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        out = np.where(a + b > 0, a / np.where(a + b > 0, a + b, 1.0), 0.0)
+    out = np.where(xi_abs <= 1.0, 1.0, 0.0)
+    between = (xi_abs > 1.0) & (xi_abs < 1.5)
+    t = xi_abs[between]
+    a, b = np.exp(-1.0 / (1.5 - t)), np.exp(-1.0 / (t - 1.0))
+    out[between] = a / (a + b)
     return out
 
 
@@ -354,8 +366,7 @@ def make_dyadic(grid: Grid) -> DyadicSystem:
         hat = bump_hat(xi_abs / 2.0 ** k)
         if k:
             hat -= bump_hat(xi_abs / 2.0 ** (k - 1))
-        hat.setflags(write=False)
-        hats.append(hat)
+        hats.append(_read_only(hat))
         boxes.append(box)
     return DyadicSystem(grid, K, hats, boxes)
 

@@ -124,6 +124,8 @@ def random_band_limited(grid: Grid, seed: int, band: float = 1.0) -> Field:
     envelope, so members dilate exactly through their spectral generator.
     The seed is the whole story: the same seed gives the same field on any grid.
     """
+    if not band > 0:
+        raise RangeError(f"band must be positive, got {band}")
     rng = np.random.default_rng(seed)
     coeff = rng.normal(size=7) + 1j * rng.normal(size=7)
 
@@ -155,7 +157,7 @@ def dilation_family(base: Field, t_values: Sequence[float]) -> WitnessFamily:
     grid = base.grid
     t_values = [float(t) for t in t_values]
     for t in t_values:
-        if t <= 0:
+        if not t > 0:
             raise RangeError(f"dilation parameter must be positive, got {t}")
         if t * base.band_limit > grid.xi_max:
             raise NyquistError(
@@ -212,7 +214,8 @@ def _hat_n(n: int):
 
 
 def spectral_peaks(grid: Grid, n_values: Sequence[int], j: int) -> WitnessFamily:
-    """Members phi_n * phi_{n+j}, via the product of the two dyadic hats.
+    """Members phi_n * phi_{n+j}, via the product of the two dyadic hats,
+    each bump_hat(|xi| / 2^m) of the two evaluated once (2 for j = 0, else 3).
 
     Only j in {-1, 0, 1} gives overlapping annuli; larger |j| makes the
     product vanish identically and is rejected.  The fixed convolution
@@ -237,8 +240,13 @@ def spectral_peaks(grid: Grid, n_values: Sequence[int], j: int) -> WitnessFamily
 
     def make(i: int) -> Field:
         n = n_values[i]
-        ha, hb = _hat_n(n), _hat_n(n + j)
-        return field_from_spectral(grid, _radial(lambda r: ha(r) * hb(r)),
+
+        def product(r):
+            b = {m: bump_hat(r / 2.0 ** m)
+                 for m in range(n + min(j, 0) - 1, n + max(j, 0) + 1)}
+            return (b[n] - b[n - 1]) * (b[n + j] - b[n + j - 1])
+
+        return field_from_spectral(grid, _radial(product),
                                    band_limit=1.5 * 2.0 ** (n + max(j, 0)))
 
     return WitnessFamily("SpectralPeak", {"j": j}, n_values, make)

@@ -1,0 +1,64 @@
+"""The pinned numbers of the default spectral catalog subset.
+
+    PYTHONPATH=src python3 tests/catalog_pin.py    # rewrite the reference
+
+Runs the default ``peaks``, ``translation``, ``nikolskij`` and
+``coherence`` experiments at seed 0 and writes, for each report in order,
+its id, its pass flag and every number in its JSON form (rows, fits,
+details, manifests) to ``catalog_reference.json``.  ``test_catalog_pin.py``
+checks a run against that file: ids and flags exactly, numbers within
+REL_TOL relative (ABS_TOL absolute, for values at rounding level).  Run it
+only on a tree whose numbers are the accepted ones; a change that moves a
+number states the largest drift when it rewrites the file.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from pathlib import Path
+
+from powemb.suite import run_experiments
+
+SUBSET = ("peaks", "translation", "nikolskij", "coherence")
+REFERENCE = Path(__file__).with_name("catalog_reference.json")
+REL_TOL = 1e-9
+ABS_TOL = 1e-12
+
+
+def numbers(obj, path=""):
+    """(path, value) of every int or float in a report's JSON form, in a
+    fixed order; bools, strings and None are not numbers here."""
+    if isinstance(obj, dict):
+        return [item for key in sorted(obj, key=str)
+                for item in numbers(obj[key], f"{path}/{key}")]
+    if isinstance(obj, (list, tuple)):
+        return [item for i, v in enumerate(obj) for item in numbers(v, f"{path}/{i}")]
+    if isinstance(obj, (int, float)) and not isinstance(obj, bool):
+        return [(path, obj)]
+    return []
+
+
+def snapshot():
+    """{experiment: [[id, passed, [(path, number), ...]], ...]} of one run."""
+    return {name: [[r.experiment_id, r.passed, numbers(r.to_dict())] for r in reports]
+            for name, reports in run_experiments(SUBSET, seed=0).items()}
+
+
+def close(a, b) -> bool:
+    if math.isnan(a) or math.isnan(b):
+        return math.isnan(a) and math.isnan(b)
+    return math.isclose(a, b, rel_tol=REL_TOL, abs_tol=ABS_TOL)
+
+
+def main() -> None:
+    # One report per line, so a moved number shows as a one-line diff.
+    lines = [f"{json.dumps(name)}: [\n" + ",\n".join(
+        json.dumps([rid, passed, [v for _, v in nums]])
+        for rid, passed, nums in reports) + "\n]"
+        for name, reports in snapshot().items()]
+    REFERENCE.write_text("{\n" + ",\n".join(lines) + "\n}\n", encoding="utf-8")
+
+
+if __name__ == "__main__":
+    main()

@@ -109,6 +109,28 @@ def cell_sums(monkeypatch):
 
 
 @pytest.fixture(scope="session")
+def bump_hat_reference():
+    """``xi ->`` bump_hat as a / (a + b), a = chi(3/2 - xi), b = chi(xi - 1),
+    chi(t) = exp(-1/t) for t > 0 and 0 else, evaluated at every entry, and 0
+    where a + b = 0: the generator's definition, for bit-for-bit checks."""
+    def chi(t):
+        t = np.asarray(t, dtype=np.float64)
+        out = np.zeros_like(t)
+        pos = t > 0
+        with np.errstate(over="ignore"):
+            out[pos] = np.exp(-1.0 / t[pos])
+        return out
+
+    def bump(xi):
+        xi = np.asarray(xi, dtype=np.float64)
+        a, b = chi(1.5 - xi), chi(xi - 1.0)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            return np.where(a + b > 0, a / np.where(a + b > 0, a + b, 1.0), 0.0)
+
+    return bump
+
+
+@pytest.fixture(scope="session")
 def max_coeff_outside():
     """``(field, radius) ->`` the largest |coefficient| of the field's
     spectrum at lattice frequencies with |xi| > radius."""

@@ -64,6 +64,50 @@ class TestGrid:
         with pytest.raises(RangeError):
             Grid(1, -1.0, 2 ** 8)
 
+    @pytest.mark.parametrize("grid", [Grid(1, 16.0, 2 ** 14), Grid(2, 8.0, 256),
+                                      Grid(1, 3.0, 4)], ids=str)
+    def test_axes_made_once_and_read_only(self, grid):
+        freqs, points = grid.axis_freqs(), grid.axis_points()
+        assert np.array_equal(freqs, 2.0 * math.pi * np.fft.fftfreq(grid.N, d=grid.h))
+        assert np.array_equal(points, -grid.L + grid.h * np.arange(grid.N))
+        # _band_box bisects the increasing half and mirrors it.
+        half = grid.N // 2
+        assert np.all(np.diff(freqs[:half]) > 0)
+        assert np.array_equal(freqs[:0:-1][:half - 1], -freqs[1:half])
+        assert grid.axis_freqs() is freqs and grid.axis_points() is points
+        for axis in (freqs, points):
+            with pytest.raises(ValueError):
+                axis[0] = 1.0
+        # An equal grid is a separate instance with axes of its own.
+        twin = Grid(grid.d, grid.L, grid.N)
+        assert twin == grid and twin.axis_freqs() is not freqs
+        # The lattice arrays made from the axes are the caller's to write.
+        for arr in grid.points() + grid.freqs():
+            arr[(0,) * grid.d] = 0.0
+
+
+def _band_box_reference(axis, radius):
+    """_band_box by a scan of the whole axis."""
+    idx = None if radius is None else np.flatnonzero(np.abs(axis) <= radius)
+    return None if idx is None or idx.size == axis.size else idx
+
+
+def _make_dyadic_reference(grid, bump):
+    """make_dyadic's hats and boxes from the reference ``bump`` and box."""
+    axis = 2.0 * math.pi * np.fft.fftfreq(grid.N, d=grid.h)
+    K = int(math.ceil(math.log2(grid.xi_max * math.sqrt(grid.d)))) + 1
+    hats, boxes = [], []
+    for k in range(K + 1):
+        box = _band_box_reference(axis, 1.5 * 2.0 ** k)
+        xi_abs = magnitude(*np.meshgrid(*(axis if box is None else axis[box],)
+                                        * grid.d, indexing="ij"))
+        hat = bump(xi_abs / 2.0 ** k)
+        if k:
+            hat -= bump(xi_abs / 2.0 ** (k - 1))
+        hats.append(hat)
+        boxes.append(box)
+    return K, hats, boxes
+
 
 class TestDyadic:
     def test_generator_plateau_and_support(self):
@@ -72,6 +116,51 @@ class TestDyadic:
         assert np.all(vals[xi <= 1.0] == 1.0)
         assert np.all(vals[xi >= 1.5] == 0.0)
         assert np.all((vals >= 0) & (vals <= 1))
+
+    def test_generator_matches_reference_bit_for_bit(self, bump_hat_reference):
+        # Evaluated only on 1 < xi < 3/2, the bump equals a / (a + b)
+        # evaluated everywhere: that quotient is exactly 1 (a / a) below,
+        # exactly 0 (0 / b) above, and 0 at NaN and +inf.
+        edges = [1.0, 1.5, 0.0, -0.0, np.inf, -np.inf, np.nan]
+        near = [np.nextafter(e, s) for e in (1.0, 1.5) for s in (-np.inf, np.inf)]
+        xi = np.concatenate([np.linspace(-1.0, 3.0, 400001), edges, near])
+        got, want = bump_hat(xi), bump_hat_reference(xi)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got),
+                                                             np.signbit(want))
+        for x in [*edges, *near, 1.25]:
+            assert np.array_equal(bump_hat(x), bump_hat_reference(x)), x
+            assert np.ndim(bump_hat(x)) == 0
+        two_d = xi[:400000].reshape(400, 1000)
+        assert np.array_equal(bump_hat(two_d), bump_hat_reference(two_d))
+
+    @pytest.mark.parametrize("N, L", [
+        *itertools.product([4, 8, 256], [0.75, 8.0, 16.0, 1024.0]),
+        (2 ** 14, 16.0), (2 ** 14, 1024.0)])
+    def test_band_box_matches_full_scan(self, N, L):
+        axis = Grid(1, L, N).axis_freqs()
+        mags = np.unique(np.abs(axis))
+        radii = [None, 0.0, *mags, *np.nextafter(mags, -np.inf),
+                 *np.nextafter(mags, np.inf), 2.0 * mags[-1], math.inf]
+        for radius in radii:
+            got, want = lpengine._band_box(axis, radius), _band_box_reference(axis, radius)
+            if want is None:
+                assert got is None, radius
+            else:
+                assert got.dtype == want.dtype and np.array_equal(got, want), radius
+
+    @pytest.mark.parametrize("grid", [Grid(1, 16.0, 2 ** 14), Grid(2, 8.0, 256),
+                                      Grid(1, 0.75, 4), Grid(2, 1024.0, 8)],
+                             ids=str)
+    def test_hats_match_reference_build(self, grid, bump_hat_reference):
+        sys_ = make_dyadic(grid)
+        K, hats, boxes = _make_dyadic_reference(grid, bump_hat_reference)
+        assert sys_.K == K
+        for k in range(K + 1):
+            assert (sys_.box[k] is None) == (boxes[k] is None), k
+            if boxes[k] is not None:
+                assert np.array_equal(sys_.box[k], boxes[k]), k
+            assert sys_.hat_phi[k].tobytes() == hats[k].tobytes(), k
 
     def test_partition_of_unity(self, grid1d, sys1d):
         total = sum(map(sys1d.lattice_hat, range(sys1d.K + 1)))
@@ -1115,7 +1204,8 @@ class TestSpectralBox:
 
     @pytest.mark.parametrize("d", [1, 2])
     @pytest.mark.parametrize("band", ["none", "whole_axis", "whole_lattice",
-                                      "on_a_bin", "below_first_bin", "negative"])
+                                      "on_a_bin", "below_first_bin", "zero",
+                                      "negative", "nan"])
     @pytest.mark.parametrize("scalar", [False, True])
     def test_edge_bands(self, grid1d, grid2d, d, band, scalar):
         grid = grid1d if d == 1 else grid2d
@@ -1125,16 +1215,23 @@ class TestSpectralBox:
             "whole_lattice": 2.0 * grid.xi_max,
             "on_a_bin": float(grid.axis_freqs()[3]),  # bins at the edge kept
             "below_first_bin": 0.5 * math.pi / grid.L,  # the zero bin only
+            "zero": 0.0,
             "negative": -1.0,
+            "nan": math.nan,
         }[band]
         if scalar:
             fn = lambda *k: 2.0 - 1.0j
         else:
             fn = lambda *k: np.exp(-sum(x * x for x in k) / 50.0) * (1.0 + 0.5j)
+        if band in ("negative", "nan"):
+            # Neither is a radius: rejected, not read as an empty band.
+            with pytest.raises(RangeError, match=f"got {band_limit}"):
+                field_from_spectral(grid, fn, band_limit=band_limit)
+            return
         f = field_from_spectral(grid, fn, band_limit=band_limit)
         self.assert_matches_full_lattice(f, fn, band_limit)
-        if band in ("below_first_bin", "negative"):
-            assert np.count_nonzero(f.spectrum) == (band == "below_first_bin")
+        if band in ("below_first_bin", "zero"):
+            assert np.count_nonzero(f.spectrum) == 1
 
     @pytest.mark.parametrize("d, band", [(1, 1.0), (1, 20.0), (2, 3.0), (2, 10.0)])
     def test_generator_sees_only_the_box(self, grid1d, grid2d, d, band):

@@ -58,6 +58,13 @@ class TestDilation:
         with pytest.raises(RangeError):
             dilation_family(phys, [1.0])
 
+    @pytest.mark.parametrize("t", [math.nan, -1.0, 0.0])
+    def test_rejects_t_that_is_not_positive(self, grid1d, t):
+        # NaN fails "t > 0" but passes "t <= 0" and the Nyquist check.
+        base = gaussian_spectral_base(grid1d, sigma_xi=2.0)
+        with pytest.raises(RangeError, match=f"got {t}"):
+            dilation_family(base, [1.0, t])
+
 
 class TestTranslation:
     def test_lambda_zero_is_base(self, grid1d):
@@ -134,6 +141,27 @@ class TestSpectralPeaks:
         a = spectral_peaks(grid1d, [4], 0).member(0)
         b = spectral_peaks(grid1d, [4], 0).member(0)
         assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("j", [-1, 0, 1])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_spectra_match_hat_product_reference(self, grid1d, grid2d, d, j,
+                                                 bump_hat_reference):
+        # Each distinct bump evaluated once gives the spectrum of the
+        # product hat_n(|xi|) * hat_{n+j}(|xi|) of two separate evaluations.
+        grid = grid1d if d == 1 else grid2d
+        ns = [2, 3] if d == 2 else [2, 4, 6, 8]
+
+        def hat(n, r):
+            return bump_hat_reference(r / 2.0 ** n) - bump_hat_reference(r / 2.0 ** (n - 1))
+
+        fam = spectral_peaks(grid, ns, j)
+        for n, member in zip(ns, fam.members()):
+            band = 1.5 * 2.0 ** (n + max(j, 0))
+            ref = lpengine.field_from_spectral(
+                grid, lambda *k: hat(n, lpengine.magnitude(*k))
+                * hat(n + j, lpengine.magnitude(*k)), band_limit=band)
+            assert np.array_equal(member.spectrum, ref.spectrum), n
+            assert member.real_valued and member.band_limit == band
 
 
 class TestLacunary:
@@ -215,6 +243,12 @@ class TestProfiles:
 
 
 class TestReproducibility:
+    @pytest.mark.parametrize("band", [math.nan, -1.0, 0.0])
+    def test_random_base_rejects_band_that_is_not_positive(self, grid1d, band):
+        # Band 0 would divide the DC bin by zero; NaN and -1 name no band.
+        with pytest.raises(RangeError, match=f"got {band}"):
+            random_band_limited(grid1d, 0, band=band)
+
     def test_random_base_is_seed_deterministic(self, grid1d):
         a = random_band_limited(grid1d, 42, band=2.0)
         b = random_band_limited(grid1d, 42, band=2.0)
