@@ -8,11 +8,12 @@ run reproduces the same frequency decomposition bit for bit.
 
 Quadrature conventions:
   * weighted L^p sums use the exact cell integral of |x|^gamma per lattice
-    cell (closed form in 1-D, tensor Gauss-Legendre in 2-D with the origin
-    cell done in polar coordinates), never a point sample of the weight at
-    the origin; the weight is radial, so only the half-line (1-D) or the
-    quadrant (2-D) of cells is integrated and stored, and a point-symmetric
-    2-D integrand is summed over the half-plane |x_0| >= 0 only;
+    cell (closed form in 1-D; in 2-D tensor Gauss-Legendre near the origin, a
+    midpoint series beyond and the origin cell in polar coordinates), never a
+    point sample of the weight at the origin; the weight is radial, so only
+    the half-line (1-D) or the quadrant (2-D) of cells is integrated and
+    stored, and a point-symmetric 2-D integrand is summed over the half-plane
+    |x_0| >= 0 only;
   * band-limited integrands are upsampled by zero-padding before summation
     so that cell sums resolve the carrier oscillation; same-grid spectra
     are padded into one stack and transformed by one call per axis
@@ -147,7 +148,7 @@ class Field:
     the field's ``boundary_decay``, is scanned once and cached; it keeps no
     samples, so a field built from its spectrum still holds only that.
 
-    ``band_limit`` records a radius R with the discrete spectrum supported in
+    ``band_limit``, None or a radius R >= 0, records a spectrum supported in
     |xi| <= R; it is enforced (coefficients beyond R zeroed) for fields built
     in frequency space and trusted as metadata for sampled fields.  Optional
     generators keep witness families reproducible and translatable exactly:
@@ -172,6 +173,8 @@ class Field:
                  spectral_gen=None, physical_gen=None, *, spectrum=None):
         if (values is None) == (spectrum is None):
             raise ValueError("a Field needs exactly one of values or spectrum")
+        if band_limit is not None and not band_limit >= 0:
+            raise RangeError(f"band limit must be a number >= 0, got {band_limit}")
         self.grid = grid
         self._real = isinstance(spectrum, _Fresh) and spectrum.real
         self._box = spectrum.box if isinstance(spectrum, _Fresh) else None
@@ -240,8 +243,6 @@ def field_from_spectral(grid: Grid, spectral_fn: Callable, band_limit=None) -> F
     bit for bit: the origin phase exp(-i pi k) is exactly conjugate under
     k -> -k, so the spectrum is then exactly Hermitian.
     """
-    if band_limit is not None and not band_limit >= 0:
-        raise RangeError(f"band limit must be a number >= 0, got {band_limit}")
     d, n = grid.d, grid.N
     axis = grid.axis_freqs()
     box = _band_box(axis, band_limit)
@@ -530,7 +531,6 @@ _weight_cache = LRUCache(WEIGHT_CACHE_BYTES, size=lambda w: w.nbytes)
 STACK_BYTES = 4 * 2 ** 20
 
 _GL_NODES_2D = 8
-_GL_NODES_FAR = 4
 _NEAR_CELLS = 32
 _THETA_NODES = 64
 
@@ -565,24 +565,16 @@ def _cell_weights_1d(L: float, n: int, gamma: float) -> np.ndarray:
 def _cell_weights_2d(L: float, n: int, gamma: float) -> np.ndarray:
     """Cell integrals of |x|^gamma in 2-D on the quadrant |x|, |y| in
     {0, h, ..., L}; lattice cell (i, j) has the weight of entry
-    (|i - n/2|, |j - n/2|).
-
-    Tensor Gauss-Legendre: 8x8 nodes on cells with both indices <= _NEAR_CELLS,
-    4x4 (10 node pairs, not 36) beyond.  |x|^gamma is homogeneous, so a cell's
-    relative error depends on its index and gamma only: past index 32 the two
-    rules agree to a few ulp on any grid.  Even node counts keep nodes off the
-    origin; the origin cell is four polar quadrant squares with a closed-form
-    radial part.  The weight depends on |x|, |y| only and each rule is
-    symmetric, so the quadrant holds every lattice value.
+    (|i - n/2|, |j - n/2|).  8x8 tensor Gauss-Legendre on the cells with both
+    indices <= _NEAR_CELLS, ``_series_cells`` beyond (they agree to a few ulp
+    there), and the origin cell as four polar squares with a closed-form
+    radial part.  Both rules are symmetric in (i, j) bit for bit.
     """
     h = 2.0 * L / n
     m = n // 2
     near = min(m, _NEAR_CELLS) + 1
-    q = _tensor_cells(h, near, gamma, _GL_NODES_2D)
-    if near <= m:
-        far = _tensor_cells(h, m + 1, gamma, _GL_NODES_FAR)
-        far[:near, :near] = q
-        q = far
+    q = _series_cells(h, m + 1, gamma)
+    q[:near, :near] = _tensor_cells(h, near, gamma)
 
     # Origin cell: 4 * integral of r^gamma over [0, h/2]^2 in polar form.
     half = h / 2.0
@@ -594,23 +586,55 @@ def _cell_weights_2d(L: float, n: int, gamma: float) -> np.ndarray:
     return q
 
 
-def _tensor_cells(h: float, k: int, gamma: float, order: int) -> np.ndarray:
-    """order x order Gauss-Legendre integrals of |x|^gamma over the cells
-    (i, j), 0 <= i, j < k, centred at (i h, j h); one node pair at a time."""
-    nodes, wts = _gauss_legendre(order)
+def _tensor_cells(h: float, k: int, gamma: float) -> np.ndarray:
+    """8x8 Gauss-Legendre integrals of |x|^gamma over the cells (i, j),
+    0 <= i, j < k, centred at (i h, j h); one node pair at a time."""
+    nodes, wts = _gauss_legendre(_GL_NODES_2D)
     wts = wts * (h / 2.0)
     sq = (h * np.arange(k) + nodes[:, None] * (h / 2.0)) ** 2
     # The (v, u) term is the transpose of the (u, v) one: the off-diagonal
     # pairs are summed once into ``off`` and added back as off + off.T, which
     # keeps the weights exactly symmetric; the sums reuse ``tmp`` (3 arrays).
     diag, off, tmp = np.zeros((k, k)), np.zeros((k, k)), np.empty((k, k))
-    for u, v in itertools.combinations_with_replacement(range(order), 2):
+    for u, v in itertools.combinations_with_replacement(range(_GL_NODES_2D), 2):
         np.add(sq[u][:, None], sq[v], out=tmp)
         np.power(tmp, gamma / 2.0, out=tmp)
         tmp *= wts[u] * wts[v]
         acc = diag if u == v else off
         acc += tmp
     return np.add(np.add(off, off.T, out=tmp), diag, out=tmp)
+
+
+def _series_cells(h: float, k: int, gamma: float) -> np.ndarray:
+    """Integrals of |x|^gamma over the cells (i, j), 0 <= i, j < k, centred at
+    (i h, j h), by the cell-midpoint Taylor series: with s = i^2 + j^2,
+    t = i^2 j^2 / s^2 and g = gamma / 2 a cell weighs h^(gamma+2) s^g
+    (1 + Q2/s + Q4/s^2 + Q6/s^3 + Q8/s^4), each Q a polynomial in t.  One
+    power per cell of the upper triangle; exact at gamma = 0 and 2."""
+    if gamma == 0:
+        return np.full((k, k), h * h)
+    g = gamma / 2.0
+    p4 = g * (g - 1) * (g - 2) * (g - 3)
+    p6 = p4 * (g - 4) * (g - 5)
+    # (1, t, t^2) coefficients of Q8, Q6, Q4 and Q2, in Horner order in 1/s.
+    levels = ((p4 * (5 * g ** 4 - 10 * g ** 3 - 23 * g * g - 32 * g + 105) / 1814400,
+               p6 * (5 * g * g + g - 21) / 226800, p6 * (g - 6) * (g - 7) / 113400),
+              (g * g * (g - 1) * (g - 2) * (g * g - g - 3) / 5040, g * p4 * (g - 4) / 1260, 0.0),
+              (g * (g - 1) * (3 * g * g - g - 3) / 360, p4 / 90, 0.0),
+              (g * g / 6, 0.0, 0.0))
+    i = np.arange(k, dtype=float)
+    q = np.empty((k, k))
+    for r in range(0, k, 64):  # row blocks keep the temporaries in cache
+        ii, jj = i[r:r + 64, None], i[r:]
+        s = np.maximum(ii * ii + jj * jj, 1.0)  # exact integers, 1 at the origin
+        t = np.square(ii * jj / s)
+        ser = 0.0
+        for a, b, c in levels:
+            ser = (ser + a + t * (b + c * t)) / s
+        w = np.power(s, g) * (h * h * h ** gamma)
+        q[r:r + 64, r:] = w + w * ser
+        q[r + 64:, r:r + 64] = q[r:r + 64, r + 64:].T
+    return q
 
 
 def _get_weights(d: int, L: float, n: int, gamma: float) -> np.ndarray:

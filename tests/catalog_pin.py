@@ -2,10 +2,12 @@
 
     PYTHONPATH=src python3 tests/catalog_pin.py    # rewrite the reference
 
-Runs the default ``peaks``, ``translation``, ``nikolskij`` and
-``coherence`` experiments at seed 0 and writes, for each report in order,
-its id, its pass flag and every number in its JSON form (rows, fits,
-details, manifests) to ``catalog_reference.json``.  ``test_catalog_pin.py``
+Runs the default ``peaks``, ``translation``, ``nikolskij``, ``coherence``,
+``dichotomy``, ``lacunary``, ``gagliardo`` and ``sharp`` experiments, and
+``peaks`` on a 2-D grid (``peaks_2d``, which builds 2-D cell weights), at
+seed 0 and writes, for each report in order, its id, its pass flag and
+every number in its JSON form (rows, fits, details, manifests) to
+``catalog_reference.json``.  ``test_catalog_pin.py``
 checks a run against that file: ids and flags exactly, numbers within
 REL_TOL relative (ABS_TOL absolute, for values at rounding level).  Run it
 only on a tree whose numbers are the accepted ones; a change that moves a
@@ -20,7 +22,19 @@ from pathlib import Path
 
 from powemb.suite import run_experiments
 
-SUBSET = ("peaks", "translation", "nikolskij", "coherence")
+# Each pinned run's key in the reference: its experiment and overrides.
+RUNS = {
+    "peaks": ("peaks", {}),
+    "translation": ("translation", {}),
+    "nikolskij": ("nikolskij", {}),
+    "coherence": ("coherence", {}),
+    "peaks_2d": ("peaks", {"grid": {"d": 2, "L": 8, "N": 256}, "n_min": 2,
+                           "n_max": 5, "j_values": [-1, 0]}),
+    "dichotomy": ("dichotomy", {}),
+    "lacunary": ("lacunary", {}),
+    "gagliardo": ("gagliardo", {}),
+    "sharp": ("sharp", {}),
+}
 REFERENCE = Path(__file__).with_name("catalog_reference.json")
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
@@ -40,9 +54,10 @@ def numbers(obj, path=""):
 
 
 def snapshot():
-    """{experiment: [[id, passed, [(path, number), ...]], ...]} of one run."""
-    return {name: [[r.experiment_id, r.passed, numbers(r.to_dict())] for r in reports]
-            for name, reports in run_experiments(SUBSET, seed=0).items()}
+    """{key: [[id, passed, [(path, number), ...]], ...]} of one run of RUNS."""
+    return {key: [[r.experiment_id, r.passed, numbers(r.to_dict())]
+                  for r in run_experiments([name], {name: kw}, seed=0)[name]]
+            for key, (name, kw) in RUNS.items()}
 
 
 def close(a, b) -> bool:

@@ -1,6 +1,6 @@
-"""The default peaks, translation, nikolskij and coherence reports match
-their pinned reference (``catalog_pin.py`` writes it): the same ids and
-pass flags, and every number within the pin's tolerance."""
+"""The pinned catalog runs (``catalog_pin.RUNS``: default experiments and
+2-D peaks) match their reference (``catalog_pin.py`` writes it): the same
+ids and pass flags, and every number within the pin's tolerance."""
 
 import json
 
@@ -15,7 +15,7 @@ def runs():
     return reference, catalog_pin.snapshot()
 
 
-@pytest.mark.parametrize("name", catalog_pin.SUBSET)
+@pytest.mark.parametrize("name", list(catalog_pin.RUNS))
 def test_reports_match_reference(runs, name):
     reference, got = runs
     want = reference[name]

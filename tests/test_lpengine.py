@@ -4,6 +4,7 @@ integrals, and field serialization."""
 import functools
 import importlib
 import itertools
+import json
 import math
 import os
 import pkgutil
@@ -446,7 +447,7 @@ def _full_weights(d, L, n, gamma):
 def _einsum_cell_weights_2d(L, n, gamma):
     """The direct 8x8 Gauss-Legendre rule on all n^2 cells through (n, n, 8, 8)
     arrays, kept as the reference for the mirrored-quadrant build; it agrees
-    with the mixed 8x8/4x4 rule to within a few ulp."""
+    with the 8x8 corner and midpoint series to within a few ulp."""
     h = 2.0 * L / n
     x = -L + h * np.arange(n)
     nodes, wts = np.polynomial.legendre.leggauss(lpengine._GL_NODES_2D)
@@ -475,7 +476,7 @@ def _polar_origin_cell(h, gamma):
 def _quadrant_8x8(L, n, gamma):
     """The 8x8 Gauss-Legendre rule on every cell of the quadrant, with the
     polar origin cell: the all-8x8 build, kept as the reference for the
-    mixed 8x8/4x4 rule."""
+    8x8 corner and the midpoint series beyond it."""
     h = 2.0 * L / n
     m = n // 2
     nodes, wts = np.polynomial.legendre.leggauss(8)
@@ -526,8 +527,9 @@ class TestCellWeights2d:
 
     @pytest.mark.parametrize("L", [8.0, 3.0])
     def test_quadratic_weight_exact(self, L):
-        # Both the 8x8 and the 4x4 rule (exact to degree 7) integrate
-        # x^2 + y^2 exactly on every cell; the cells tile [-L - h/2, L - h/2]^2.
+        # The 8x8 rule (exact to degree 15) and the midpoint series (exact at
+        # gamma = 2) integrate x^2 + y^2 exactly on every cell; the cells
+        # tile [-L - h/2, L - h/2]^2.
         n = 64
         h = 2.0 * L / n
         a, b = -L - h / 2.0, L - h / 2.0
@@ -560,11 +562,49 @@ class TestCellWeights2d:
     @pytest.mark.parametrize("L", [8.0, 3.0])
     @pytest.mark.parametrize("gamma", GAMMAS)
     def test_far_cells_within_ulps_of_the_8x8_rule(self, L, gamma):
-        # Rounding, not truncation: 4-5 ulp (9 at gamma = 8) measured; a
-        # corner of radius 16 leaves cells 46 (gamma = 8) to 190 ulp off.
+        # Rounding, not truncation: 4-6 ulp (6-7 at gamma = 8) measured, and
+        # the same with a corner of radius 16.
         q, ref = lpengine._cell_weights_2d(L, 1024, gamma), _quadrant_8x8(L, 1024, gamma)
         ulps = np.abs(q - ref) / np.spacing(ref)
         assert ulps.max() <= (16 if gamma > 4 else 8)
+
+    @pytest.mark.parametrize("L", [8.0, 3.0, 1024.0])
+    @pytest.mark.parametrize("gamma", GAMMAS)
+    def test_series_cells_within_ulps_at_the_largest_default_n(self, L, gamma):
+        # n = 2048 is the default 2-D grid at its oversampling cap: 4-7 ulp
+        # measured against the all-8x8 build.
+        q, ref = lpengine._cell_weights_2d(L, 2048, gamma), _quadrant_8x8(L, 2048, gamma)
+        ulps = np.abs(q - ref) / np.spacing(ref)
+        assert ulps.max() <= (16 if gamma > 4 else 8)
+
+    @pytest.mark.parametrize("L", [8.0, 3.0, 1024.0])
+    def test_series_cells_at_gamma_12(self, L):
+        # 8-9 ulp measured; the 4x4 rule the series replaced left cells
+        # 56-67 ulp off here.
+        q, ref = lpengine._cell_weights_2d(L, 1024, 12.0), _quadrant_8x8(L, 1024, 12.0)
+        assert (np.abs(q - ref) / np.spacing(ref)).max() <= 16
+
+    @pytest.mark.parametrize("gamma", [-1.5, 0.5, 3.0, 8.0, 12.0])
+    def test_transpose_symmetry_past_the_corner(self, gamma):
+        # At n = 1024 most cells are far cells: still symmetric bit for bit.
+        q = lpengine._cell_weights_2d(3.0, 1024, gamma)
+        assert q.tobytes() == np.ascontiguousarray(q.T).tobytes()
+
+    @pytest.mark.parametrize("L", [8.0, 3.0])
+    def test_quadratic_weight_exact_past_the_corner(self, L):
+        n = 1024
+        h = 2.0 * L / n
+        a, b = -L - h / 2.0, L - h / 2.0
+        exact = 2.0 * (b - a) * (b ** 3 - a ** 3) / 3.0
+        assert _full_weights(2, L, n, 2.0).sum() == pytest.approx(exact, rel=1e-13)
+
+    @pytest.mark.parametrize("L", [8.0, 3.0])
+    def test_unit_weight_far_block_is_the_cell_area(self, L):
+        n = 1024
+        h = 2.0 * L / n
+        q = lpengine._cell_weights_2d(L, n, 0.0).copy()
+        q[:lpengine._NEAR_CELLS + 1, :lpengine._NEAR_CELLS + 1] = h * h
+        assert np.all(q == h * h)
 
     @pytest.mark.parametrize("L", [8.0, 3.0])
     def test_unit_weight_cells(self, L):
@@ -578,8 +618,8 @@ class TestCellWeights2d:
     def test_every_rule_order_stays_cached(self):
         # _gauss_legendre holds every order lpengine uses, so no build
         # evicts a rule that the next one makes again.
-        orders = {lpengine._GL_NODES_2D, lpengine._GL_NODES_FAR,
-                  lpengine._THETA_NODES, lpengine._PANEL_NODES}
+        orders = {lpengine._GL_NODES_2D, lpengine._THETA_NODES,
+                  lpengine._PANEL_NODES}
         assert len(orders) <= lpengine._gauss_legendre.cache_info().maxsize
         prof = RadialProfile(d=2, kind="power_log", a=0.5, b=0.0, R0=0.5)
         lpengine._gauss_legendre.cache_clear()
@@ -999,6 +1039,16 @@ class TestSerialization:
         r = np.exp(np.linspace(math.log(2e-4), math.log(0.4), 50))
         assert np.allclose(back(r), prof(r), rtol=1e-4)
 
+    def test_load_rejects_a_nan_band(self, grid1d, tmp_path):
+        path = tmp_path / "f.field"
+        save_field(gaussian(grid1d), path)
+        head, body = path.read_bytes().split(b"\n", 1)
+        header = json.loads(head)
+        header["band_limit"] = math.nan
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + body)
+        with pytest.raises(RangeError, match="got nan"):
+            load_field(path)
+
     def test_load_rejects_wrong_magic(self, tmp_path):
         path = tmp_path / "junk.field"
         path.write_bytes(b'{"magic": "nope"}\n')
@@ -1017,6 +1067,15 @@ class TestFieldInvariants:
         f = gaussian(grid1d)
         with pytest.raises(ValueError):
             f.values[0] = 1.0
+
+    @pytest.mark.parametrize("band", [math.nan, -1.0])
+    def test_sampled_fields_reject_a_bad_band(self, grid1d, band):
+        # Neither is a radius; the norms read either as "block 0 only".
+        fn = lambda x: np.exp(-x * x / 8.0)
+        with pytest.raises(RangeError, match=f"got {band}"):
+            Field(grid1d, fn(*grid1d.points()), band_limit=band)
+        with pytest.raises(RangeError, match=f"got {band}"):
+            field_from_samples(grid1d, fn, band_limit=band)
 
     def test_band_enforced_for_spectral_fields(self, grid1d, max_coeff_outside):
         f = field_from_spectral(grid1d, lambda xi: np.ones_like(xi),
