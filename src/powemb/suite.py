@@ -278,51 +278,54 @@ def _window_report(experiment_id, ratios):
     )
 
 
-def check_norm_equivalences(gamma, count: int = 100, seed: int = 0,
-                            grid: Optional[Grid] = None) -> List[ExperimentReport]:
-    """Lifting, differentiation, sandwich and W=H ratio windows on a batch."""
+def check_norm_equivalences(seed, grid=None, gammas=(0, 0.5),
+                            count=100) -> List[ExperimentReport]:
+    """Lifting, differentiation, sandwich and W=H ratio windows on a batch:
+    five reports per gamma, in the order of ``gammas``."""
     grid = grid or BATCH_GRID
-    gamma = float(gamma)
-    fields = random_field_batch(grid, count, seed)
+    if grid.d != 1:
+        raise RangeError(f"equivalences needs a 1-D grid, got d = {grid.d}: "
+                         "its differentiation window measures f' alone, an "
+                         "equivalence in 1-D only")
     from .lpengine import bessel_apply, derivative
 
-    lifting, diffn, sand_f_lo, sand_f_hi, squeeze_lo, squeeze_hi, wh = (
-        [], [], [], [], [], [], []
-    )
+    gammas = [float(gamma) for gamma in gammas]
+    rows = [[] for _ in gammas]  # per gamma, the seven ratios of each field
     s, sigma, p, q = 0.5, 1.0, 2.0, 4.0
-    for f in fields:
-        # Every norm of f comes before those of J_sigma f and f', so the
-        # B and F norms of f share one decomposition.
-        b_s = norms.besov_norm(f, s, p, q, gamma).value
-        b_lo = norms.besov_norm(f, s - 1, p, q, gamma).value
-        f_n = norms.triebel_norm(f, s, p, q, gamma).value
-        b_min = norms.besov_norm(f, s, p, min(p, q), gamma).value
-        b_max = norms.besov_norm(f, s, p, max(p, q), gamma).value
-        f1 = norms.triebel_norm(f, s, p, 1, gamma).value
-        finf = norms.triebel_norm(f, s, p, math.inf, gamma).value
-        h_n = norms.bessel_norm(f, s, p, gamma).value
-        w_n = norms.sobolev_norm(f, 1, p, gamma).value
-        h1 = norms.bessel_norm(f, 1, p, gamma).value
-        lifted = norms.besov_norm(bessel_apply(f, sigma), s - sigma, p, q,
-                                  gamma).value
-        b_df = norms.besov_norm(derivative(f, (1,)), s - 1, p, q, gamma).value
+    for f in random_field_batch(grid, count, seed):
+        # Every gamma's norms of f come before those of J_sigma f, and those
+        # before f''s: block magnitudes do not depend on gamma, so the
+        # norms' one-field memo serves every gamma and each of the three
+        # fields' blocks is transformed once.
+        of_f = [[norms.besov_norm(f, s, p, q, gamma).value,
+                 norms.besov_norm(f, s - 1, p, q, gamma).value,
+                 norms.triebel_norm(f, s, p, q, gamma).value,
+                 norms.besov_norm(f, s, p, min(p, q), gamma).value,
+                 norms.besov_norm(f, s, p, max(p, q), gamma).value,
+                 norms.triebel_norm(f, s, p, 1, gamma).value,
+                 norms.triebel_norm(f, s, p, math.inf, gamma).value,
+                 norms.bessel_norm(f, s, p, gamma).value,
+                 norms.sobolev_norm(f, 1, p, gamma).value,
+                 norms.bessel_norm(f, 1, p, gamma).value] for gamma in gammas]
+        for g, t in ((bessel_apply(f, sigma), s - sigma),
+                     (derivative(f, (1,)), s - 1)):
+            for gamma, nums in zip(gammas, of_f):
+                nums.append(norms.besov_norm(g, t, p, q, gamma).value)
+        for out, (b_s, b_lo, f_n, b_min, b_max, f1, finf, h_n, w_n, h1,
+                  lifted, b_df) in zip(rows, of_f):
+            out.append((lifted / b_s, (b_lo + b_df) / b_s, f_n / b_min,
+                        b_max / f_n, h_n / f1, finf / h_n, w_n / h1))
 
-        lifting.append(lifted / b_s)
-        diffn.append((b_lo + b_df) / b_s)
-        sand_f_lo.append(f_n / b_min)
-        sand_f_hi.append(b_max / f_n)
-        squeeze_lo.append(h_n / f1)
-        squeeze_hi.append(finf / h_n)
-        wh.append(w_n / h1)
-
-    tag = f"gamma={gamma},seed={seed},n={count}"
-    return [
-        _window_report(f"lifting[{tag}]", lifting),
-        _window_report(f"differentiation[{tag}]", diffn),
-        _window_report(f"sandwich_B_F[{tag}]", sand_f_lo + sand_f_hi),
-        _window_report(f"sandwich_H_F[{tag}]", squeeze_lo + squeeze_hi),
-        _window_report(f"sobolev_bessel[{tag}]", wh),
-    ]
+    reports = []
+    for gamma, ratios in zip(gammas, rows):
+        lifting, diffn, f_lo, f_hi, h_lo, h_hi, wh = zip(*ratios)
+        tag = f"gamma={gamma},seed={seed},n={count}"
+        reports += [_window_report(f"lifting[{tag}]", lifting),
+                    _window_report(f"differentiation[{tag}]", diffn),
+                    _window_report(f"sandwich_B_F[{tag}]", f_lo + f_hi),
+                    _window_report(f"sandwich_H_F[{tag}]", h_lo + h_hi),
+                    _window_report(f"sobolev_bessel[{tag}]", wh)]
+    return reports
 
 
 # ---------------------------------------------------------------------------
@@ -468,7 +471,7 @@ def _exp_nikolskij(seed, grid=None, bases=5,
     for i in range(bases):
         base = random_band_limited(grid, seed + i, band=1.0)
         for ps in parameter_sets:
-            for alpha in ((0,), (1,)):
+            for alpha in (0, 1):  # D^0 and d/dx_1, padded to the grid's d
                 out.append(check_nikolskij(
                     base, ps["p0"], ps["g0"], ps["p1"], ps["g1"], alpha=alpha,
                     t_values=t_values,
@@ -505,15 +508,6 @@ def _exp_lacunary(seed, grid=None, p0=2, gamma0=0, q0=math.inf, p1=4,
     )]
 
 
-def _exp_equivalences(seed, grid=None, gammas=(0, 0.5),
-                      count=100) -> List[ExperimentReport]:
-    out = []
-    for gamma in gammas:
-        out.extend(check_norm_equivalences(gamma, count=count, seed=seed,
-                                           grid=grid))
-    return out
-
-
 def _exp_gagliardo(seed, grid=None, gammas=(0, 0.5), count=20, s0=0, s1=2,
                    theta=0.5, p=2, q=2, cap=10.0) -> List[ExperimentReport]:
     grid = grid or BATCH_GRID
@@ -542,7 +536,8 @@ CATALOG: Dict[str, Tuple[str, Callable]] = {
     "nikolskij": ("band-limited two-weight boundedness along dilations", _exp_nikolskij),
     "dichotomy": ("sharp-case profile: source finite, target diverges", _exp_dichotomy),
     "lacunary": ("sharp-line q-comparison via the block-sum ladder", _exp_lacunary),
-    "equivalences": ("lifting/differentiation/sandwich/W=H ratio windows", _exp_equivalences),
+    "equivalences": ("lifting/differentiation/sandwich/W=H ratio windows",
+                     check_norm_equivalences),
     "gagliardo": ("interpolation-inequality batch cap", _exp_gagliardo),
     "oracle": ("randomized oracle completeness and soundness", _exp_oracle),
     "sharp": ("sharp-line q-flip fidelity (Besov vs F scales)", _exp_sharp),
@@ -612,8 +607,8 @@ def _list(key, kinds, want, item=lambda x: x) -> Callable:
 
 
 def _fields(key, names) -> Callable:
-    """The row of a ``key`` item: an object of exactly the number fields
-    ``names``."""
+    """The row of a ``key`` item: an object of exactly the finite number
+    fields ``names``."""
     def parse(v):
         odd = sorted(set(v) ^ set(names))
         if odd:
@@ -621,7 +616,7 @@ def _fields(key, names) -> Callable:
             raise RangeError(f"{key} item {v!r} {what} {odd[0]!r}; an item "
                              f"takes {', '.join(names)}")
         for f in names:
-            _row(f"{key} item {f}", "a number", _NUM)(v[f])
+            _row(f"{key} item {f}", "a finite number", _NUM, _finite)(v[f])
         return v
     return parse
 
@@ -663,7 +658,8 @@ OVERRIDES: Dict[str, Callable] = {
         ("theta", "a number in [0, 1]", _NUM, lambda v: 0 <= v <= 1),
         ("gamma0 gamma1 s0 s1", "a finite number", _NUM, _finite),
     ) for key in keys.split()},
-    **{key: _list(key, _NUM, "numbers")
+    **{key: _list(key, _NUM, "numbers",
+                  _row(f"{key} item", "a finite number", _NUM, _finite))
        for key in ("gammas", "lambdas", "t_values")},
     "ps": _list("ps", _NUM, "numbers", _row("ps item", *_P)),
     "j_values": _list("j_values", _NUM, "numbers", _row(

@@ -1,17 +1,18 @@
-"""The pinned numbers of the default spectral catalog subset.
+"""The pinned numbers of the default catalog.
 
     PYTHONPATH=src python3 tests/catalog_pin.py    # rewrite the reference
 
-Runs the default ``peaks``, ``translation``, ``nikolskij``, ``coherence``,
-``dichotomy``, ``lacunary``, ``gagliardo`` and ``sharp`` experiments, and
-``peaks`` on a 2-D grid (``peaks_2d``, which builds 2-D cell weights), at
-seed 0 and writes, for each report in order, its id, its pass flag and
-every number in its JSON form (rows, fits, details, manifests) to
-``catalog_reference.json``.  ``test_catalog_pin.py``
-checks a run against that file: ids and flags exactly, numbers within
-REL_TOL relative (ABS_TOL absolute, for values at rounding level).  Run it
-only on a tree whose numbers are the accepted ones; a change that moves a
-number states the largest drift when it rewrites the file.
+Runs every default catalog experiment (``peaks``, ``translation``,
+``nikolskij``, ``coherence``, ``dichotomy``, ``lacunary``, ``gagliardo``,
+``sharp``, ``equivalences`` and ``oracle``), and ``peaks`` on a 2-D grid
+(``peaks_2d``, which builds 2-D cell weights), at seed 0 and writes, for
+each report in order, its id, its pass flag and every number in its JSON
+form (rows, fits, details, manifests) to ``catalog_reference.json``.
+``test_catalog_pin.py`` checks a run against that file: ids and flags
+exactly, numbers within REL_TOL relative (ABS_TOL absolute, for values at
+rounding level).  Run it only on a tree whose numbers are the accepted
+ones; a change that moves a number states the largest drift when it
+rewrites the file.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ RUNS = {
     "lacunary": ("lacunary", {}),
     "gagliardo": ("gagliardo", {}),
     "sharp": ("sharp", {}),
+    "equivalences": ("equivalences", {}),
+    "oracle": ("oracle", {}),
 }
 REFERENCE = Path(__file__).with_name("catalog_reference.json")
 REL_TOL = 1e-9

@@ -155,15 +155,12 @@ def test_criterion_8_norm_machinery_equivalences():
     p=2, each within the ratio window [1/10, 10]; interpolation-inequality
     batch cap 10."""
     ok = True
+    for rep in check_norm_equivalences(8, gammas=(0.0, 0.5), count=100):
+        if not rep.passed:
+            print(f"equivalence failed: {rep.experiment_id} {rep.details}")
+            ok = False
+    fields = random_field_batch(Grid(1, 16.0, 2 ** 12), 100, seed=9)
     for gamma in (0.0, 0.5):
-        for rep in check_norm_equivalences(gamma, count=100, seed=8):
-            if not rep.passed:
-                print(f"equivalence failed: {rep.experiment_id} "
-                      f"{rep.details}")
-                ok = False
-    grid = Grid(1, 16.0, 2 ** 12)
-    for gamma in (0.0, 0.5):
-        fields = random_field_batch(grid, 100, seed=9)
         rep = check_gagliardo(fields, 0, 2, 0.5, 2, 2, gamma, cap=10.0)
         if not rep.passed:
             print(f"gagliardo failed: {rep.details}")

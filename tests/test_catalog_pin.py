@@ -1,5 +1,5 @@
-"""The pinned catalog runs (``catalog_pin.RUNS``: default experiments and
-2-D peaks) match their reference (``catalog_pin.py`` writes it): the same
+"""The pinned catalog runs (``catalog_pin.RUNS``: every default experiment
+and 2-D peaks) match their reference (``catalog_pin.py`` writes it): the same
 ids and pass flags, and every number within the pin's tolerance."""
 
 import json

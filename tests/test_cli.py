@@ -582,6 +582,28 @@ class TestConfigGrid:
             with pytest.raises(Read):
                 suite.CATALOG[name][1](0, grid=Probe())
 
+    def test_batch_runners_on_a_2d_grid(self):
+        from powemb import suite
+
+        # nikolskij's D^0 and d/dx_1 take the grid's d; on the default grid
+        # they stay alpha=(0,) and alpha=(1,).
+        grid = {"d": 2, "L": 8, "N": 64}
+        sets = [{"p0": 2, "g0": 0.5, "p1": 2, "g1": 0},
+                {"p0": 2, "g0": 0.5, "p1": 4, "g1": 1}]
+        reps = suite.run_experiments(["nikolskij"], {"nikolskij": {
+            "grid": grid, "bases": 1, "parameter_sets": sets,
+            "t_values": [1, 2, 4, 8]}})["nikolskij"]
+        assert [r.experiment_id[-13:] for r in reps] == [
+            "alpha=(0, 0)]", "alpha=(1, 0)]"] * 2
+        assert all(r.passed for r in reps)
+        # Its one derivative makes equivalences' differentiation window an
+        # equivalence in 1-D only, and the error report says so.
+        [rep] = suite.run_experiments(["equivalences"], {"equivalences": {
+            "grid": grid, "count": 1}})["equivalences"]
+        assert rep.experiment_id == "equivalences[error]"
+        assert rep.details["error"].startswith(
+            "RangeError: equivalences needs a 1-D grid, got d = 2")
+
     @pytest.mark.parametrize("jobs", ["1", "2"])
     def test_top_level_grid_reaches_lattice_runners_only(
             self, tmp_path, monkeypatch, capsys, jobs):
@@ -655,6 +677,14 @@ class TestConfigValues:
          "gammas must be a non-empty list of numbers, got [0, True]"),
         ("translation", "lambdas", [4, "8"],
          "lambdas must be a non-empty list of numbers, got [4, '8']"),
+        # [NaN] wrote five NaN FAIL reports and exited 3; a NaN lambda
+        # failed with nonfinite_ratios.
+        ("equivalences", "gammas", [math.nan],
+         "gammas item must be a finite number, got nan"),
+        ("translation", "lambdas", [4, 8, math.nan, 32],
+         "lambdas item must be a finite number, got nan"),
+        ("nikolskij", "t_values", [1, math.inf],
+         "t_values item must be a finite number, got inf"),
         ("peaks", "combos", [{"p": 2, "gamma": 0}, 2],
          "combos must be a non-empty list of objects, "
          "got [{'p': 2, 'gamma': 0}, 2]"),
@@ -666,13 +696,23 @@ class TestConfigValues:
          "combos item {'p': 2, 'gamma': 0, 'q': 1} has no field 'q'; "
          "an item takes p, gamma"),
         ("peaks", "combos", [{"p": "2", "gamma": 0}],
-         "combos item p must be a number, got '2'"),
+         "combos item p must be a finite number, got '2'"),
+        # A NaN p wrote peak_scaling[p=nan,...] and exited 3.
+        ("peaks", "combos", [{"p": math.nan, "gamma": 0}],
+         "combos item p must be a finite number, got nan"),
+        ("peaks", "combos", [{"p": 2, "gamma": -math.inf}],
+         "combos item gamma must be a finite number, got -inf"),
         ("nikolskij", "parameter_sets", [{"p0": 2, "g0": 0, "p1": 2}],
          "parameter_sets item {'p0': 2, 'g0': 0, 'p1': 2} is missing 'g1'; "
          "an item takes p0, g0, p1, g1"),
         ("nikolskij", "parameter_sets",
          [{"p0": 2, "g0": None, "p1": 2, "g1": 0}],
-         "parameter_sets item g0 must be a number, got None"),
+         "parameter_sets item g0 must be a finite number, got None"),
+        # A NaN g0 raised a ConditionError comparing weight indices 0.0
+        # and nan: exit 3.
+        ("nikolskij", "parameter_sets",
+         [{"p0": 2, "g0": math.nan, "p1": 2, "g1": 0}],
+         "parameter_sets item g0 must be a finite number, got nan"),
         ("peaks", "j_values", [0, 2],
          "j_values item must be -1, 0 or 1, got 2"),
         ("peaks", "j_values", [0.5],
@@ -711,10 +751,12 @@ class TestConfigValues:
          f"cap must be a finite number above 0, got {10 ** 400!r}"),
     ], ids=["count=-5", "count=0", "count=true", "count=abc",
             "tolerance=x", "tolerance=-1", "gammas=[]", "ps=str",
-            "gammas=bool-item", "lambdas=str-item", "combos=number-item",
+            "gammas=bool-item", "lambdas=str-item", "gammas=nan-item",
+            "lambdas=nan-item", "t_values=inf-item", "combos=number-item",
             "combos=missing-field", "combos=unknown-field",
-            "combos=str-field", "parameter_sets=missing-field",
-            "parameter_sets=null-field", "j_values=2", "j_values=0.5",
+            "combos=str-field", "combos=nan-field", "combos=inf-field",
+            "parameter_sets=missing-field", "parameter_sets=null-field",
+            "parameter_sets=nan-field", "j_values=2", "j_values=0.5",
             "n_min=1", "n_max=float", "n_values=0", "n_values=float",
             "ps=below-1", "p=0.5", "p0=str", "p1=inf", "q=0", "q0=str",
             "q1=nan", "theta=1.5", "d=0", "d=float", "gamma0=str",

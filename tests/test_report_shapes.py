@@ -55,8 +55,8 @@ CASES = {
         "lacunary_q", [], int, ["ladder_constants_src", "ladder_constants_tgt"],
         "1/q1 - 1/q0", 0.1, None),
     "equivalences": (
-        lambda: suite.check_norm_equivalences(0, count=2,
-                                              grid=Grid(1, 16.0, 2 ** 9)),
+        lambda: suite.check_norm_equivalences(0, grid=Grid(1, 16.0, 2 ** 9),
+                                              gammas=(0,), count=2),
         "norm_equivalence", ["src_norm", "tgt_norm"], int,
         ["max_ratio", "min_ratio", "window"],
         "batch ratios within [0.1, 10.0]", None, None),
