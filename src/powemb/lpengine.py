@@ -160,7 +160,7 @@ class Field:
     ``field_from_spectral`` finds for a real, even generator in a band
     below the Nyquist frequency, and for the ``lp_blocks`` of such a field.
     The flag means real and even: the samples are point-symmetric about the
-    origin, v(x) = v(-x), up to the rounding of the origin phase.
+    origin, v(x) = v(-x).
     ``upsample_values`` past factor 1, and the norms' block stacks at every
     factor, then transform only half of the spectrum, and in 2-D make only
     the half-plane |x_0| >= 0 of the samples.  Every other field is False,
@@ -240,8 +240,8 @@ def field_from_spectral(grid: Grid, spectral_fn: Callable, band_limit=None) -> F
 
     The field is ``real_valued`` when the box holds no Nyquist bin and its
     masked coefficients are real and equal to their reflection xi -> -xi,
-    bit for bit: the origin phase exp(-i pi k) is exactly conjugate under
-    k -> -k, so the spectrum is then exactly Hermitian.
+    bit for bit: the origin sign (-1)^k is even under k -> -k, so the
+    spectrum is then exactly Hermitian.
     """
     d, n = grid.d, grid.N
     axis = grid.axis_freqs()
@@ -257,9 +257,10 @@ def field_from_spectral(grid: Grid, spectral_fn: Callable, band_limit=None) -> F
         coeff = np.where(magnitude(*xi) <= band_limit, coeff, 0.0)
     real = spectrum is not None and _even_real(coeff)
     weight = (math.pi / grid.L) ** d / (2.0 * math.pi) ** (d / 2.0)
-    # Trig-interpolant coefficients carry the (-1)^k phase of the -L origin.
-    phase = functools.reduce(np.multiply.outer, (_origin_phase_axis(n)[idx],) * d)
-    inner = coeff * weight * phase * n ** d
+    # Trig-interpolant coefficients carry the (-1)^k phase of the -L origin;
+    # n is even, so bin k has the parity of its FFT index.
+    sign = functools.reduce(np.multiply.outer, (np.where(idx & 1, -1.0, 1.0),) * d)
+    inner = coeff * weight * sign * n ** d
     if spectrum is None:
         spectrum = inner
     else:
@@ -289,14 +290,6 @@ def _even_real(box: np.ndarray) -> bool:
         return False
     axes = tuple(range(box.ndim))
     return np.array_equal(box, np.roll(np.flip(box, axes), 1, axes))
-
-
-@functools.lru_cache(maxsize=8)
-def _origin_phase_axis(n: int) -> np.ndarray:
-    """exp(-i pi k) per FFT bin k, read-only.  Not an exact +-1 table: the
-    two differ by up to ~1e-12 at large n, and spectra are pinned to this."""
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    return _read_only(np.exp(-1j * math.pi * k))
 
 
 # ---------------------------------------------------------------------------

@@ -252,6 +252,14 @@ def spectral_peaks(grid: Grid, n_values: Sequence[int], j: int) -> WitnessFamily
     return WitnessFamily("SpectralPeak", {"j": j}, n_values, make)
 
 
+def _finite(name: str, value) -> float:
+    """``value`` as a float; a RangeError naming ``name`` unless finite."""
+    value = float(value)
+    if not math.isfinite(value):
+        raise RangeError(f"{name} must be finite, got {value}")
+    return value
+
+
 def lacunary_sum(grid: Grid, coeffs: Sequence[float], s0, p0, gamma0) -> Field:
     """The block sum f = sum_j 2^{-3j(d + s0 - (d+gamma0)/p0)} a_j phi_{3j}.
 
@@ -259,6 +267,7 @@ def lacunary_sum(grid: Grid, coeffs: Sequence[float], s0, p0, gamma0) -> Field:
     collapse to multiples of a_j.
     """
     coeffs = [float(a) for a in coeffs]
+    s0, gamma0 = _finite("s0", s0), _finite("gamma0", gamma0)
     N = len(coeffs)
     if N < 1:
         raise RangeError("need at least one coefficient")
@@ -272,8 +281,8 @@ def lacunary_sum(grid: Grid, coeffs: Sequence[float], s0, p0, gamma0) -> Field:
     if math.isinf(float(p0)):
         dim0 = 0.0
     else:
-        dim0 = (d + float(gamma0)) / float(p0)
-    expo = d + float(s0) - dim0
+        dim0 = (d + gamma0) / float(p0)
+    expo = d + s0 - dim0
     scaled = [a * 2.0 ** (-3.0 * (jj + 1) * expo) for jj, a in enumerate(coeffs)]
     hats = [_hat_n(3 * (jj + 1)) for jj in range(N)]
 
@@ -299,7 +308,7 @@ def log_singularity(p0, gamma0, p1, d: int, eps: float = 0.0) -> RadialProfile:
     target under dim-index equality) for every gamma0 > -d; at gamma0 = 0
     it is the plain -d/p0.
     """
-    p0, p1, gamma0 = float(p0), float(p1), float(gamma0)
+    p0, p1, gamma0 = float(p0), float(p1), _finite("gamma0", gamma0)
     if d < 1:
         raise RangeError(f"dimension must be >= 1, got {d}")
     if not p1 < p0:
@@ -319,6 +328,6 @@ def riesz_log(a, b, d: int, eps: float = 0.0) -> RadialProfile:
     if not 0.0 <= eps <= 0.25:
         raise RangeError(f"eps must lie in [0, 1/4], got {eps}")
     return RadialProfile(
-        d=d, kind="power_log", a=float(a), b=float(b), R0=0.5, inner_cutoff=eps,
-        label="riesz_log",
+        d=d, kind="power_log", a=_finite("a", a), b=_finite("b", b), R0=0.5,
+        inner_cutoff=eps, label="riesz_log",
     )

@@ -2,16 +2,38 @@
 
 import json
 import math
+import shlex
+from pathlib import Path
 
 import pytest
 
-from powemb.cli import main
+from powemb.cli import build_parser, main
 from powemb.lpengine import load_field
 from powemb.params import RangeError
 
 
 SRC = '{"family":"B","s":1,"p":2,"q":1,"gamma":0,"dim":1}'
 TGT = '{"family":"B","s":0,"p":4,"q":1,"gamma":0,"dim":1}'
+
+
+def _readme_commands():
+    """Every ``powemb ...`` line of README's fenced blocks, continuation
+    lines joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = text.split("```")[1::2]
+    lines = "\n".join(blocks).replace("\\\n", " ").splitlines()
+    return [line.strip() for line in lines if line.strip().startswith("powemb ")]
+
+
+def test_readme_commands_parse(capsys):
+    commands = _readme_commands()
+    assert len(commands) >= 8
+    for command in commands:
+        try:
+            build_parser().parse_args(shlex.split(command, comments=True)[1:])
+        except SystemExit:
+            pytest.fail(f"README command rejected: {command}\n"
+                        f"{capsys.readouterr().err}")
 
 
 class TestDecide:
@@ -177,10 +199,17 @@ class TestWitness:
         (["logsing", "--gamma0", "nan"], "--gamma0 must be a number, got 'nan'"),
         (["rieszlog", "--a", "nan"], "--a must be a number, got 'nan'"),
         (["lacunary", "--s0", "nan"], "--s0 must be a number, got 'nan'"),
+        # Infinity passes the flag parser, so the witness rejects it.
+        (["logsing", "--gamma0", "inf"], "gamma0 must be finite, got inf"),
+        (["rieszlog", "--a", "inf"], "a must be finite, got inf"),
+        (["rieszlog", "--b", "inf"], "b must be finite, got inf"),
+        (["lacunary", "--gamma0", "inf"], "gamma0 must be finite, got inf"),
+        (["lacunary", "--s0=-inf"], "s0 must be finite, got -inf"),
     ], ids=["sigma_zero", "sigma_negative", "n_empty_range", "j_not_int",
             "sigma_not_number", "lam_empty", "coeffs_not_number",
             "n_range_not_int", "dim_not_int", "n_terms_not_int", "dim_negative",
-            "dim_zero", "gamma0_nan", "a_nan", "s0_nan"])
+            "dim_zero", "gamma0_nan", "a_nan", "s0_nan", "logsing_gamma0_inf",
+            "a_inf", "b_inf", "lacunary_gamma0_inf", "s0_inf"])
     def test_bad_value_exits_64_naming_its_flag(self, argv, message, tmp_path,
                                                 monkeypatch, capsys):
         monkeypatch.setenv("POWEMB_OUT", str(tmp_path / "w"))
@@ -193,6 +222,12 @@ class TestWitness:
         monkeypatch.setenv("POWEMB_OUT", str(tmp_path / "w"))
         assert main(["witness", "lacunary", "--p0", "inf"]) == 0
         assert (tmp_path / "w").exists()
+
+    def test_infinite_p0_stays_accepted_by_logsing(self, tmp_path, monkeypatch):
+        # p0 = inf is the power r^0; only p1 < p0 is asked of it.
+        monkeypatch.setenv("POWEMB_OUT", str(tmp_path / "w"))
+        assert main(["witness", "logsing", "--p0", "inf"]) == 0
+        assert (tmp_path / "w" / "logsing.csv").exists()
 
     def test_unread_witness_flags_exit_64(self, tmp_path, monkeypatch, capsys):
         # No kind reads --p or --gamma; neither may pass as a prefix of

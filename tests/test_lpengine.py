@@ -1184,26 +1184,34 @@ class TestFieldRepresentation:
         assert f._spectrum is None
 
 
+def _origin_sign(grid):
+    """(-1)^k on the whole lattice, from the bins' frequencies k."""
+    k = np.fft.fftfreq(grid.N, d=1.0 / grid.N)
+    return functools.reduce(np.multiply.outer, (np.where(k % 2, -1.0, 1.0),) * grid.d)
+
+
 class TestOriginPhase:
-    @pytest.mark.parametrize("n", [16, 4096])
-    def test_phase_vector_shared_and_exact(self, n):
-        ph = lpengine._origin_phase_axis(n)
-        assert lpengine._origin_phase_axis(n) is ph
-        k = np.fft.fftfreq(n, d=1.0 / n)
-        assert np.array_equal(ph, np.exp(-1j * math.pi * k))
-        with pytest.raises(ValueError):
-            ph[0] = 1.0
+    @pytest.mark.parametrize("d, n", [(1, 16), (1, 4096), (2, 16), (2, 256)])
+    @pytest.mark.parametrize("band", [None, 3.0])
+    def test_field_sign_is_exactly_minus_one_to_the_k(self, d, n, band):
+        # A constant generator leaves the sign alone in the spectrum: every
+        # coefficient is +-weight * n^d exactly, with no imaginary part.
+        grid = Grid(d, 8.0, n)
+        f = field_from_spectral(grid, lambda *k: 1.0, band_limit=band)
+        weight = (math.pi / grid.L) ** d / (2.0 * math.pi) ** (d / 2.0)
+        expected = _origin_sign(grid) * weight * n ** d
+        if band is not None:
+            expected = np.where(grid.freq_magnitude() <= band, expected, 0.0)
+        assert not f.spectrum.imag.any()
+        assert np.array_equal(f.spectrum.real, expected)
 
     def test_spectral_fields_unchanged(self, grid2d):
-        # Built from the shared vector, a spectrum equals the one built from
-        # a freshly evaluated phase.
+        # A spectrum equals the generator's coefficients times the sign table.
         fn = lambda *xi: np.exp(-sum(x * x for x in xi))
         f = field_from_spectral(grid2d, fn)
-        k = np.fft.fftfreq(grid2d.N, d=1.0 / grid2d.N)
-        ph = np.exp(-1j * math.pi * k)
         weight = (math.pi / grid2d.L) ** 2 / (2.0 * math.pi)
         coeff = np.asarray(fn(*grid2d.freqs()), dtype=np.complex128)
-        expected = coeff * weight * np.multiply.outer(ph, ph) * grid2d.N ** 2
+        expected = coeff * weight * _origin_sign(grid2d) * grid2d.N ** 2
         assert np.array_equal(f.spectrum, expected)
 
 
@@ -1214,9 +1222,7 @@ def _full_lattice_spectrum(grid, fn, band_limit=None):
     if band_limit is not None:
         coeff = np.where(grid.freq_magnitude() <= band_limit, coeff, 0.0)
     weight = (math.pi / grid.L) ** grid.d / (2.0 * math.pi) ** (grid.d / 2.0)
-    ph = np.exp(-1j * math.pi * np.fft.fftfreq(grid.N, d=1.0 / grid.N))
-    phase = functools.reduce(np.multiply.outer, (ph,) * grid.d)
-    return coeff * weight * phase * grid.N ** grid.d
+    return coeff * weight * _origin_sign(grid) * grid.N ** grid.d
 
 
 def _witness_members(grid):
@@ -1362,30 +1368,23 @@ class TestRealValued:
     def test_flagged_fields_are_point_symmetric(self, grid1d, grid2d, d):
         # The 2-D real path sums a half-plane, so the flag must mean real
         # and even: v[i] = v[-i], lattice index i against (n - i) mod n.
-        # The origin phase exp(-i pi k) is not exactly (-1)^k; the odd part
-        # its rounding leaves, at most 2 sum |S| |phase - (-1)^k| / n^d, is
-        # up to 1.4e-13 of the peak in 1-D, so 1e-15 of the peak is allowed
-        # on top of it.
+        # The origin sign is exactly (-1)^k, so the odd part is rounding
+        # alone: at most 1e-15 of the peak.
         grid = grid1d if d == 1 else grid2d
-        n, axes = grid.N, tuple(range(d))
-        k = np.fft.fftfreq(n, d=1.0 / n)
-        phase = functools.reduce(np.multiply.outer, (lpengine._origin_phase_axis(n),) * d)
-        sign = functools.reduce(np.multiply.outer, (np.where(k % 2, -1.0, 1.0),) * d)
+        axes = tuple(range(d))
         members = _witness_members(grid)
 
-        def asymmetry(g, v):
-            """max |v[i] - v[-i]| over the bound."""
-            odd = 2.0 * np.sum(np.abs(g.spectrum) * np.abs(phase - sign)) / n ** d
+        def asymmetry(v):
+            """max |v[i] - v[-i]| over 1e-15 of the peak."""
             mirror = np.roll(np.flip(v, axes), 1, axes)
-            return np.max(np.abs(v - mirror)) / (odd + 1e-15 * np.max(np.abs(v)))
+            return np.max(np.abs(v - mirror)) / (1e-15 * np.max(np.abs(v)))
 
         for name in sorted(_REAL_MEMBERS):
             for g in [members[name]] + lp_blocks(members[name], make_dyadic(grid)):
                 if g.spectrum.any():
-                    assert asymmetry(g, _full_upsample(g, 1, real=True)) <= 1.0, name
+                    assert asymmetry(_full_upsample(g, 1, real=True)) <= 1.0, name
         # The bound has teeth: a moved Gaussian is not even and lies far outside.
-        moved = members["translation"]
-        assert asymmetry(moved, moved.values.real) > 1e6
+        assert asymmetry(members["translation"].values.real) > 1e6
 
     @pytest.mark.parametrize("d", [1, 2])
     def test_real_generators_that_are_not_even_are_not_flagged(self, grid1d,
@@ -1709,7 +1708,7 @@ def test_every_lru_cache_is_bounded():
                 obj = getattr(obj, "__func__", obj)  # static/class methods
                 if hasattr(obj, "cache_parameters"):
                     caches[f"{module.__name__}.{name}"] = obj.cache_parameters()
-    assert "powemb.lpengine._origin_phase_axis" in caches
+    assert "powemb.lpengine._gauss_legendre" in caches
     assert "powemb.params._parse_token" in caches
     unbounded = [name for name, params in caches.items()
                  if params["maxsize"] is None]

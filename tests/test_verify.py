@@ -585,3 +585,21 @@ class TestStoredMemberNumbers:
         fft_calls.clear()
         verify._member_norm(fresh[0], spec)
         assert len(fft_calls) > 0
+
+
+def test_gagliardo_builds_one_batch_for_every_gamma(monkeypatch):
+    # The batch is shared by the gammas and gives the reports of one run
+    # per gamma.
+    from powemb import suite
+    from powemb.lpengine import Grid
+
+    grid = Grid(1, 8.0, 256)
+    apart = [r.to_dict() for gamma in (0, 0.5)
+             for r in suite._exp_gagliardo(0, grid=grid, gammas=(gamma,),
+                                           count=2)]
+    built, batch = [], suite.random_field_batch
+    monkeypatch.setattr(suite, "random_field_batch",
+                        lambda *args: built.append(args) or batch(*args))
+    both = suite._exp_gagliardo(0, grid=grid, gammas=(0, 0.5), count=2)
+    assert len(built) == 1
+    assert [r.to_dict() for r in both] == apart
