@@ -12,16 +12,15 @@ Quadrature conventions:
     midpoint series beyond and the origin cell in polar coordinates), never a
     point sample of the weight at the origin; the weight is radial, so only
     the half-line (1-D) or the quadrant (2-D) of cells is integrated and
-    stored, and a point-symmetric 2-D integrand is summed over the half-plane
-    |x_0| >= 0 only;
+    stored, and a point-symmetric integrand is summed over x_0 >= 0 only;
   * band-limited integrands are upsampled by zero-padding before summation
     so that cell sums resolve the carrier oscillation; same-grid spectra
     are padded into one stack and transformed by one call per axis
-    (``upsample_stack``, at most STACK_BYTES per call), and a stack of
-    ``real_valued`` spectra, which are exactly Hermitian, is padded on the
+    (``upsample_stack``, at most STACK_BYTES per call).  A stack of
+    ``point_symmetric`` spectra makes only that half-lattice of samples,
+    and one of ``real_valued`` (exactly Hermitian) ones is padded on the
     non-negative half of its last frequency axis only and ends in one real
-    (c2r) inverse transform, in 2-D of the half-plane rows only;
-    ``weighted_lps`` makes a batch's samples so.
+    (c2r) inverse transform; ``weighted_lps`` makes a batch's samples so.
 """
 
 from __future__ import annotations
@@ -116,13 +115,14 @@ class _Fresh(NamedTuple):
     """A lattice array made for the one Field it is handed to and held
     nowhere else: the Field freezes it in place instead of copying it.
 
-    ``real`` marks a spectrum known to be exactly Hermitian with zero
-    Nyquist lanes, the spectrum of a real function (``Field.real_valued``).
+    ``sym`` and ``real`` mark a spectrum known to pass the tests of
+    ``Field.point_symmetric`` and ``Field.real_valued``.
     """
 
     array: np.ndarray
     real: bool = False
     box: Optional[float] = None  # see Field
+    sym: bool = False
 
 
 def _frozen(grid: Grid, array, name: str) -> np.ndarray:
@@ -155,16 +155,16 @@ class Field:
     ``spectral_gen`` evaluates the continuum Fourier transform, and
     ``physical_gen`` evaluates the function itself.
 
-    ``real_valued`` is derived, never passed: it is True only for a field
-    whose spectrum is exactly Hermitian with zero Nyquist lanes, as
-    ``field_from_spectral`` finds for a real, even generator in a band
-    below the Nyquist frequency, and for the ``lp_blocks`` of such a field.
-    The flag means real and even: the samples are point-symmetric about the
-    origin, v(x) = v(-x).
-    ``upsample_values`` past factor 1, and the norms' block stacks at every
-    factor, then transform only half of the spectrum, and in 2-D make only
-    the half-plane |x_0| >= 0 of the samples.  Every other field is False,
-    and ``values`` stays complex either way.
+    ``point_symmetric`` and ``real_valued`` are derived, never passed.
+    ``point_symmetric`` is True only for a spectrum zero off a box without
+    Nyquist bins that equals plus or minus its reflection k -> -k there,
+    bit for bit, so |v(x)| = |v(-x)|, as ``field_from_spectral`` finds for a
+    radial generator; ``lp_blocks`` keep it, a multiplier result where its
+    box passes the same test.  ``real_valued`` is True only for a symmetric
+    field whose box is real and even, so exactly Hermitian.  A symmetric
+    field's refined samples (``upsample_values`` past factor 1, the norms'
+    block stacks at every factor) are made on the half-lattice x_0 >= 0
+    only, a real one's by a c2r transform.  ``values`` stays complex.
     ``field_from_spectral`` with a band R (and ``lp_blocks`` and multipliers
     of such a field) fixes ``_box`` = R: the spectrum is 0 outside |xi_i| <= R.
     """
@@ -177,6 +177,7 @@ class Field:
             raise RangeError(f"band limit must be a number >= 0, got {band_limit}")
         self.grid = grid
         self._real = isinstance(spectrum, _Fresh) and spectrum.real
+        self._sym = isinstance(spectrum, _Fresh) and spectrum.sym
         self._box = spectrum.box if isinstance(spectrum, _Fresh) else None
         self._values = None if values is None else _frozen(grid, values, "values")
         self._spectrum = (None if spectrum is None
@@ -195,6 +196,11 @@ class Field:
     def real_valued(self) -> bool:
         """The derived realness flag (see the class docstring)."""
         return self._real
+
+    @property
+    def point_symmetric(self) -> bool:
+        """The derived symmetry flag (see the class docstring)."""
+        return self._sym
 
     @property
     def values(self) -> np.ndarray:
@@ -238,10 +244,11 @@ def field_from_spectral(grid: Grid, spectral_fn: Callable, band_limit=None) -> F
     |xi| <= band_limit are zero.  Every bin of the ball lies in the box,
     since sqrt(fl(x^2)) = |x| and fl(x^2 + y^2) >= fl(x^2).
 
-    The field is ``real_valued`` when the box holds no Nyquist bin and its
-    masked coefficients are real and equal to their reflection xi -> -xi,
-    bit for bit: the origin sign (-1)^k is even under k -> -k, so the
-    spectrum is then exactly Hermitian.
+    The field is ``point_symmetric`` when the box holds no Nyquist bin and
+    its masked coefficients equal plus or minus their reflection xi -> -xi,
+    bit for bit, and ``real_valued`` when they are also real and even: the
+    origin sign (-1)^k is even under k -> -k, so the spectrum keeps the
+    symmetry, and a real even one is exactly Hermitian.
     """
     d, n = grid.d, grid.N
     axis = grid.axis_freqs()
@@ -255,7 +262,8 @@ def field_from_spectral(grid: Grid, spectral_fn: Callable, band_limit=None) -> F
     coeff = np.asarray(spectral_fn(*xi), dtype=np.complex128)
     if band_limit is not None:
         coeff = np.where(magnitude(*xi) <= band_limit, coeff, 0.0)
-    real = spectrum is not None and _even_real(coeff)
+    parity = 0 if spectrum is None else _parity(coeff)
+    real = parity == 1 and not coeff.imag.any()
     weight = (math.pi / grid.L) ** d / (2.0 * math.pi) ** (d / 2.0)
     # Trig-interpolant coefficients carry the (-1)^k phase of the -L origin;
     # n is even, so bin k has the parity of its FFT index.
@@ -265,7 +273,7 @@ def field_from_spectral(grid: Grid, spectral_fn: Callable, band_limit=None) -> F
         spectrum = inner
     else:
         spectrum[np.ix_(*(idx,) * d)] = inner
-    return Field(grid, spectrum=_Fresh(spectrum, real, band_limit),
+    return Field(grid, spectrum=_Fresh(spectrum, real, band_limit, parity != 0),
                  band_limit=band_limit, spectral_gen=spectral_fn)
 
 
@@ -283,13 +291,15 @@ def _band_box(axis: np.ndarray, radius) -> Optional[np.ndarray]:
     return np.r_[0:m, n - m + 1:n]
 
 
-def _even_real(box: np.ndarray) -> bool:
-    """Whether a box of coefficients in FFT order on each axis (bins 0..a,
-    then -a..-1) is real and equal to its reflection k -> -k exactly."""
-    if box.imag.any():
-        return False
+def _parity(box: np.ndarray) -> int:
+    """1 if a box of coefficients in FFT order on each axis (bins 0..a, then
+    -a..-1) equals its reflection k -> -k exactly, -1 if it equals minus
+    it, 0 if neither."""
     axes = tuple(range(box.ndim))
-    return np.array_equal(box, np.roll(np.flip(box, axes), 1, axes))
+    mirror = np.roll(np.flip(box, axes), 1, axes)
+    if np.array_equal(box, mirror):
+        return 1
+    return -1 if np.array_equal(box, -mirror) else 0
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +408,7 @@ class LRUCache(OrderedDict):
 # default grid holds 8.8 MB (21 MB on the whole lattice) and a 1-D one at
 # N = 2^14 0.5 MB.  The three 1-D windows of the bounded and failure checks
 # hold 4.4 MB of member arrays, and their members keep up to
-# norms.WINDOW_BLOCK_BYTES of block magnitudes per window (6.7 MB together).
+# norms.WINDOW_BLOCK_BYTES of block magnitudes per window (5.0 MB together).
 DYADIC_CACHE_ENTRIES = 8
 _sys_cache = LRUCache(DYADIC_CACHE_ENTRIES)
 
@@ -431,12 +441,12 @@ def lp_blocks(f: Field, sys: DyadicSystem,
 
     Only the blocks asked for are built, and they hold coefficients only,
     so a block never read costs no transform.  The hats are real and
-    radial, so the blocks of a ``real_valued`` field are real-valued too.
+    exactly even, so blocks keep ``point_symmetric`` and ``real_valued``.
     """
     if f.grid != sys.grid:
         raise GridMismatch("field and dyadic system live on different grids")
     return [Field(f.grid, spectrum=_Fresh(_block_spectrum(f.spectrum, sys, k),
-                                          f.real_valued, f._box),
+                                          f._real, f._box, f._sym),
                   band_limit=_block_band(f, sys, k))
             for k in (range(sys.K + 1) if ks is None else ks)]
 
@@ -480,12 +490,13 @@ def apply_multiplier(f: Field, symbol: Callable) -> Field:
     m = symbol(*np.meshgrid(*(axis if box is None else axis[box],) * f.grid.d,
                             indexing="ij"))
     if box is None:
-        spec = f.spectrum * m
+        spec, sym = f.spectrum * m, False
     else:
         cells = np.ix_(*(box,) * f.grid.d)
         spec = np.zeros_like(f.spectrum)
-        spec[cells] = f.spectrum[cells] * m
-    return Field(f.grid, spectrum=_Fresh(spec, box=f._box), band_limit=f.band_limit)
+        spec[cells] = inner = f.spectrum[cells] * m
+        sym = f._sym and _parity(inner) != 0
+    return Field(f.grid, spectrum=_Fresh(spec, box=f._box, sym=sym), band_limit=f.band_limit)
 
 
 def bessel_apply(f: Field, s: float) -> Field:
@@ -518,9 +529,9 @@ def derivative(f: Field, alpha) -> Field:
 WEIGHT_CACHE_BYTES = 64 * 2 ** 20
 _weight_cache = LRUCache(WEIGHT_CACHE_BYTES, size=lambda w: w.nbytes)
 
-# Bytes of the padded buffer of one ``upsample_stack`` call (``stack_slots``).
-# A 1-D block set fits whole (8 blocks at m = 16384 take 2 MiB); a 2-D block
-# at m >= 512 takes 2 MiB (real) to 4 MiB or more and is transformed alone.
+# Bytes of one ``upsample_stack`` call's arrays (``stack_slots``).  A 1-D
+# block set fits whole (8 blocks at m = 16384 take 2 MiB); a 2-D block at
+# m >= 512 takes 3 MiB (real) to 4 MiB or more and is transformed alone.
 STACK_BYTES = 4 * 2 ** 20
 
 _GL_NODES_2D = 8
@@ -658,15 +669,15 @@ def auto_oversample(grid: Grid, band_limit) -> int:
 
 def upsample_values(f: Field, factor: int) -> np.ndarray:
     """Exact samples of the trig interpolant on a factor-times finer lattice:
-    ``values`` at factor 1, else the one-field ``upsample_stack``, real for
-    a ``real_valued`` field, and then in 2-D its (m/2 + 1, m) half-plane."""
+    ``values`` at factor 1, else the one-field ``upsample_stack`` on the
+    field's flags (``point_symmetric`` half, ``real_valued`` real)."""
     if factor == 1:
         return f.values
-    return upsample_stack([f.spectrum], factor, f.real_valued)[0]
+    return upsample_stack([f.spectrum], factor, f.real_valued, f.point_symmetric)[0]
 
 
 def upsample_stack(spectra: Sequence[np.ndarray], factor: int,
-                   real: bool = False) -> np.ndarray:
+                   real: bool = False, half: bool = False) -> np.ndarray:
     """Samples of the trig interpolants of same-grid spectra on a
     factor-times finer lattice (factor 1 included), stacked on a new axis 0.
 
@@ -677,63 +688,86 @@ def upsample_stack(spectra: Sequence[np.ndarray], factor: int,
     bit.  Each axis is padded only just before its own transform, so no lane
     that is still all padding is transformed.
 
+    ``half`` spectra must be point-symmetric (``Field.point_symmetric``):
+    only the half-lattice x_0 = 0, h, .., L (indices m/2 .. m-1, then 0, the
+    copy in a spare element or row m) is made, a (b, m/2 + 1[, m]) stack.
+    In 2-D, axis 0 then goes first, on the columns that hold coefficients,
+    and the last axis on the half-plane rows only: each lane is those rows
+    of ``ifft`` along axis 0 and then axis 1, bit for bit.
+
     ``real`` spectra must be exactly Hermitian with zero Nyquist lanes
     (``Field.real_valued``).  Only the non-negative half of their last axis
-    is padded, the first axis (2-D) is transformed on the lanes holding
-    coefficients only, and one ``irfft`` ends it: the samples are real,
-    ``irfftn``'s of the padded half-spectrum bit for bit.  A real field is
-    even too, so its 2-D samples are point-symmetric, v(x) = v(-x): only the
-    half-plane of rows m/2 .. m-1 and then row 0, the rows with |x_0| = 0,
-    h, .., L, is made, a (b, m/2 + 1, m) stack (``weighted_cell_sum``).
+    is padded, the first axis (2-D) is transformed first, and one ``irfft``
+    ends it: the samples are real, ``irfftn``'s of the padded half-spectrum
+    bit for bit.
     """
     d, n = spectra[0].ndim, spectra[0].shape[0]
-    m, half = n * factor, n // 2
-    last = m // 2 + 1 if real else m
-    # A real 2-D buffer has a spare row m, for a copy of row 0.
-    pad = np.zeros((len(spectra),) + (m + real,) * (d - 1) + (last,), dtype=complex)
-    # A real spectrum keeps bins 0..half-1 of its last axis: the others are
+    m, h = n * factor, n // 2
+    pad = np.zeros((len(spectra),) + _pad_shape(d, m, real, half), dtype=complex)
+    # A real spectrum keeps bins 0..h-1 of its last axis: the others are
     # the conjugates of those and the zero Nyquist bin.
-    box = (slice(None, n),) * (d - 1) + (slice(None, half if real else n),)
+    box = (slice(None, n),) * (d - 1) + (slice(None, h if real else n),)
     for slot, spec in zip(pad, spectra):
         # Scaled before padding, n^d values instead of m^d: a power of two
         # scales every step of the transform exactly.
         np.multiply(spec[box], factor ** d, out=slot[box])
-    # The real path transforms only the first axis of a 2-D stack by ifft.
-    for axis in range(d - 1) if real else reversed(range(d)):
-        # Axes before this one, and on the real path the last axis, are
-        # untransformed, their coefficients still in the first n (half)
-        # indices; only those lanes are transformed.
-        lanes = (pad[:, :m, :half] if real
-                 else pad[(slice(None),) + (slice(None, n),) * axis])
-        if factor > 1:
-            # The non-negative frequencies stay in front, the negative ones
-            # (Nyquist bin included) move to the back; indices n.. are still
-            # the zeros the buffer was made with.
-            line = np.moveaxis(lanes, axis + 1, 0)
-            line[m - half:] = line[half:n]
-            line[half:n] = 0.0
-        np.fft.ifft(lanes, axis=axis + 1, out=lanes)
-    if real and d == 2:
-        pad[:, m] = pad[:, 0]
-        pad = pad[:, m // 2:]
-    return np.fft.irfft(pad, n=m, axis=-1) if real else pad
+    if not (real or half):
+        # Axes before this one are untransformed, their coefficients still
+        # in the first n indices; only those lanes are transformed.
+        for axis in reversed(range(d)):
+            _inverse(pad[(slice(None),) + (slice(None, n),) * axis], axis + 1, n, factor)
+        return pad
+    if d == 2:
+        _inverse(pad[:, :m, box[-1]], 1, n, factor)
+        if half:
+            pad[:, m] = pad[:, 0]
+            pad = pad[:, m // 2:]
+    if real:
+        out = np.empty(pad.shape[:-1] + (m + (half and d == 1),))
+        np.fft.irfft(pad, n=m, axis=-1, out=out[..., :m])
+    else:
+        out = pad
+        _inverse(out[..., :m], d, n, factor)
+    if half and d == 1:
+        out[:, m] = out[:, 0]
+        out = out[:, m // 2:]
+    return out
 
 
-def stack_slots(grid: Grid, factor: int, real: bool) -> int:
+def _inverse(lanes: np.ndarray, axis: int, n: int, factor: int) -> None:
+    """Inverse-transform ``lanes`` along ``axis`` in place, the negative
+    frequencies of their n coefficients (Nyquist included) moved to the back."""
+    if factor > 1:
+        line, m, h = np.moveaxis(lanes, axis, 0), n * factor, n // 2
+        line[m - h:] = line[h:n]
+        line[h:n] = 0.0
+    np.fft.ifft(lanes, axis=axis, out=lanes)
+
+
+def _pad_shape(d: int, m: int, real: bool, half: bool) -> tuple:
+    """Per lane, the shape of ``upsample_stack``'s buffer."""
+    return (m + half,) * (d - 1) + (m // 2 + 1 if real else m + (half and d == 1),)
+
+
+def stack_slots(grid: Grid, factor: int, real: bool = False,
+                half: bool = False) -> int:
     """How many of the grid's spectra one ``upsample_stack`` call at this
-    factor takes within STACK_BYTES: at least one."""
-    m = grid.N * factor
-    nbytes = 16 * (m + real) ** (grid.d - 1) * (m // 2 + 1 if real else m)
+    factor takes within STACK_BYTES, counting its buffer and a real stack's
+    samples: at least one."""
+    d, m = grid.d, grid.N * factor
+    nbytes = 16 * math.prod(_pad_shape(d, m, real, half))
+    if real:
+        nbytes += 8 * (m // 2 + 1 if half else m) ** (d - 1) * (m + (half and d == 1))
     return max(1, STACK_BYTES // nbytes)
 
 
 def weighted_cell_sum(grid: Grid, values: np.ndarray, p: float, gamma: float,
                       factor: int = 1) -> float:
     """(sum |values|^p W_c)^{1/p} over a factor-refined n^d lattice of the
-    grid, or over the 2-D half-plane (n/2 + 1, n) of ``upsample_stack``:
-    its rows a = 1 .. n/2-1 stand for lattice rows a and -a too."""
+    grid, or over a half-lattice (n/2 + 1[, n]) of ``upsample_stack``: its
+    entries a = 1 .. n/2-1 on axis 0 stand for lattice indices a and -a."""
     n = grid.N * factor
-    shapes = [(n,) * grid.d] + [(n // 2 + 1, n)] * (grid.d == 2)
+    shapes = [(n,) * grid.d, (n // 2 + 1,) + (n,) * (grid.d - 1)]
     if values.shape not in shapes:
         raise GridMismatch(f"a lattice of shape {values.shape} on a {grid.d}-D "
                            f"grid refined to n = {n}; expected one of {shapes}")
@@ -741,7 +775,7 @@ def weighted_cell_sum(grid: Grid, values: np.ndarray, p: float, gamma: float,
     w = _get_weights(grid.d, grid.L, n, float(gamma))
     # |values|^p W_c in one buffer: refined lattices reach 2^20 cells in 2-D.
     # The weights are one half-line or quadrant; 2^d mirrored views of it
-    # (two on a half-plane) multiply the lattice in place.
+    # (one on a half-line, two on a half-plane) multiply it in place.
     terms = np.abs(values)
     terms **= p
     for cells, entries in _mirror_index(grid.d, n, half):
@@ -755,12 +789,12 @@ def weighted_cell_sum(grid: Grid, values: np.ndarray, p: float, gamma: float,
 @functools.lru_cache(maxsize=32)
 def _mirror_index(d: int, n: int, half: bool):
     """(lattice cells, weight entries) index pairs that cover an n^d lattice,
-    or with ``half`` the 2-D half-plane of ``weighted_cell_sum``.
+    or with ``half`` the half-line or half-plane of ``weighted_cell_sum``.
 
     Lattice index i reads weight entry |i - n/2| on each axis: indices
     0..n/2 read the entries backwards, n/2+1..n-1 read entries 1..n/2-1.
-    Half-plane row a reads weight row a.  Kept: building the pairs cost half
-    again the multiplies' own time in a 1-D cell sum at n = 4096.
+    Half-lattice index a on axis 0 reads entry a.  Kept: building the pairs
+    cost half again the multiplies' own time in a 1-D cell sum at n = 4096.
     """
     mid = n // 2
     axis = ((slice(None, mid + 1), slice(None, None, -1)),
@@ -788,27 +822,27 @@ def weighted_lps(items: Sequence) -> List[float]:
     p = inf gives the weight-free max of |f|; finite p the cell sum
     (sum |f(x_c)|^p W_c)^{1/p}, W_c the cell integral of |x|^gamma, upsampled
     as the band limit asks.  Each field is transformed once, in stacks of one
-    grid, factor and realness; a field keeps a factor 1 lane as ``values``.
+    grid, factor and pair of flags; a field keeps a factor 1 lane as ``values``.
     """
-    groups = {}  # (grid, factor, real) -> {field: [(item index, p, gamma)]}
+    groups = {}  # (grid, factor, (real, half)) -> {field: [(item index, p, gamma)]}
     for i, (f, p, gamma) in enumerate(items):
         p = float(p)
         check_lp_range(f.grid.d, p, gamma)
         factor = 1 if p == math.inf else auto_oversample(f.grid, f.band_limit)
-        key = (f.grid, factor, factor > 1 and f.real_valued)
+        key = (f.grid, factor, (factor > 1 and f.real_valued, factor > 1 and f._sym))
         groups.setdefault(key, {}).setdefault(f, []).append((i, p, gamma))
     out = [0.0] * len(items)
-    for (grid, factor, real), fields in groups.items():
-        fields, slots = list(fields.items()), stack_slots(grid, factor, real)
+    for (grid, factor, flags), fields in groups.items():
+        fields, slots = list(fields.items()), stack_slots(grid, factor, *flags)
         for start in range(0, len(fields), slots):
-            _stack_norms(fields[start:start + slots], factor, real, out)
+            _stack_norms(fields[start:start + slots], factor, flags, out)
     return out
 
 
-def _stack_norms(chunk, factor: int, real: bool, out: list) -> None:
+def _stack_norms(chunk, factor: int, flags, out: list) -> None:
     """Fill ``out`` from one stack of ``weighted_lps`` fields, dropped here."""
     fresh = [f for f, _ in chunk if factor > 1 or f._values is None]
-    stack = upsample_stack([f.spectrum for f in fresh], factor, real) if fresh else ()
+    stack = upsample_stack([f.spectrum for f in fresh], factor, *flags) if fresh else ()
     if factor == 1:  # complex lanes, kept as the fields' values
         for f, lane in zip(fresh, stack):
             lane = lane.copy() if len(fresh) > 1 else lane  # a view holds the stack

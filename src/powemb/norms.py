@@ -93,10 +93,10 @@ _MISSING = object()
 
 # Bytes of |S_k f| stacks one witness window's members keep together.  The
 # three 1-D windows of the bounded and failure checks keep every stack
-# (peaks 2.6 MiB, dilation 0.6 MiB, translation 3.1 MiB); a 2-D window on
-# the default grid keeps three unrefined half-plane stacks (1 MiB each) of
-# a real field or two (2 MiB each) of a complex one, and its refined ones
-# (4 MiB and more) go through ``_memo``.
+# (peaks 1.3 MiB and dilation 0.3 MiB of half-lines, translation 3.1 MiB);
+# a 2-D window on the default grid keeps three unrefined half-plane stacks
+# (1 MiB each) of a point-symmetric field or two (2 MiB each) of another,
+# and its refined ones (4 MiB and more) go through ``_memo``.
 WINDOW_BLOCK_BYTES = 4 * 2 ** 20
 
 
@@ -152,12 +152,14 @@ def _block_abs(f: Field, sys: DyadicSystem, memo: dict,
         else:
             out[k] = kept[(k, factors[k])] = None
     # The blocks of one factor are transformed together, as many per call
-    # as the stack bound allows; a real field's at factor 1 too.
+    # as the stack bound allows, on the half-lattice for a point-symmetric
+    # field (real for a real one) at factor 1 too.
+    flags = (f.real_valued, f.point_symmetric)
     for factor, group in groups.items():
-        slots = stack_slots(f.grid, factor, f.real_valued)
+        slots = stack_slots(f.grid, factor, *flags)
         for i in range(0, len(group), slots):
             ks, spectra = zip(*group[i:i + slots])
-            mags = np.abs(upsample_stack(spectra, factor, f.real_valued))
+            mags = np.abs(upsample_stack(spectra, factor, *flags))
             mags.setflags(write=False)
             out.update(zip(ks, mags))
             home = memo

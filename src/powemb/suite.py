@@ -510,9 +510,8 @@ def _exp_lacunary(seed, grid=None, p0=2, gamma0=0, q0=math.inf, p1=4,
 
 def _exp_gagliardo(seed, grid=None, gammas=(0, 0.5), count=20, s0=0, s1=2,
                    theta=0.5, p=2, q=2, cap=10.0) -> List[ExperimentReport]:
-    fields = random_field_batch(grid or BATCH_GRID, count, seed)
-    return [check_gagliardo(fields, s0, s1, theta, p, q, gamma, cap=cap)
-            for gamma in gammas]
+    return check_gagliardo(random_field_batch(grid or BATCH_GRID, count, seed),
+                           s0, s1, theta, p, q, gammas, cap=cap)
 
 
 def _exp_oracle(seed, count=10000, triples=2000) -> List[ExperimentReport]:

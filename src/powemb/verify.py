@@ -352,31 +352,37 @@ def check_nikolskij(base: Field, p0, gamma0, p1, gamma1, alpha=0,
     )
 
 
-def check_gagliardo(fields: Sequence[Field], s0, s1, theta, p, q, gamma,
-                    cap=10.0) -> ExperimentReport:
+def check_gagliardo(fields: Sequence[Field], s0, s1, theta, p, q, gammas,
+                    cap=10.0) -> List[ExperimentReport]:
     """Interpolation inequality on a batch: ||f||_{F^s} <= C ||f||^{1-th} ||f||^th.
 
-    s = (1-theta) s0 + theta s1, one weight, one p.  The batch maximum of
-    the ratio is reported and compared against the cap.
+    s = (1-theta) s0 + theta s1, one p, one report per weight in ``gammas``,
+    in that order.  Each field is normed for every gamma before the next
+    field, so the norms' one-field memo serves every gamma.  The batch
+    maximum of the ratio is reported and compared against the cap.
     """
-    s0, s1, theta = float(s0), float(s1), float(theta)
+    s0, s1, theta, gammas = float(s0), float(s1), float(theta), list(gammas)
     s = (1.0 - theta) * s0 + theta * s1
-    nums, dens = [], []
+    rows = [([], []) for _ in gammas]  # per gamma, numerators and denominators
     for f in fields:
-        nums.append(norms.triebel_norm(f, s, p, q, gamma).value)
-        a = norms.triebel_norm(f, s0, p, q, gamma).value
-        b = norms.triebel_norm(f, s1, p, q, gamma).value
-        dens.append(a ** (1.0 - theta) * b ** theta)
-    measured = measured_rows(range(len(fields)), dens, nums)
-    worst = max((r for r in measured.values if not math.isnan(r)), default=0.0)
-    return measured_report(
-        f"gagliardo[s0={s0},s1={s1},theta={theta},p={p},q={q},gamma={gamma}]",
-        "gagliardo",
-        measured,
-        lambda fit: worst <= cap,
-        predicted_formula="batch max of interpolation ratio <= cap",
-        details={"batch_max_ratio": worst, "cap": cap, "s": s},
-    )
+        for gamma, (nums, dens) in zip(gammas, rows):
+            nums.append(norms.triebel_norm(f, s, p, q, gamma).value)
+            a = norms.triebel_norm(f, s0, p, q, gamma).value
+            b = norms.triebel_norm(f, s1, p, q, gamma).value
+            dens.append(a ** (1.0 - theta) * b ** theta)
+    reports = []
+    for gamma, (nums, dens) in zip(gammas, rows):
+        measured = measured_rows(range(len(fields)), dens, nums)
+        worst = max((r for r in measured.values if not math.isnan(r)), default=0.0)
+        reports.append(measured_report(
+            f"gagliardo[s0={s0},s1={s1},theta={theta},p={p},q={q},gamma={gamma}]",
+            "gagliardo",
+            measured,
+            lambda fit, worst=worst: worst <= cap,
+            predicted_formula="batch max of interpolation ratio <= cap",
+            details={"batch_max_ratio": worst, "cap": cap, "s": s},
+        ))
+    return reports
 
 
 # ---------------------------------------------------------------------------

@@ -260,6 +260,14 @@ def _finite(name: str, value) -> float:
     return value
 
 
+def _exponent(name: str, value) -> float:
+    """``value`` as a float; a RangeError naming ``name`` unless in [1, inf]."""
+    value = float(value)
+    if not value >= 1:
+        raise RangeError(f"{name} must lie in [1, inf], got {value}")
+    return value
+
+
 def lacunary_sum(grid: Grid, coeffs: Sequence[float], s0, p0, gamma0) -> Field:
     """The block sum f = sum_j 2^{-3j(d + s0 - (d+gamma0)/p0)} a_j phi_{3j}.
 
@@ -268,6 +276,7 @@ def lacunary_sum(grid: Grid, coeffs: Sequence[float], s0, p0, gamma0) -> Field:
     """
     coeffs = [float(a) for a in coeffs]
     s0, gamma0 = _finite("s0", s0), _finite("gamma0", gamma0)
+    p0 = _exponent("p0", p0)
     N = len(coeffs)
     if N < 1:
         raise RangeError("need at least one coefficient")
@@ -278,10 +287,7 @@ def lacunary_sum(grid: Grid, coeffs: Sequence[float], s0, p0, gamma0) -> Field:
             f"xi_max={grid.xi_max:.3g}"
         )
     d = grid.d
-    if math.isinf(float(p0)):
-        dim0 = 0.0
-    else:
-        dim0 = (d + gamma0) / float(p0)
+    dim0 = 0.0 if math.isinf(p0) else (d + gamma0) / p0
     expo = d + s0 - dim0
     scaled = [a * 2.0 ** (-3.0 * (jj + 1) * expo) for jj, a in enumerate(coeffs)]
     hats = [_hat_n(3 * (jj + 1)) for jj in range(N)]
@@ -308,7 +314,8 @@ def log_singularity(p0, gamma0, p1, d: int, eps: float = 0.0) -> RadialProfile:
     target under dim-index equality) for every gamma0 > -d; at gamma0 = 0
     it is the plain -d/p0.
     """
-    p0, p1, gamma0 = float(p0), float(p1), _finite("gamma0", gamma0)
+    p0, p1 = _exponent("p0", p0), _exponent("p1", p1)
+    gamma0 = _finite("gamma0", gamma0)
     if d < 1:
         raise RangeError(f"dimension must be >= 1, got {d}")
     if not p1 < p0:

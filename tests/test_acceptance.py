@@ -160,8 +160,7 @@ def test_criterion_8_norm_machinery_equivalences():
             print(f"equivalence failed: {rep.experiment_id} {rep.details}")
             ok = False
     fields = random_field_batch(Grid(1, 16.0, 2 ** 12), 100, seed=9)
-    for gamma in (0.0, 0.5):
-        rep = check_gagliardo(fields, 0, 2, 0.5, 2, 2, gamma, cap=10.0)
+    for rep in check_gagliardo(fields, 0, 2, 0.5, 2, 2, (0.0, 0.5), cap=10.0):
         if not rep.passed:
             print(f"gagliardo failed: {rep.details}")
             ok = False

@@ -205,11 +205,22 @@ class TestWitness:
         (["rieszlog", "--b", "inf"], "b must be finite, got inf"),
         (["lacunary", "--gamma0", "inf"], "gamma0 must be finite, got inf"),
         (["lacunary", "--s0=-inf"], "s0 must be finite, got -inf"),
+        # An integrability exponent below 1, checked before any division and,
+        # in logsing, before the dichotomy's p1 < p0.
+        (["lacunary", "--p0", "0"], "p0 must lie in [1, inf], got 0.0"),
+        (["lacunary", "--p0", "-1"], "p0 must lie in [1, inf], got -1.0"),
+        (["lacunary", "--p0", "0.5"], "p0 must lie in [1, inf], got 0.5"),
+        (["logsing", "--p0", "0", "--p1", "-1"], "p0 must lie in [1, inf], got 0.0"),
+        (["logsing", "--p0", "2", "--p1", "0"], "p1 must lie in [1, inf], got 0.0"),
+        (["logsing", "--p0", "2", "--p1", "0.5"], "p1 must lie in [1, inf], got 0.5"),
+        (["logsing", "--p0", "-2"], "p0 must lie in [1, inf], got -2.0"),
     ], ids=["sigma_zero", "sigma_negative", "n_empty_range", "j_not_int",
             "sigma_not_number", "lam_empty", "coeffs_not_number",
             "n_range_not_int", "dim_not_int", "n_terms_not_int", "dim_negative",
             "dim_zero", "gamma0_nan", "a_nan", "s0_nan", "logsing_gamma0_inf",
-            "a_inf", "b_inf", "lacunary_gamma0_inf", "s0_inf"])
+            "a_inf", "b_inf", "lacunary_gamma0_inf", "s0_inf", "lacunary_p0_zero",
+            "lacunary_p0_negative", "lacunary_p0_half", "logsing_p0_zero",
+            "logsing_p1_zero", "logsing_p1_half", "logsing_p0_negative"])
     def test_bad_value_exits_64_naming_its_flag(self, argv, message, tmp_path,
                                                 monkeypatch, capsys):
         monkeypatch.setenv("POWEMB_OUT", str(tmp_path / "w"))

@@ -376,13 +376,15 @@ class TestWeightedLp:
     @pytest.mark.parametrize("d", [1, 2])
     def test_wrong_lattice_shape_is_grid_mismatch(self, d):
         # The shape got and the shapes accepted are named, not left to a
-        # broadcast error: n^d, and in 2-D the real path's half-plane.
+        # broadcast error: n^d, and the half path's half-line (1-D) or
+        # half-plane (2-D).
         grid = Grid(d, 8.0, 64)
         n = 64 * 2
-        accepted = [(n,) * d] + [(n // 2 + 1, n)] * (d == 2)
-        for shape in [(n // 2 + 1,), (n // 2,), (64,) * d, (n, n // 2 + 1),
-                      (n // 2 + 1, n // 2 + 1)]:
-            if len(shape) != d:
+        accepted = [(n,) * d, (n // 2 + 1,) + (n,) * (d - 1)]
+        for shape in [(n // 2,), (n // 2 + 2,), (n + 1,), (64,) * d,
+                      (n, n // 2 + 1), (n // 2 + 1, n // 2 + 1), (n // 2, n),
+                      (n // 2 + 1, n + 1), (n + 1, n), (n // 2 + 1,) * 3]:
+            if shape in accepted:
                 continue
             with pytest.raises(GridMismatch) as err:
                 weighted_cell_sum(grid, np.ones(shape), 2.0, 0.5, 2)
@@ -684,38 +686,45 @@ def _run_child(code, env_extra=()):
                           capture_output=True, text=True, check=True).stdout.strip()
 
 
-def _full_upsample(f, factor, real=None):
+def _full_upsample(f, factor, real=None, half=False):
     """One inverse FFT of the whole zero-padded spectrum, kept as the
     reference for the axis-by-axis transform: ``irfftn`` of the padded
     half-spectrum for a real-valued field (``real``, by default the
     field's flag past factor 1, as in ``upsample_values``), ``ifftn`` of
-    the padded spectrum, at factor 1 ``values``, for any other."""
+    the padded spectrum, at factor 1 ``values``, for any other.  With
+    ``half``, the half-lattice of the samples (``_half_lattice``), a complex
+    2-D spectrum transformed along axis 0 and then along axis 1, in the
+    half path's order."""
     if real is None:
         real = f.real_valued and factor > 1
-    if factor == 1 and not real:
+    if factor == 1 and not (real or half):
         return f.values
     d, n = f.grid.d, f.grid.N
-    m, half = n * factor, n // 2
-    idx = np.r_[0:half, m - half:m]
+    m, h = n * factor, n // 2
+    idx = np.r_[0:h, m - h:m]
     if real:
         pad = np.zeros((m,) * (d - 1) + (m // 2 + 1,), dtype=np.complex128)
-        pad[np.ix_(*(idx,) * (d - 1), np.arange(half))] = f.spectrum[..., :half]
-        return np.fft.irfftn(pad, s=(m,) * d, axes=tuple(range(d))) * factor ** d
-    pad = np.zeros((m,) * d, dtype=np.complex128)
-    pad[np.ix_(*(idx,) * d)] = f.spectrum
-    return np.fft.ifftn(pad) * factor ** d
+        pad[np.ix_(*(idx,) * (d - 1), np.arange(h))] = f.spectrum[..., :h]
+        out = np.fft.irfftn(pad, s=(m,) * d, axes=tuple(range(d))) * factor ** d
+    else:
+        pad = np.zeros((m,) * d, dtype=np.complex128)
+        pad[np.ix_(*(idx,) * d)] = f.spectrum
+        out = (np.fft.ifft(np.fft.ifft(pad, axis=0), axis=1) if half and d == 2
+               else np.fft.ifftn(pad)) * factor ** d
+    return _half_lattice(out) if half else out
 
 
-def _half_plane(a):
-    """Rows m/2 .. m-1 and then row 0 of an m x m lattice: the rows with
-    |x_0| = 0, h, .., L that the 2-D real path makes."""
+def _half_lattice(a):
+    """Indices m/2 .. m-1 and then index 0 of axis 0 of an m^d lattice: the
+    samples (1-D) or rows (2-D) with |x_0| = 0, h, .., L that the half path
+    makes."""
     return np.concatenate([a[len(a) // 2:], a[:1]])
 
 
-def _half_plane_cell_sum(grid, mag, p, gamma, factor):
-    """The cell sum over a half-plane: rows 1 .. m/2-1 count twice, for
-    their mirror rows, and rows 0 and m/2 once."""
-    terms = np.abs(mag) ** p * _half_plane(
+def _half_lattice_cell_sum(grid, mag, p, gamma, factor):
+    """The cell sum over a half-lattice: entries 1 .. m/2-1 of axis 0 count
+    twice, for their mirror images, and entries 0 and m/2 once."""
+    terms = np.abs(mag) ** p * _half_lattice(
         _full_weights(grid.d, grid.L, grid.N * factor, gamma))
     total = 2.0 * np.sum(terms[1:-1]) + np.sum(terms[0]) + np.sum(terms[-1])
     return float(total) ** (1.0 / p)
@@ -727,23 +736,22 @@ def _full_cell_sum(grid, mag, p, gamma, factor):
 
 
 def _full_weighted_lp(f, p, gamma, half=False):
-    """The full-lattice weighted norm; with ``half``, a 2-D real field's
-    refined samples are cut to the half-plane and summed as one."""
+    """The full-lattice weighted norm; with ``half``, a point-symmetric
+    field's refined samples are made on the half-lattice and summed as one."""
     factor = lpengine.auto_oversample(f.grid, f.band_limit)
-    mag = np.abs(_full_upsample(f, factor))
-    if half and factor > 1:
-        return _half_plane_cell_sum(f.grid, _half_plane(mag), p, gamma, factor)
-    return _full_cell_sum(f.grid, mag, p, gamma, factor)
+    half = half and factor > 1
+    mag = np.abs(_full_upsample(f, factor, half=half))
+    return (_half_lattice_cell_sum if half else _full_cell_sum)(
+        f.grid, mag, p, gamma, factor)
 
 
 def _full_block_abs(f, sys, k, factor, half=False):
     block = Field(f.grid, spectrum=f.spectrum * sys.lattice_hat(k))
-    mag = np.abs(_full_upsample(block, factor, real=f.real_valued))
-    return _half_plane(mag) if half else mag
+    return np.abs(_full_upsample(block, factor, real=f.real_valued, half=half))
 
 
 def _full_besov(f, s, p, q, gamma, sys, half=False):
-    cell_sum = _half_plane_cell_sum if half else _full_cell_sum
+    cell_sum = _half_lattice_cell_sum if half else _full_cell_sum
     vals = []
     for k in range(lpengine._active_blocks(f, sys) + 1):
         factor = lpengine.auto_oversample(f.grid, lpengine._block_band(f, sys, k))
@@ -766,7 +774,7 @@ def _full_triebel(f, s, p, q, gamma, sys, half=False):
             agg = term if agg is None else agg + term
     if q != math.inf:
         agg **= 1.0 / q
-    return (_half_plane_cell_sum if half else _full_cell_sum)(
+    return (_half_lattice_cell_sum if half else _full_cell_sum)(
         f.grid, agg, p, gamma, factor)
 
 
@@ -775,9 +783,9 @@ def _full_triebel(f, s, p, q, gamma, sys, half=False):
 def test_norms_match_full_lattice_reference(which):
     # Mirrored weights, axis-by-axis upsampling and skipped zero blocks give
     # the values of full-lattice weights and one ifftn per block, bit for bit.
-    # A 2-D real field is summed over the half-plane of its point-symmetric
-    # samples: bit for bit the half-plane sum of the full transform's rows,
-    # and the full-lattice sum to rounding.
+    # A point-symmetric field is summed over the half-lattice of its samples:
+    # bit for bit the half-lattice sum of a transform in the half path's
+    # order, and the full-lattice sum to rounding.
     from powemb.norms import besov_norm, triebel_norm
     from powemb.witnesses import random_band_limited, spectral_peaks
 
@@ -792,8 +800,8 @@ def test_norms_match_full_lattice_reference(which):
     }[which]()
     sys = lpengine.make_dyadic(f.grid)
     low = -0.5 if f.grid.d == 1 else -1.5
-    half = f.grid.d == 2 and f.real_valued
-    assert half == (which == "peak_2d")
+    half = f.point_symmetric
+    assert half == (which != "gauss_1d")
 
     def check(got, ref, *args):
         assert got == ref(f, *args, half=half)
@@ -850,14 +858,15 @@ class TestHalfPlaneSum:
         grid = self.GRID
         f = witnesses.spectral_peaks(grid, [3], -1).member(0)
         fields = [f] + lp_blocks(f, lpengine.make_dyadic(grid), [2, 3])
-        stack = lpengine.upsample_stack([g.spectrum for g in fields], factor, real=True)
+        stack = lpengine.upsample_stack([g.spectrum for g in fields], factor,
+                                        real=True, half=True)
         m = grid.N * factor
         assert stack.shape == (3, m // 2 + 1, m)
         for g, half in zip(fields, stack):
             full = np.abs(_full_upsample(g, factor, real=True))
             for p, gamma in itertools.product(self.PS, self.GAMMAS):
                 got = weighted_cell_sum(grid, half, p, gamma, factor)
-                assert got == _half_plane_cell_sum(grid, half, p, gamma, factor)
+                assert got == _half_lattice_cell_sum(grid, half, p, gamma, factor)
                 self.assert_close(got, _full_cell_sum(grid, full, p, gamma, factor),
                                   p, gamma)
 
@@ -1142,8 +1151,8 @@ class TestFieldRepresentation:
         # One in-place transform per axis, of the lanes holding coefficients
         # only; the samples are those of one inverse FFT of the whole padded
         # spectrum and a scaling, bit for bit.  A real-valued field ends in
-        # one irfft along the last axis and its samples are real; in 2-D they
-        # are the half-plane rows of that transform.
+        # one irfft along the last axis and its samples are real; they are
+        # the half-lattice of that transform.
         grid = Grid(d, 8.0, 16)
         if real:
             f = field_from_spectral(
@@ -1156,11 +1165,9 @@ class TestFieldRepresentation:
         names = ["ifft"] * (d - 1) + ["irfft"] if real else ["ifft"] * d
         assert fft_calls == [(name, 1) for name in names]
         assert up.dtype == (np.float64 if real else np.complex128)
-        ref = _full_upsample(f, factor)
-        if real and d == 2:  # the half-plane rows of the point-symmetric samples
-            ref = _half_plane(ref)
+        ref = _full_upsample(f, factor, half=real)
         m = 16 * factor
-        assert up.shape == ((m // 2 + 1, m) if real and d == 2 else (m,) * d)
+        assert up.shape == ((m // 2 + 1,) + (m,) * (d - 1) if real else (m,) * d)
         assert np.array_equal(up, ref)
 
     @pytest.mark.parametrize("d", [1, 2])
@@ -1408,12 +1415,98 @@ class TestRealValued:
             as_complex = Field(grid, spectrum=f.spectrum)
             for factor in factors:
                 got = upsample_values(f, factor)
-                ref = upsample_values(as_complex, factor)
-                if d == 2:
-                    ref = _half_plane(ref)
+                ref = _half_lattice(upsample_values(as_complex, factor))
                 assert got.dtype == np.float64
                 assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), (
                     name, factor)
+
+
+def _mirror(v):
+    """v at lattice index -i, (n - i) mod n on every axis."""
+    axes = tuple(range(v.ndim))
+    return np.roll(np.flip(v, axes), 1, axes)
+
+
+class TestPointSymmetric:
+    """The symmetry flag is derived from the spectrum: set exactly where it
+    equals plus or minus its reflection k -> -k, and the samples' magnitudes
+    are then even to rounding."""
+
+    @staticmethod
+    def fields(grid):
+        """Every witness member, its blocks and its first derivatives, and a
+        translation family member, by name."""
+        sys_ = make_dyadic(grid)
+        members = dict(_witness_members(grid))
+        members["translation_family"] = witnesses.translation_family(
+            witnesses.gaussian_base(grid, sigma=0.5), [1.0]).member(0)
+        out = {}
+        for name, f in members.items():
+            out[name] = f
+            for k, block in enumerate(lp_blocks(f, sys_)):
+                out[f"{name}/block{k}"] = block
+            for axis in range(grid.d):
+                alpha = tuple(int(i == axis) for i in range(grid.d))
+                out[f"{name}/D{alpha}"] = derivative(f, alpha)
+        return out
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_flag_marks_exactly_the_symmetric_spectra(self, grid1d, grid2d, d):
+        # Radial members, their blocks (even) and their first derivatives
+        # (odd) are flagged; a moved member is not, nor anything of it.
+        grid = grid1d if d == 1 else grid2d
+        for name, f in self.fields(grid).items():
+            base = name.split("/")[0]
+            sym = base not in ("translation", "translation_family")
+            assert f.point_symmetric == sym, name
+            spec = f.spectrum
+            even = np.array_equal(spec, _mirror(spec))
+            odd = np.array_equal(spec, -_mirror(spec))
+            if not sym:
+                assert not (even or odd) or not spec.any(), name
+            elif "/D" in name:
+                assert odd, name
+            else:
+                assert even, name
+            if f.real_valued:
+                assert sym and even, name
+        assert not witnesses.random_band_limited(grid, 7).real_valued
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_flagged_magnitudes_are_even(self, grid1d, grid2d, d):
+        # |v[i]| and |v[-i]| differ by rounding alone: at most 1e-15 of the
+        # peak, which the half-lattice sums rely on.
+        grid = grid1d if d == 1 else grid2d
+        fields = self.fields(grid)
+        for name, f in fields.items():
+            if f.point_symmetric and f.spectrum.any():
+                mag = np.abs(f.values)
+                assert (np.max(np.abs(mag - _mirror(mag)))
+                        <= 1e-15 * np.max(mag)), name
+        # The bound has teeth: a moved member lies far outside it.
+        mag = np.abs(fields["translation"].values)
+        assert np.max(np.abs(mag - _mirror(mag))) > 1e-3 * np.max(mag)
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_half_lattice_norms_match_full_lattice(self, grid1d, grid2d, d):
+        # Every kind of flagged member, at every factor: the half-lattice
+        # cell sum agrees within 1e-14 with the full-lattice sum of the same
+        # samples, mirrored to lattice indices -a.
+        grid = grid1d if d == 1 else grid2d
+        members = _witness_members(grid)
+        for name in ("random", "dilation", "peak_j0"):
+            f = members[name]
+            assert f.point_symmetric, name
+            for factor in (1, 2, 4):
+                half = lpengine.upsample_stack([f.spectrum], factor,
+                                               f.real_valued, True)[0]
+                m = grid.N * factor
+                full = np.concatenate([half[m // 2:0:-1], half[:m // 2]])
+                for p, gamma in itertools.product((1.0, 2.0, 3.5),
+                                                  (-0.5, 0.0, 1.5)):
+                    got = weighted_cell_sum(grid, half, p, gamma, factor)
+                    ref = _full_cell_sum(grid, full, p, gamma, factor)
+                    assert abs(got - ref) <= 1e-14 * ref, (name, factor, p, gamma)
 
 
 class TestUpsampleStack:
@@ -1442,27 +1535,78 @@ class TestUpsampleStack:
             for a in (0.5, 1.0, 2.0)]
         assert all(f.real_valued for f in fields)
         fft_calls.clear()
-        up = lpengine.upsample_stack([f.spectrum for f in fields], factor, real=True)
+        up = lpengine.upsample_stack([f.spectrum for f in fields], factor,
+                                     real=True, half=True)
         assert fft_calls == [("ifft", 3)] * (d - 1) + [("irfft", 3)]
         assert up.dtype == np.float64
         m = 16 * factor
-        assert up.shape == (3,) + ((m // 2 + 1, m) if d == 2 else (m,))
+        assert up.shape == (3, m // 2 + 1) + (m,) * (d - 1)
         for f, got in zip(fields, up):
-            ref = _full_upsample(f, factor, real=True)
-            assert np.array_equal(got, _half_plane(ref) if d == 2 else ref)
+            ref = _full_upsample(f, factor, real=True, half=True)
+            assert np.array_equal(got, ref)
+            if factor > 1:
+                assert np.array_equal(got, upsample_values(f, factor))
+
+    @pytest.mark.parametrize("d,factor", [(d, factor) for d in (1, 2)
+                                          for factor in (1, 2, 4)])
+    def test_symmetric_stack_matches_axis_order_reference(self, d, factor,
+                                                          fft_calls):
+        # Complex point-symmetric spectra: the half-lattice of one ifft per
+        # axis, axis 0 first, bit for bit; in 2-D the last axis is
+        # transformed on the half-plane rows only.
+        grid = Grid(d, 8.0, 16)
+        fields = [witnesses.random_band_limited(grid, seed, band=2.5)
+                  for seed in range(3)]
+        assert all(f.point_symmetric and not f.real_valued for f in fields)
+        fft_calls.clear()
+        up = lpengine.upsample_stack([f.spectrum for f in fields], factor,
+                                     half=True)
+        assert fft_calls == [("ifft", 3)] * d
+        m = 16 * factor
+        assert up.shape == (3, m // 2 + 1) + (m,) * (d - 1)
+        for f, got in zip(fields, up):
+            assert np.array_equal(got, _full_upsample(f, factor, half=True))
             if factor > 1:
                 assert np.array_equal(got, upsample_values(f, factor))
 
     @pytest.mark.parametrize("d,factor,real,slots", [
-        (1, 4, False, 16), (1, 32, False, 2), (1, 1, True, 127),
-        (2, 1, False, 4), (2, 1, True, 7), (2, 2, False, 1), (2, 2, True, 1),
+        (1, 4, False, 16), (1, 32, False, 2), (1, 1, True, 63),
+        (2, 1, False, 4), (2, 1, True, 5), (2, 2, False, 1), (2, 2, True, 1),
         (2, 4, False, 1)])
     def test_stack_slots_bound_the_buffer(self, d, factor, real, slots):
-        # 1-D at N = 4096 and 2-D at N = 256: a padded 2-D block at factor 2
-        # is 4 MiB (2 MiB and a column real), and one at factor 4, 16 MiB,
-        # still gets its call.
+        # 1-D at N = 4096 and 2-D at N = 256, a real stack on its
+        # half-lattice as a real field's: a padded 2-D block at factor 2 is
+        # 4 MiB (3 MiB real), and one at factor 4, 16 MiB, still gets its call.
         grid = Grid(d, 8.0, 4096 if d == 1 else 256)
-        assert lpengine.stack_slots(grid, factor, real) == slots
+        assert lpengine.stack_slots(grid, factor, real, real) == slots
+
+    @pytest.mark.parametrize("d,real,half,factor", [
+        (d, real, half, factor) for d in (1, 2) for real in (False, True)
+        for half in (False, True) for factor in (1, 2)])
+    def test_a_call_stays_within_stack_bytes(self, monkeypatch, d, real, half,
+                                             factor):
+        # Every path: the bound lies just below three lanes' bytes, the
+        # buffer with its spare element or row, and a real stack's samples
+        # too, so two lanes fit and the call's traced peak stays within it.
+        grid = Grid(d, 8.0, 1024 if d == 1 else 64)
+        m = grid.N * factor
+        if d == 1:
+            lane = 16 * (m // 2 + 1) + 8 * (m + half) if real else 16 * (m + half)
+        else:
+            lane = 16 * (m + half) * (m // 2 + 1 if real else m)
+            lane += 8 * (m // 2 + 1 if half else m) * m if real else 0
+        monkeypatch.setattr(lpengine, "STACK_BYTES", 3 * lane - 1)
+        assert lpengine.stack_slots(grid, factor, real, half) == 2
+        spec = field_from_spectral(
+            grid, lambda *k: np.exp(-sum(x * x for x in k)), band_limit=6.0).spectrum
+        tracemalloc.start()
+        try:
+            up = lpengine.upsample_stack([spec, spec], factor, real, half)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert up.shape[1:] == ((m // 2 + 1,) + (m,) * (d - 1) if half else (m,) * d)
+        assert 2 * lane <= peak <= lpengine.STACK_BYTES
 
 
 def _one_by_one(f, p, gamma):

@@ -435,7 +435,7 @@ class TestSharedBlocks:
         for factor in (1, 4, 1):
             got = _block_norms(f, sys, _field_memo(f), [factor] * 3, 2.0, 0.5)
             assert got == [weighted_cell_sum(
-                f.grid, upsample_values(blocks[k], factor), 2.0, 0.5, factor)
+                f.grid, _block_lane(blocks[k], factor), 2.0, 0.5, factor)
                 for k in range(3)]
 
     def test_rim_is_scanned_once_per_field(self, monkeypatch):
@@ -607,8 +607,11 @@ class TestBlockStacks:
         sys = make_dyadic(f.grid)
         kmax = _active_blocks(f, sys)
         factor = auto_oversample(f.grid, _block_band(f, sys, kmax))
-        # Room for the padded buffers of three blocks per call.
-        monkeypatch.setattr(lpengine, "STACK_BYTES", 3 * 16 * f.grid.N * factor)
+        # Room for the padded buffers of three blocks per call, each with
+        # the spare element of a half-line.
+        assert f.point_symmetric
+        monkeypatch.setattr(lpengine, "STACK_BYTES",
+                            3 * 16 * (f.grid.N * factor + 1))
         fft_calls.clear()
         mags = norms_mod._block_abs(f, sys, norms_mod._field_memo(f),
                                     dict.fromkeys(range(kmax + 1), factor))
@@ -643,9 +646,10 @@ class TestBlockStacks:
                                     dict.fromkeys(range(kmax + 1), 1))
         assert fft_calls[-1] == ("irfft", 3)
         for block, (k, mag) in zip(lp_blocks(f, sys), mags.items()):
+            # Index m/2 .. m-1 and index 0 of axis 0: the half-line or
+            # half-plane |x_0| = 0 .. L.
             ref = np.abs(block.values)
-            if d == 2:  # rows m/2 .. m-1 and row 0: the half-plane |x_0| = 0 .. L
-                ref = np.concatenate([ref[grid.N // 2:], ref[:1]])
+            ref = np.concatenate([ref[grid.N // 2:], ref[:1]])
             if mag is None:
                 assert not block.spectrum.any(), k
                 continue
@@ -653,10 +657,27 @@ class TestBlockStacks:
             assert np.max(np.abs(mag - ref)) <= 1e-14 * np.max(ref), k
 
 
+def _block_lane(block, factor):
+    """One block's samples refined by factor, alone in its stack, as the
+    norms make them: on the half-lattice of a point-symmetric block, and
+    real for a real one, at every factor."""
+    return lpengine.upsample_stack([block.spectrum], factor, block.real_valued,
+                                   block.point_symmetric)[0]
+
+
+def _block_lp(block, p, gamma):
+    """A block's weighted norm on its own lane (``_block_lane``)."""
+    factor = 1 if p == math.inf else auto_oversample(block.grid, block.band_limit)
+    lane = _block_lane(block, factor)
+    if p == math.inf:
+        return float(np.max(np.abs(lane)))
+    return weighted_cell_sum(block.grid, lane, p, gamma, factor)
+
+
 def _per_call_besov(f, s, p, q, gamma, sys):
     """The per-call Besov path: every block transformed and normed afresh."""
     blocks = lp_blocks(f, sys)
-    vals = [2.0 ** (k * s) * weighted_lp(blocks[k], p, gamma)
+    vals = [2.0 ** (k * s) * _block_lp(blocks[k], p, gamma)
             for k in range(_active_blocks(f, sys) + 1)]
     return max(vals) if q == math.inf else float(
         np.sum(np.asarray(vals) ** q) ** (1.0 / q))
@@ -668,7 +689,7 @@ def _per_call_triebel(f, s, p, q, gamma, sys):
     blocks = lp_blocks(f, sys)
     band = min(x for x in (sys.block_band(kmax), f.band_limit) if x is not None)
     factor = auto_oversample(f.grid, band)
-    stack = np.stack([np.abs(upsample_values(blocks[k], factor)) * 2.0 ** (k * s)
+    stack = np.stack([np.abs(_block_lane(blocks[k], factor)) * 2.0 ** (k * s)
                       for k in range(kmax + 1)])
     if q == math.inf:
         agg = np.max(stack, axis=0)

@@ -90,14 +90,14 @@ class TestGagliardo:
     def test_theta_zero_elementary(self, grid1d):
         fields = [random_band_limited(grid1d, 20 + i, band=24.0)
                   for i in range(5)]
-        rep = check_gagliardo(fields, 0.5, 2.0, 0.0, 2, 2, 0.0)
+        [rep] = check_gagliardo(fields, 0.5, 2.0, 0.0, 2, 2, [0.0])
         assert rep.passed
 
     def test_single_block_ratio_one(self, grid1d):
         from powemb.witnesses import gaussian_spectral_base
 
         f = gaussian_spectral_base(grid1d, sigma_xi=0.1)
-        rep = check_gagliardo([f], 0.0, 2.0, 0.5, 2, 2, 0.0)
+        [rep] = check_gagliardo([f], 0.0, 2.0, 0.5, 2, 2, [0.0])
         assert rep.details["batch_max_ratio"] == pytest.approx(1.0, rel=1e-6)
 
 
@@ -116,7 +116,7 @@ class TestNonFiniteRatios:
         # Every norm is 1 except the interpolated one (s = 1) of one field.
         monkeypatch.setattr(norms, "triebel_norm", lambda f, s, *args, **kw: (
             NormResult(math.nan if f is fields[pos] and s == 1.0 else 1.0)))
-        rep = check_gagliardo(fields, 0.0, 2.0, 0.5, 2, 2, 0.0)
+        [rep] = check_gagliardo(fields, 0.0, 2.0, 0.5, 2, 2, [0.0])
         assert not rep.passed
         assert rep.details["nonfinite_ratios"] == [pos]
         assert rep.details["batch_max_ratio"] == 1.0
@@ -603,3 +603,27 @@ def test_gagliardo_builds_one_batch_for_every_gamma(monkeypatch):
     both = suite._exp_gagliardo(0, grid=grid, gammas=(0, 0.5), count=2)
     assert len(built) == 1
     assert [r.to_dict() for r in both] == apart
+
+
+def test_gagliardo_norms_each_field_for_every_gamma_first(monkeypatch, fft_calls):
+    # Field by field, every gamma's three F norms before the next field: the
+    # one-field memo serves the second gamma, which costs no transform.
+    from powemb import norms
+    from powemb.lpengine import Grid
+
+    grid = Grid(1, 8.0, 256)
+    batch = lambda: [random_band_limited(grid, i, band=12.0) for i in range(3)]
+    fft_calls.clear()
+    check_gagliardo(batch(), 0, 2, 0.5, 2, 2, [0.0])
+    one_gamma = len(fft_calls)
+    seen, triebel = [], norms.triebel_norm
+    monkeypatch.setattr(norms, "triebel_norm", lambda f, s, p, q, gamma: (
+        seen.append((f, gamma)) or triebel(f, s, p, q, gamma)))
+    fields = batch()
+    fft_calls.clear()
+    reps = check_gagliardo(fields, 0, 2, 0.5, 2, 2, [0.0, 0.5])
+    assert len(fft_calls) == one_gamma > 0
+    assert seen == [(f, gamma) for f in fields for gamma in (0.0, 0.5)
+                    for _ in range(3)]
+    assert [r.experiment_id.endswith(f",gamma={gamma}]") for r, gamma
+            in zip(reps, (0.0, 0.5))] == [True, True]
